@@ -133,7 +133,10 @@ StatusOr<Bytes> CachedServerEndpoint::CallLive(MsgKind kind, ByteSpan msg) {
 
 Status CachedServerEndpoint::EnsureLive() {
   const uint64_t start = NowNs();
-  live_ = std::make_unique<SyncServerEndpoint>(f_new_, config_);
+  // The target's fingerprint, when already known (a hint, or the cache
+  // key), spares the live endpoint hashing F_new again.
+  live_ = std::make_unique<SyncServerEndpoint>(
+      f_new_, config_, fp_new_.has_value() ? &*fp_new_ : nullptr);
   // Replay the buffered incoming history to bring the fresh endpoint to
   // the state the cached prefix already advertised. The replies are
   // recomputations of cached payloads and are discarded.

@@ -40,7 +40,8 @@ class CachedServerEndpoint {
   /// in which case the wrapper degenerates to a live endpoint that only
   /// measures server CPU. `fp_new_hint`, when the caller already knows
   /// the file's fingerprint (e.g. from the collection manifest), avoids
-  /// re-fingerprinting the file per session on the all-hit path.
+  /// re-fingerprinting the file per session, on the all-hit path and in
+  /// the live endpoint alike.
   CachedServerEndpoint(ByteSpan f_new, const SyncConfig& config,
                        cache::SyncCache* cache,
                        obs::SyncObserver* obs = nullptr,

@@ -1,49 +1,13 @@
 #include "fsync/hash/gear.h"
 
-#include <array>
-
 namespace fsx {
-
-namespace {
-
-// splitmix64 — the table must be identical on both endpoints, so it is
-// generated from a fixed seed rather than hard-coding 256 literals.
-constexpr uint64_t Splitmix64(uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-constexpr std::array<uint64_t, 256> MakeTable() {
-  std::array<uint64_t, 256> t{};
-  uint64_t state = 0x6545636e72797047ull;  // arbitrary fixed seed
-  for (int i = 0; i < 256; ++i) t[i] = Splitmix64(state);
-  return t;
-}
-
-constexpr std::array<uint64_t, 256> kGearTable = MakeTable();
-
-}  // namespace
 
 uint64_t Gear::Hash(ByteSpan block) {
   uint64_t h = 0;
   for (size_t i = 0; i < block.size(); ++i) {
-    h = (h << 1) + kGearTable[block[i]];
+    h = (h << 1) + hash_internal::kGearTable[block[i]];
   }
   return h;
 }
-
-uint32_t Gear::Truncate(uint64_t hash, int num_bits) {
-  if (num_bits >= 32) return static_cast<uint32_t>(hash);
-  return static_cast<uint32_t>(hash) & ((uint32_t{1} << num_bits) - 1);
-}
-
-const uint64_t* Gear::Table() { return kGearTable.data(); }
-
-GearWindow::GearWindow(ByteSpan window)
-    : hash_(Gear::Hash(window)),
-      window_size_(static_cast<uint32_t>(window.size())) {}
 
 }  // namespace fsx

@@ -1,38 +1,13 @@
 #include "fsync/hash/tabled_adler.h"
 
-#include <cassert>
-
 namespace fsx {
-
-namespace {
-
-// 256-entry substitution table of pseudo-random 16-bit values, generated
-// once from a fixed splitmix64 stream so both endpoints agree byte-for-byte.
-const uint16_t* BuildTable() {
-  static uint16_t table[256];
-  uint64_t x = 0x9E3779B97F4A7C15ULL;  // fixed seed: hash tables must match
-  for (int i = 0; i < 256; ++i) {
-    uint64_t z = (x += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    z ^= z >> 31;
-    table[i] = static_cast<uint16_t>(z);
-  }
-  return table;
-}
-
-const uint16_t* kTable = BuildTable();
-
-}  // namespace
-
-const uint16_t* TabledAdler::SubstitutionTable() { return kTable; }
 
 AdlerPair TabledAdler::Hash(ByteSpan block) {
   uint32_t a = 0;
   uint32_t b = 0;
   size_t n = block.size();
   for (size_t i = 0; i < n; ++i) {
-    uint16_t t = kTable[block[i]];
+    uint16_t t = hash_internal::kTabledAdlerTable[block[i]];
     a += t;
     b += static_cast<uint32_t>((n - i) & 0xFFFF) * t;
   }
@@ -61,29 +36,6 @@ AdlerPair TabledAdler::SplitLeft(AdlerPair parent, AdlerPair right,
   uint16_t b = static_cast<uint16_t>(
       parent.b - right.b - static_cast<uint16_t>(right_len) * a);
   return {a, b};
-}
-
-uint32_t TabledAdler::Truncate(AdlerPair pair, int num_bits) {
-  assert(num_bits >= 1 && num_bits <= 32);
-  int a_bits = num_bits / 2;
-  int b_bits = num_bits - a_bits;
-  uint32_t a_part =
-      a_bits > 0 ? (pair.a & ((1u << a_bits) - 1)) : 0;
-  uint32_t b_part =
-      b_bits >= 16 ? pair.b : (pair.b & ((1u << b_bits) - 1));
-  return (b_part << a_bits) | a_part;
-}
-
-TabledAdlerWindow::TabledAdlerWindow(ByteSpan window)
-    : pair_(TabledAdler::Hash(window)),
-      window_size_(static_cast<uint32_t>(window.size())) {}
-
-void TabledAdlerWindow::Roll(uint8_t out, uint8_t in) {
-  uint16_t t_out = kTable[out];
-  uint16_t t_in = kTable[in];
-  pair_.a = static_cast<uint16_t>(pair_.a - t_out + t_in);
-  pair_.b = static_cast<uint16_t>(
-      pair_.b - static_cast<uint16_t>(window_size_) * t_out + pair_.a);
 }
 
 }  // namespace fsx

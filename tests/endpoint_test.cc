@@ -2,6 +2,10 @@
 // deployment would use), without SimulatedChannel.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "fsync/core/block_ledger.h"
 #include "fsync/core/endpoint.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/edits.h"
@@ -149,6 +153,77 @@ TEST(Endpoint, TraceAvailableAfterCompletion) {
   EXPECT_FALSE(client.trace().empty());
   EXPECT_EQ(client.rounds_executed(), server.rounds_executed());
   EXPECT_GT(server.delta_payload_bytes(), 0u);
+}
+
+// --- Batched group verification -------------------------------------
+
+// Checks GroupVerifyHashes against the per-group GroupVerifyHash on both
+// sides (client ranges at match_pos in F_old, server ranges in F_new).
+void ExpectBatchMatchesPerGroup(const std::vector<VerifyGroup>& groups,
+                                const BlockLedger& ledger, ByteSpan f_old,
+                                ByteSpan f_new, uint64_t salt) {
+  for (bool client_side : {false, true}) {
+    ByteSpan file = client_side ? f_old : f_new;
+    for (int bits : {1, 20, 32, 64}) {
+      std::vector<uint64_t> got;
+      core_internal::GroupVerifyHashes(file, groups, ledger, client_side,
+                                       bits, salt, got);
+      ASSERT_EQ(got.size(), groups.size());
+      for (size_t i = 0; i < groups.size(); ++i) {
+        EXPECT_EQ(got[i],
+                  core_internal::GroupVerifyHash(file, groups[i].members,
+                                                 ledger, client_side, bits,
+                                                 salt))
+            << "group " << i << " of " << groups.size()
+            << " client_side=" << client_side << " bits=" << bits;
+      }
+    }
+  }
+}
+
+TEST(GroupVerify, BatchedHashesEqualPerGroupHashes) {
+  const uint64_t seed = SeedFromEnv(1331);
+  SCOPED_TRACE("FSX_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  // 4 KiB blocks and a 1000-byte tail: groups of unequal total length,
+  // and enough bytes for runs to overflow the 64 KiB gather buffer.
+  SyncConfig config;
+  config.start_block_size = 4096;
+  const Bytes f_new = rng.RandomBytes(4096 * 40 + 1000);
+  const Bytes f_old = rng.RandomBytes(200000);
+  BlockLedger ledger(f_new.size(), f_old.size(), config);
+  ASSERT_EQ(ledger.num_blocks(), 41u);
+  for (size_t id = 0; id < ledger.num_blocks(); ++id) {
+    Block& b = ledger.block(id);
+    b.match_pos = rng.Uniform(f_old.size() - b.size + 1);
+  }
+  const uint64_t salt = (uint64_t{0xF5A5} << 32) | (rng.Next() & 0xFFFF);
+  auto random_id = [&] { return rng.Uniform(ledger.num_blocks()); };
+
+  // Group counts around multiples of four, single members only.
+  for (size_t n : {0, 1, 2, 3, 4, 5, 7, 9, 13}) {
+    std::vector<VerifyGroup> groups(n);
+    for (VerifyGroup& g : groups) {
+      g.members = {random_id()};
+    }
+    ExpectBatchMatchesPerGroup(groups, ledger, f_old, f_new, salt);
+  }
+  // Mixed sizes: 1 to 24 members (up to ~96 KiB, past the gather budget
+  // on its own), the tail block among them, in random order.
+  std::vector<VerifyGroup> mixed(11);
+  for (VerifyGroup& g : mixed) {
+    const size_t members = 1 + rng.Uniform(24);
+    for (size_t k = 0; k < members; ++k) {
+      g.members.push_back(random_id());
+    }
+  }
+  mixed[3].members.push_back(ledger.num_blocks() - 1);  // the tail block
+  ExpectBatchMatchesPerGroup(mixed, ledger, f_old, f_new, salt);
+  // Salvage batches: the failed groups split in halves, then again.
+  std::vector<VerifyGroup> split = SplitGroups(mixed);
+  ExpectBatchMatchesPerGroup(split, ledger, f_old, f_new, salt + 1);
+  ExpectBatchMatchesPerGroup(SplitGroups(split), ledger, f_old, f_new,
+                             salt + 2);
 }
 
 }  // namespace
