@@ -30,6 +30,13 @@ struct DigestCase {
   const char* hex;
 };
 
+// Print a case as its quoted input text. Without this, gtest prints the
+// struct's raw bytes -- two string-literal addresses -- so the case names
+// that test discovery derives from GetParam() change with every build.
+void PrintTo(const DigestCase& c, std::ostream* os) {
+  ::testing::internal::UniversalPrint(std::string(c.input), os);
+}
+
 class Md4Vectors : public ::testing::TestWithParam<DigestCase> {};
 
 TEST_P(Md4Vectors, MatchesRfc1320) {
