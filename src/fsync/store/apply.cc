@@ -10,6 +10,7 @@
 
 #include "fsync/store/crashpoint.h"
 #include "fsync/store/durable_io.h"
+#include "fsync/store/tree_walk.h"
 #include "fsync/store/vfs.h"
 #include "fsync/util/mapped_file.h"
 
@@ -31,12 +32,10 @@ StatusOr<Bytes> ReadFileBytes(const fs::path& p) {
 }
 
 /// The file as it exists on disk right now, in manifest terms; nullopt
-/// when absent. This is the conflict detector's ground truth.
+/// when absent. This is the conflict detector's ground truth. One open:
+/// ReadWholeFile fstats the open descriptor and refuses anything but a
+/// regular file, so no stat comes first.
 std::optional<ManifestEntry> DiskEntry(const fs::path& p) {
-  std::error_code ec;
-  if (!fs::is_regular_file(p, ec)) {
-    return std::nullopt;
-  }
   auto data = ReadFileBytes(p);
   if (!data.ok()) {
     return std::nullopt;
@@ -186,26 +185,20 @@ uint64_t StepLength(const ReconstructCommand& step) {
 /// a leftover journal must not make every future apply fail).
 StatusOr<Manifest> ManifestFromDiskLenient(const fs::path& base) {
   Manifest m;
-  std::error_code ec;
-  for (auto it = fs::recursive_directory_iterator(base, ec);
-       it != fs::recursive_directory_iterator(); it.increment(ec)) {
-    if (ec) {
-      return Status::Internal("walk failed: " + ec.message());
-    }
-    if (it->is_symlink(ec) || !it->is_regular_file(ec)) {
-      continue;
-    }
-    std::string rel = fs::relative(it->path(), base, ec).generic_string();
-    if (ec || rel.empty() || rel.starts_with("..") ||
-        IsInternalArtifact(rel)) {
-      continue;
-    }
-    auto data = ReadFileBytes(it->path());
-    if (!data.ok()) {
-      continue;  // vanished mid-walk; the manifest reflects what remains
-    }
-    m[rel] = ManifestEntry{data->size(), FileFingerprint(*data)};
-  }
+  FSYNC_RETURN_IF_ERROR(WalkTree(
+      base, [&](const std::string& rel, const fs::directory_entry& entry) {
+        std::error_code ec;
+        if (entry.is_symlink(ec) || !entry.is_regular_file(ec) ||
+            rel.empty() || rel.starts_with("..") || IsInternalArtifact(rel)) {
+          return Status::Ok();
+        }
+        // A file that vanished mid-walk is left out: the manifest
+        // reflects what remains.
+        if (std::optional<ManifestEntry> disk = DiskEntry(entry.path())) {
+          m[rel] = *disk;
+        }
+        return Status::Ok();
+      }));
   return m;
 }
 
@@ -259,13 +252,20 @@ Status ApplyTransaction::StageFile(const std::string& path, ByteSpan content,
 
   fs::path target = root_ / fs::path(path);
   ManifestEntry next{content.size(), FileFingerprint(content)};
-  std::optional<ManifestEntry> disk = DiskEntry(target);
-
-  if (disk.has_value() && *disk == next) {
-    manifest_[path] = next;
-    report_.files.push_back({path, FileApplyOutcome::Action::kUnchanged});
-    ++report_.files_unchanged;
-    return Status::Ok();
+  // One read of the disk file (see DiskEntry). Bytes equal to `content`
+  // are unchanged outright — a stronger test than comparing size and
+  // MD5 — so the disk bytes are hashed only when they differ, for the
+  // conflict rule.
+  std::optional<ManifestEntry> disk;
+  if (auto on_disk = ReadFileBytes(target); on_disk.ok()) {
+    if (std::equal(on_disk->begin(), on_disk->end(), content.begin(),
+                   content.end())) {
+      manifest_[path] = next;
+      report_.files.push_back({path, FileApplyOutcome::Action::kUnchanged});
+      ++report_.files_unchanged;
+      return Status::Ok();
+    }
+    disk = ManifestEntry{on_disk->size(), FileFingerprint(*on_disk)};
   }
 
   // Conflict rule: the disk must look exactly as the caller last saw it
@@ -505,24 +505,19 @@ StatusOr<ApplyReport> ApplyTreeWithAdopts(const std::string& root,
   }
 
   if (options.delete_extra) {
-    std::error_code ec;
+    // A symlink to a regular file counts as a file here; DeleteFile's
+    // conflict rule decides its fate.
     std::vector<std::string> extra;
-    for (auto it = fs::recursive_directory_iterator(root, ec);
-         it != fs::recursive_directory_iterator(); it.increment(ec)) {
-      if (ec) {
-        return Status::Internal("walk failed: " + ec.message());
-      }
-      if (!it->is_regular_file(ec)) {
-        continue;
-      }
-      std::string rel =
-          fs::relative(it->path(), fs::path(root), ec).generic_string();
-      if (ec || rel.empty() || IsInternalArtifact(rel) ||
-          files.contains(rel) || adopted_paths.contains(rel)) {
-        continue;
-      }
-      extra.push_back(std::move(rel));
-    }
+    FSYNC_RETURN_IF_ERROR(WalkTree(
+        root, [&](const std::string& rel, const fs::directory_entry& entry) {
+          std::error_code ec;
+          if (entry.is_regular_file(ec) && !rel.empty() &&
+              !IsInternalArtifact(rel) && !files.contains(rel) &&
+              !adopted_paths.contains(rel)) {
+            extra.push_back(rel);
+          }
+          return Status::Ok();
+        }));
     for (const std::string& rel : extra) {
       Status s = txn.DeleteFile(rel, expected_entry(rel));
       if (!s.ok() && s.code() != StatusCode::kAborted) {
@@ -555,24 +550,21 @@ StatusOr<RecoverReport> RecoverTree(const std::string& root,
   // The tree journal itself is resolved separately below.
   std::vector<fs::path> temps;
   std::vector<fs::path> inplace_targets;
-  for (auto it = fs::recursive_directory_iterator(base, ec);
-       it != fs::recursive_directory_iterator(); it.increment(ec)) {
-    if (ec) {
-      return Status::Internal("walk failed: " + ec.message());
-    }
-    if (!it->is_regular_file(ec)) {
-      continue;
-    }
-    std::string name = it->path().filename().string();
-    if (EndsWith(name, kTempSuffix)) {
-      temps.push_back(it->path());
-    } else if (EndsWith(name, kJournalSuffix) &&
-               it->path() != tree_journal) {
-      std::string target = it->path().string();
-      target.resize(target.size() - std::strlen(kJournalSuffix));
-      inplace_targets.push_back(fs::path(target));
-    }
-  }
+  FSYNC_RETURN_IF_ERROR(WalkTree(
+      base, [&](const std::string& rel, const fs::directory_entry& entry) {
+        std::error_code walk_ec;
+        if (!entry.is_regular_file(walk_ec)) {
+          return Status::Ok();
+        }
+        if (EndsWith(rel, kTempSuffix)) {
+          temps.push_back(entry.path());
+        } else if (EndsWith(rel, kJournalSuffix) && rel != kJournalName) {
+          std::string target = entry.path().string();
+          target.resize(target.size() - std::strlen(kJournalSuffix));
+          inplace_targets.push_back(fs::path(target));
+        }
+        return Status::Ok();
+      }));
 
   // Per-file in-place journals first: they restore file *contents*,
   // which the manifest refresh below must observe.

@@ -7,6 +7,7 @@
 
 #include "fsync/hash/md5.h"
 #include "fsync/store/journal.h"
+#include "fsync/store/tree_walk.h"
 #include "fsync/store/vfs.h"
 #include "fsync/util/hex.h"
 #include "fsync/util/mapped_file.h"
@@ -167,31 +168,31 @@ StatusOr<Collection> LoadTree(const std::string& root) {
     return Status::NotFound("not a directory: " + root);
   }
   Collection out;
-  for (auto it = fs::recursive_directory_iterator(base, ec);
-       it != fs::recursive_directory_iterator(); it.increment(ec)) {
-    if (ec) {
-      return Status::Internal("walk failed: " + ec.message());
-    }
-    if (it->is_symlink(ec)) {
-      // A symlink could alias content from outside the tree (or turn a
-      // later overwrite into an out-of-tree write); refuse rather than
-      // silently follow it.
-      return Status::FailedPrecondition("refusing symlink in tree: " +
-                                        it->path().string());
-    }
-    if (!it->is_regular_file(ec)) {
-      continue;
-    }
-    std::string rel = fs::relative(it->path(), base, ec).generic_string();
-    if (ec || rel.empty() || rel.starts_with("..")) {
-      return Status::Internal("path escapes tree: " + it->path().string());
-    }
-    if (store::IsInternalArtifact(rel)) {
-      continue;  // metadata, not content
-    }
-    FSYNC_ASSIGN_OR_RETURN(Bytes data, ReadFileBytes(it->path()));
-    out[rel] = std::move(data);
-  }
+  FSYNC_RETURN_IF_ERROR(store::WalkTree(
+      base,
+      [&](const std::string& rel, const fs::directory_entry& entry) -> Status {
+        std::error_code entry_ec;
+        if (entry.is_symlink(entry_ec)) {
+          // A symlink could alias content from outside the tree (or turn
+          // a later overwrite into an out-of-tree write); refuse rather
+          // than silently follow it.
+          return Status::FailedPrecondition("refusing symlink in tree: " +
+                                            entry.path().string());
+        }
+        if (!entry.is_regular_file(entry_ec)) {
+          return Status::Ok();
+        }
+        if (rel.empty() || rel.starts_with("..")) {
+          return Status::Internal("path escapes tree: " +
+                                  entry.path().string());
+        }
+        if (store::IsInternalArtifact(rel)) {
+          return Status::Ok();  // metadata, not content
+        }
+        FSYNC_ASSIGN_OR_RETURN(Bytes data, ReadFileBytes(entry.path()));
+        out[rel] = std::move(data);
+        return Status::Ok();
+      }));
   return out;
 }
 
@@ -208,17 +209,15 @@ Status StoreTree(const std::string& root, const Collection& files,
   }
   if (delete_extra) {
     std::vector<fs::path> doomed;
-    for (auto it = fs::recursive_directory_iterator(base, ec);
-         it != fs::recursive_directory_iterator(); it.increment(ec)) {
-      if (!it->is_regular_file(ec)) {
-        continue;
-      }
-      std::string rel =
-          fs::relative(it->path(), base, ec).generic_string();
-      if (!store::IsInternalArtifact(rel) && !files.contains(rel)) {
-        doomed.push_back(it->path());
-      }
-    }
+    FSYNC_RETURN_IF_ERROR(store::WalkTree(
+        base, [&](const std::string& rel, const fs::directory_entry& entry) {
+          std::error_code entry_ec;
+          if (entry.is_regular_file(entry_ec) && !rel.empty() &&
+              !store::IsInternalArtifact(rel) && !files.contains(rel)) {
+            doomed.push_back(entry.path());
+          }
+          return Status::Ok();
+        }));
     for (const fs::path& p : doomed) {
       fs::remove(p, ec);
     }

@@ -53,7 +53,8 @@ StatusOr<Manifest> ParseManifest(ByteSpan data);
 /// Reads every regular file under `root` (paths relative to it, '/'
 /// separators). Refuses paths that escape the tree and symlinks (which
 /// could smuggle content from outside it); skips fsstore/apply
-/// bookkeeping artifacts (manifest, journals, staged temps).
+/// bookkeeping artifacts (manifest, journals, staged temps). A directory
+/// the walk cannot read is kInternal, never a silently partial tree.
 StatusOr<Collection> LoadTree(const std::string& root);
 
 /// Writes `files` under `root`, creating directories as needed. Each
@@ -62,8 +63,10 @@ StatusOr<Collection> LoadTree(const std::string& root);
 /// durability across power loss use the journaled store::ApplyTree).
 /// With `delete_extra`, regular files not in `files` are removed
 /// (mirror semantics) — except fsstore/apply bookkeeping artifacts
-/// (manifest, journals, staged temps). Also writes the manifest to
-/// `<root>/.fsx-manifest` when `write_manifest` is set.
+/// (manifest, journals, staged temps); a directory the mirror walk
+/// cannot read is kInternal rather than a silently partial mirror. Also
+/// writes the manifest to `<root>/.fsx-manifest` when `write_manifest`
+/// is set.
 Status StoreTree(const std::string& root, const Collection& files,
                  bool delete_extra, bool write_manifest = false);
 

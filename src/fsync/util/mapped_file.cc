@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -120,7 +121,9 @@ StatusOr<MappedFile> MappedFile::Open(const std::string& path) {
 StatusOr<Bytes> ReadWholeFile(const std::string& path) {
 #if defined(FSYNC_HAVE_MMAP)
   Fd f;
-  f.fd = ::open(path.c_str(), O_RDONLY);
+  // O_NONBLOCK: the fstat below is the only type check, so opening a
+  // FIFO must not wait for a writer. It does not affect regular files.
+  f.fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
   if (f.fd < 0) {
     return Status::NotFound("cannot read " + path);
   }
@@ -133,6 +136,10 @@ StatusOr<Bytes> ReadWholeFile(const std::string& path) {
       ReadAll(f.fd, static_cast<uint64_t>(st.st_size), out, path));
   return out;
 #else
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Status::NotFound("not a regular file: " + path);
+  }
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::NotFound("cannot read " + path);

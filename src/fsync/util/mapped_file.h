@@ -55,10 +55,13 @@ class MappedFile {
   Bytes fallback_;
 };
 
-/// Reads a whole file into an owned buffer with one stat + read loop
-/// (replaces istreambuf_iterator readers, which go byte-at-a-time
-/// through the streambuf virtual interface). Use MappedFile when a view
-/// suffices; use this when the caller must own mutable bytes.
+/// Reads a whole file into an owned buffer with one open, an fstat of
+/// that descriptor and a read loop (replaces istreambuf_iterator
+/// readers, which go byte-at-a-time through the streambuf virtual
+/// interface). Anything but a regular file — absent, a directory, a
+/// FIFO, a device — is kNotFound, so callers need no stat of their own.
+/// Use MappedFile when a view suffices; use this when the caller must
+/// own mutable bytes.
 StatusOr<Bytes> ReadWholeFile(const std::string& path);
 
 }  // namespace fsx

@@ -3,8 +3,16 @@
 // in-place file apply (including promotion accounting).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+#endif
 
 #include "fsync/obs/sync_obs.h"
 #include "fsync/store/apply.h"
@@ -178,6 +186,185 @@ TEST_F(ApplyTest, FileAppearingMidApplyIsNotDeleted) {
   EXPECT_EQ(report->conflicts[0], "surprise.txt");
   EXPECT_TRUE(fs::exists(fs::path(root_) / "surprise.txt"));
 }
+
+// The unchanged test is a byte comparison of the disk file against the
+// new content; the disk bytes are hashed only when they differ. These
+// pin that the shortcut did not weaken the conflict rule: a file the
+// sync leaves alone but the user edited is still reported and kept.
+
+using Action = FileApplyOutcome::Action;
+
+std::vector<std::pair<std::string, Action>> Outcomes(
+    const ApplyReport& report) {
+  std::vector<std::pair<std::string, Action>> out;
+  for (const FileApplyOutcome& f : report.files) {
+    out.emplace_back(f.path, f.action);
+  }
+  return out;
+}
+
+Manifest CommittedManifest(const fs::path& root) {
+  auto parsed = ParseManifest(FileBytes(root / ".fsx-manifest"));
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return parsed.ok() ? *parsed : Manifest{};
+}
+
+TEST_F(ApplyTest, EditOfAnUnchangedFileIsAConflictAtAnySize) {
+  for (const std::string edit : {"alpha, edited locally", "alphA"}) {
+    SCOPED_TRACE(edit);
+    fs::remove_all(root_);
+    Collection files = SampleFiles();
+    ASSERT_TRUE(ApplyTree(root_, files, Manifest{}).ok());
+    Manifest expected = BuildManifest(files);
+
+    // a.txt is not changed by this sync, but was edited on disk — to a
+    // new size, then to the same size as the synced "alpha".
+    WriteRaw("a.txt", edit);
+    Collection next = files;
+    next["dir/b.txt"] = ToBytes("bravo v2");
+    obs::SyncObserver obs;
+    auto report = ApplyTree(root_, next, expected, {}, &obs);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    std::vector<std::pair<std::string, Action>> want = {
+        {"a.txt", Action::kConflictSkipped},
+        {"dir/b.txt", Action::kCommitted},
+        {"dir/deep/c.bin", Action::kUnchanged}};
+    EXPECT_EQ(Outcomes(*report), want);
+    EXPECT_EQ(report->conflicts, std::vector<std::string>{"a.txt"});
+    EXPECT_EQ(obs.event_count(obs::Event::kConflictDetected), 1u);
+    EXPECT_EQ(FileBytes(fs::path(root_) / "a.txt"), ToBytes(edit));
+
+    // The committed manifest records what the user left on disk.
+    Manifest on_disk = BuildManifest(next);
+    on_disk["a.txt"] = ManifestEntry{edit.size(),
+                                     FileFingerprint(ToBytes(edit))};
+    EXPECT_EQ(CommittedManifest(root_), on_disk);
+    auto dirty = VerifyTree(root_);
+    ASSERT_TRUE(dirty.ok());
+    EXPECT_TRUE(dirty->empty());
+  }
+}
+
+TEST_F(ApplyTest, DiskAlreadyHoldingTheNewBytesIsUnchangedNotAConflict) {
+  Collection files = SampleFiles();
+  ASSERT_TRUE(ApplyTree(root_, files, Manifest{}).ok());
+  Manifest expected = BuildManifest(files);
+
+  // The new a.txt is already on disk (a copy made by hand, a previous
+  // apply that died before its manifest rewrite) while `expected` still
+  // names the old bytes.
+  Collection next = files;
+  next["a.txt"] = ToBytes("alpha, second edition");
+  WriteRaw("a.txt", "alpha, second edition");
+  obs::SyncObserver obs;
+  auto report = ApplyTree(root_, next, expected, {}, &obs);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  std::vector<std::pair<std::string, Action>> want = {
+      {"a.txt", Action::kUnchanged},
+      {"dir/b.txt", Action::kUnchanged},
+      {"dir/deep/c.bin", Action::kUnchanged}};
+  EXPECT_EQ(Outcomes(*report), want);
+  EXPECT_TRUE(report->conflicts.empty());
+  EXPECT_EQ(report->files_committed, 0u);
+  EXPECT_EQ(obs.event_count(obs::Event::kConflictDetected), 0u);
+  EXPECT_EQ(CommittedManifest(root_), BuildManifest(next));
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+TEST_F(ApplyTest, FifoAtATargetPathNeitherBlocksNorCounts) {
+  // The re-check opens the target without a stat first. A FIFO there
+  // must read as "no regular file" at once, not wait for a writer.
+  fs::create_directories(root_);
+  const fs::path fifo = fs::path(root_) / "a.txt";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  Collection files = SampleFiles();
+  auto apply = std::async(std::launch::async,
+                          [&] { return ApplyTree(root_, files, Manifest{}); });
+  if (apply.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // Release the blocked reader, so a regression fails instead of hangs.
+    int fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+    if (fd >= 0) {
+      ::close(fd);
+    }
+    ADD_FAILURE() << "the apply blocked opening a FIFO";
+  }
+  auto report = apply.get();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->files_committed, files.size());
+  EXPECT_TRUE(report->conflicts.empty());
+  EXPECT_EQ(FileBytes(fs::path(root_) / "a.txt"), ToBytes("alpha"));
+}
+
+// The store's tree walks name files lexically from the walk's root, so
+// every spelling of the same directory must yield the same names, the
+// same mirror delete and the same untouched bookkeeping files.
+TEST_F(ApplyTest, EveryRootSpellingNamesTheSameFiles) {
+  const fs::path dir(root_);
+  const fs::path parent = dir.parent_path();
+  const std::string name = dir.filename().string();
+  const fs::path link = parent / (name + "_link");
+  fs::remove(link);
+  fs::create_directories(dir);
+  fs::create_directory_symlink(dir, link);
+  struct Restore {  // runs on ASSERT's early return too
+    fs::path cwd, link;
+    ~Restore() {
+      std::error_code ec;
+      fs::current_path(cwd, ec);
+      fs::remove(link, ec);
+    }
+  } restore{fs::current_path(), link};
+  fs::current_path(parent);
+
+  Collection files = SampleFiles();
+  Collection seeded = files;
+  seeded["dir/extra.txt"] = ToBytes("only on the replica");
+  const Manifest want = BuildManifest(files);
+  for (const std::string& root :
+       {root_ + "/", "./" + name, root_ + "/../" + name, link.string()}) {
+    SCOPED_TRACE(root);
+    fs::remove_all(dir);
+    ASSERT_TRUE(ApplyTree(root_, seeded, Manifest{}).ok());
+    WriteRaw("dir/notes.fsx-journal", "not a journal, but journal-named");
+
+    auto report = ApplyTree(root, files, BuildManifest(seeded));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    std::vector<std::pair<std::string, Action>> applied = {
+        {"a.txt", Action::kUnchanged},
+        {"dir/b.txt", Action::kUnchanged},
+        {"dir/deep/c.bin", Action::kUnchanged},
+        {"dir/extra.txt", Action::kDeleted}};
+    EXPECT_EQ(Outcomes(*report), applied);
+    EXPECT_TRUE(report->conflicts.empty());
+    EXPECT_EQ(CommittedManifest(dir), want);
+
+    auto loaded = LoadTree(root);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(*loaded, files);
+
+    // Recovery's manifest refresh: a leftover journal makes RecoverTree
+    // rebuild the (here emptied) manifest from the files on disk.
+    WriteRaw(".fsx-manifest", "");
+    {
+      auto w = JournalWriter::Create(dir / kJournalName);
+      ASSERT_TRUE(w.ok());
+      JournalRecord begin;
+      begin.type = JournalRecordType::kBegin;
+      begin.mode = ApplyMode::kTree;
+      ASSERT_TRUE(w->Append(begin).ok());
+    }
+    auto rec = RecoverTree(root);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_TRUE(rec->had_journal);
+    EXPECT_EQ(rec->foreign_journals, 1u);
+    EXPECT_EQ(CommittedManifest(dir), want);
+    EXPECT_EQ(FileBytes(dir / "dir/notes.fsx-journal"),
+              ToBytes("not a journal, but journal-named"));
+  }
+}
+#endif  // __unix__ || __APPLE__
 
 TEST_F(ApplyTest, RecoverTreeIsANoOpOnCleanTree) {
   Collection files = SampleFiles();

@@ -3,6 +3,10 @@
 #include <filesystem>
 #include <fstream>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
+
 #include "fsync/store/fsstore.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/text_synth.h"
@@ -197,6 +201,28 @@ TEST_F(StoreTest, LoadRefusesSymlinks) {
   auto r = LoadTree(root_);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(StoreTest, UnreadableSubdirectoryFailsTheWalk) {
+  if (::geteuid() == 0) {
+    GTEST_SKIP() << "permission bits do not bind root";
+  }
+  Collection files = SampleCollection(13);
+  ASSERT_TRUE(StoreTree(root_, files, false).ok());
+  const fs::path locked = fs::path(root_) / "locked";
+  fs::create_directories(locked);
+  std::ofstream(locked / "extra.txt") << "an extra file mirroring must see";
+  fs::permissions(locked, fs::perms::none);
+
+  // A walk that cannot read a directory must not end early in silence:
+  // the mirror would skip the extra file, the load would drop content.
+  Status stored = StoreTree(root_, files, /*delete_extra=*/true);
+  auto loaded = LoadTree(root_);
+  fs::permissions(locked, fs::perms::owner_all);
+  EXPECT_EQ(stored.code(), StatusCode::kInternal) << stored.ToString();
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
+  EXPECT_TRUE(fs::exists(locked / "extra.txt"));
 }
 #endif
 
