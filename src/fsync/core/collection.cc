@@ -7,6 +7,7 @@
 
 #include "fsync/compress/codec.h"
 #include "fsync/core/endpoint.h"
+#include "fsync/core/file_session.h"
 #include "fsync/core/server_cache.h"
 #include "fsync/hash/fingerprint.h"
 #include "fsync/par/thread_pool.h"
@@ -54,10 +55,11 @@ std::vector<std::optional<StatusOr<R>>> ParallelSessions(
 // of identical collection syncs serves every per-file response from it.
 struct FileSession {
   std::string name;
-  std::unique_ptr<SyncClientEndpoint> client_ep;
-  std::unique_ptr<CachedServerEndpoint> server_ep;
-  bool live = true;
-  bool fallback = false;
+  std::unique_ptr<ClientFileSession> client;
+  std::unique_ptr<CachedServerEndpoint> server;
+  // The client's message for the next exchange: a round reply while the
+  // session is live, a rung-2 or rung-3 request once its rounds are over.
+  std::optional<SessionSend> next;
 };
 
 const Fingerprint& FingerprintOf(const Fingerprint& fp) { return fp; }
@@ -88,9 +90,10 @@ std::vector<FileSession> BuildFileSessions(
     };
     FileSession s;
     s.name = name;
-    s.client_ep =
-        std::make_unique<SyncClientEndpoint>(f_old, config, hint(old_fps));
-    s.server_ep = std::make_unique<CachedServerEndpoint>(
+    s.client =
+        std::make_unique<ClientFileSession>(f_old, config, hint(old_fps));
+    s.client->set_observer(obs);
+    s.server = std::make_unique<CachedServerEndpoint>(
         f_new, config, cache, obs, hint(new_fps));
     sessions.push_back(std::move(s));
   }
@@ -104,11 +107,80 @@ std::vector<FileSession> BuildFileSessions(
 Bytes BuildInitialRequestBatch(std::vector<FileSession>& sessions) {
   BitWriter batch;
   for (FileSession& s : sessions) {
-    Bytes req = s.client_ep->MakeRequest();
+    Bytes req = s.client->Start().bytes;
     batch.WriteVarint(req.size());
     batch.WriteBytes(req);
   }
   return batch.Finish();
+}
+
+// One batched ladder exchange for every session whose next message is
+// `kind` (rung 2 or rung 3). The client sends their plan indices, with
+// each repair request's payload (the fallback ask carries none); the
+// server answers each in order; every reply goes back to its session.
+Status RunLadderExchange(std::vector<FileSession>& sessions, SessionMsg kind,
+                         SimulatedChannel& channel, obs::SyncObserver* obs) {
+  using Dir = SimulatedChannel::Direction;
+  std::vector<size_t> ids;  // ascending plan indices
+  for (size_t i = 0; i < sessions.size(); ++i) {
+    if (sessions[i].next.has_value() && sessions[i].next->kind == kind) {
+      ids.push_back(i);
+    }
+  }
+  if (ids.empty()) {
+    return Status::Ok();
+  }
+  const bool repair = kind == SessionMsg::kRepairRequest;
+  obs::SetPhase(obs, SessionMsgPhase(kind));
+  BitWriter ask;
+  ask.WriteVarint(ids.size());
+  for (size_t i : ids) {
+    ask.WriteVarint(i);
+    if (repair) {
+      ask.WriteVarint(sessions[i].next->bytes.size());
+      ask.WriteBytes(sessions[i].next->bytes);
+    }
+  }
+  channel.Send(Dir::kClientToServer, ask.Finish());
+  FSYNC_ASSIGN_OR_RETURN(Bytes ask_msg, channel.Receive(Dir::kClientToServer));
+
+  BitReader ain(ask_msg);
+  FSYNC_ASSIGN_OR_RETURN(uint64_t n, ain.ReadVarint());
+  BitWriter replies;
+  uint64_t full_bytes = 0;  // repair replies that carried the whole file
+  for (uint64_t k = 0; k < n; ++k) {
+    FSYNC_ASSIGN_OR_RETURN(uint64_t idx, ain.ReadVarint());
+    Bytes req;
+    if (repair) {
+      FSYNC_ASSIGN_OR_RETURN(uint64_t len, ain.ReadVarint());
+      FSYNC_ASSIGN_OR_RETURN(req, ain.ReadBytes(len));
+    }
+    if (idx >= sessions.size()) {
+      return Status::DataLoss("batched sync: bad ladder index");
+    }
+    CachedServerEndpoint& server = *sessions[idx].server;
+    FSYNC_ASSIGN_OR_RETURN(Bytes reply, server.Handle(kind, req));
+    if (repair && server.repair_used_full()) {
+      full_bytes += reply.size();
+    }
+    replies.WriteVarint(reply.size());
+    replies.WriteBytes(reply);
+  }
+  obs::SetPhase(obs, SessionReplyPhase(kind));
+  channel.Send(Dir::kServerToClient, replies.Finish());
+  FSYNC_ASSIGN_OR_RETURN(Bytes reply_msg,
+                         channel.Receive(Dir::kServerToClient));
+  obs::Reattribute(obs, obs::Phase::kLiterals, obs::Phase::kFallback,
+                   obs::Flow::kDown, full_bytes);
+
+  BitReader rin(reply_msg);
+  for (size_t i : ids) {
+    FSYNC_ASSIGN_OR_RETURN(uint64_t len, rin.ReadVarint());
+    FSYNC_ASSIGN_OR_RETURN(Bytes payload, rin.ReadBytes(len));
+    FSYNC_ASSIGN_OR_RETURN(sessions[i].next,
+                           sessions[i].client->OnServerMessage(payload));
+  }
+  return Status::Ok();
 }
 
 struct MultiplexTotals {
@@ -117,17 +189,23 @@ struct MultiplexTotals {
 
 // The shared heart of SyncCollectionBatched and SyncCollectionTree: runs
 // every per-file session to completion with ONE message per direction per
-// round for the whole batch, then one extra exchange for the rare
-// fallbacks. `c2s` is the already-received initial request batch. On
-// success every session's client endpoint holds its reconstruction.
+// round for the whole batch, then (only when some reconstruction failed
+// its fingerprint check) one exchange per ladder rung for all the broken
+// sessions at once. `c2s` is the already-received initial request batch.
+// On success every session's client holds its reconstruction. Framing:
+// docs/PROTOCOL.md, "Multiplexed batches".
 StatusOr<MultiplexTotals> RunMultiplexedSessions(
     std::vector<FileSession>& sessions, const SyncConfig& config,
     SimulatedChannel& channel, obs::SyncObserver* obs, Bytes c2s) {
   using Dir = SimulatedChannel::Direction;
-  bool first = true;
-  size_t live = sessions.size();
+  SessionMsg kind = SessionMsg::kRequest;
+  std::vector<FileSession*> live;
+  live.reserve(sessions.size());
+  for (FileSession& s : sessions) {
+    live.push_back(&s);
+  }
   uint32_t batch_round = 0;
-  while (live > 0) {
+  while (!live.empty()) {
     obs::SetRound(obs, ++batch_round);
     const auto round_start = obs != nullptr
                                  ? std::chrono::steady_clock::now()
@@ -136,48 +214,35 @@ StatusOr<MultiplexTotals> RunMultiplexedSessions(
     obs::SetPhase(obs, obs::Phase::kCandidates);
     BitReader in(c2s);
     BitWriter batch;
-    for (FileSession& s : sessions) {
-      if (!s.live) {
-        continue;
-      }
+    for (FileSession* s : live) {
       FSYNC_ASSIGN_OR_RETURN(uint64_t len, in.ReadVarint());
       FSYNC_ASSIGN_OR_RETURN(Bytes payload, in.ReadBytes(len));
-      StatusOr<Bytes> reply = first ? s.server_ep->OnRequest(payload)
-                                    : s.server_ep->OnClientMessage(payload);
-      FSYNC_RETURN_IF_ERROR(reply.status());
-      batch.WriteVarint(reply->size());
-      batch.WriteBytes(*reply);
+      FSYNC_ASSIGN_OR_RETURN(Bytes reply, s->server->Handle(kind, payload));
+      batch.WriteVarint(reply.size());
+      batch.WriteBytes(reply);
     }
-    first = false;
+    kind = SessionMsg::kRoundReply;
     channel.Send(Dir::kServerToClient, batch.Finish());
     FSYNC_ASSIGN_OR_RETURN(Bytes s2c, channel.Receive(Dir::kServerToClient));
 
-    // Client: consume replies; files whose session finished drop out
-    // (the server knows too: its endpoint reports done()).
+    // Client: consume replies; files whose rounds are over drop out (the
+    // server's endpoint reaches done() in the same step, so both sides
+    // agree on the live set without signalling).
     BitReader rin(s2c);
     BitWriter next;
     size_t still_live = 0;
-    for (FileSession& s : sessions) {
-      if (!s.live) {
-        continue;
-      }
+    for (FileSession* s : live) {
       FSYNC_ASSIGN_OR_RETURN(uint64_t len, rin.ReadVarint());
       FSYNC_ASSIGN_OR_RETURN(Bytes payload, rin.ReadBytes(len));
-      FSYNC_ASSIGN_OR_RETURN(std::optional<Bytes> reply,
-                             s.client_ep->OnServerMessage(payload));
-      if (reply.has_value()) {
-        next.WriteVarint(reply->size());
-        next.WriteBytes(*reply);
-        ++still_live;
-      } else {
-        // The server's endpoint reaches done() in the same step, so both
-        // sides agree on the live set without signalling.
-        s.live = false;
-        s.fallback = s.client_ep->needs_fallback();
+      FSYNC_ASSIGN_OR_RETURN(s->next, s->client->OnServerMessage(payload));
+      if (s->next.has_value() && s->next->kind == SessionMsg::kRoundReply) {
+        next.WriteVarint(s->next->bytes.size());
+        next.WriteBytes(s->next->bytes);
+        live[still_live++] = s;
       }
     }
-    live = still_live;
-    if (live > 0) {
+    live.resize(still_live);
+    if (!live.empty()) {
       obs::SetPhase(obs, obs::Phase::kVerification);
       channel.Send(Dir::kClientToServer, next.Finish());
       FSYNC_ASSIGN_OR_RETURN(c2s, channel.Receive(Dir::kClientToServer));
@@ -194,68 +259,26 @@ StatusOr<MultiplexTotals> RunMultiplexedSessions(
 
   MultiplexTotals totals;
   for (const FileSession& s : sessions) {
-    totals.delta_bytes += s.server_ep->delta_payload_bytes();
+    totals.delta_bytes += s.server->delta_payload_bytes();
   }
   if (obs != nullptr) {
-    // As in SynchronizeFile: move the embedded delta payloads and the
-    // continuation-hash bits out of the candidate phase, summed over
-    // every multiplexed per-file session. Clamped moves preserve totals.
     uint64_t continuation_bits = 0;
     for (const FileSession& s : sessions) {
-      for (const RoundTrace& t : s.client_ep->trace()) {
-        continuation_bits += static_cast<uint64_t>(t.continuation_hashes) *
-                             EffectiveContinuationBits(config, t.round);
-      }
+      continuation_bits +=
+          ContinuationHashBits(config, s.client->endpoint().trace());
     }
-    obs->Reattribute(obs::Phase::kCandidates, obs::Phase::kDelta,
-                     obs::Flow::kDown, totals.delta_bytes);
-    obs->Reattribute(obs::Phase::kCandidates, obs::Phase::kContinuation,
-                     obs::Flow::kDown, continuation_bits / 8);
+    ReattributeRoundAnswers(*obs, totals.delta_bytes, continuation_bits);
   }
 
-  // Fallbacks (rare): one extra exchange for all of them.
-  std::vector<size_t> fallback_ids;
-  for (size_t i = 0; i < sessions.size(); ++i) {
-    if (sessions[i].fallback) {
-      fallback_ids.push_back(i);
-    }
-  }
-  if (!fallback_ids.empty()) {
-    obs::SetPhase(obs, obs::Phase::kFallback);
-    BitWriter ask;
-    ask.WriteVarint(fallback_ids.size());
-    for (size_t i : fallback_ids) {
-      ask.WriteVarint(i);
-    }
-    channel.Send(Dir::kClientToServer, ask.Finish());
-    FSYNC_ASSIGN_OR_RETURN(Bytes ask_msg,
-                           channel.Receive(Dir::kClientToServer));
-    BitReader ain(ask_msg);
-    FSYNC_ASSIGN_OR_RETURN(uint64_t n, ain.ReadVarint());
-    BitWriter full_batch;
-    for (uint64_t k = 0; k < n; ++k) {
-      FSYNC_ASSIGN_OR_RETURN(uint64_t idx, ain.ReadVarint());
-      if (idx >= sessions.size()) {
-        return Status::DataLoss("batched sync: bad fallback index");
-      }
-      Bytes full = sessions[idx].server_ep->OnFallbackRequest();
-      full_batch.WriteVarint(full.size());
-      full_batch.WriteBytes(full);
-    }
-    channel.Send(Dir::kServerToClient, full_batch.Finish());
-    FSYNC_ASSIGN_OR_RETURN(Bytes full_msg,
-                           channel.Receive(Dir::kServerToClient));
-    BitReader fin(full_msg);
-    for (size_t i : fallback_ids) {
-      FSYNC_ASSIGN_OR_RETURN(uint64_t len, fin.ReadVarint());
-      FSYNC_ASSIGN_OR_RETURN(Bytes payload, fin.ReadBytes(len));
-      FSYNC_RETURN_IF_ERROR(
-          sessions[i].client_ep->OnFallbackTransfer(payload));
-    }
-  }
+  // The ladder (rare): one exchange for every region repair, then one
+  // for every session still broken.
+  FSYNC_RETURN_IF_ERROR(RunLadderExchange(
+      sessions, SessionMsg::kRepairRequest, channel, obs));
+  FSYNC_RETURN_IF_ERROR(RunLadderExchange(
+      sessions, SessionMsg::kFallbackRequest, channel, obs));
 
   for (FileSession& s : sessions) {
-    if (!s.client_ep->done()) {
+    if (s.next.has_value() || !s.client->endpoint().done()) {
       return Status::Internal("batched sync: unfinished session");
     }
   }
@@ -394,6 +417,7 @@ StatusOr<CollectionSyncResult> SyncCollectionBatchedImpl(
     obs::SyncObserver* obs, cache::SyncCache* cache,
     bool fingerprint_hints) {
   using Dir = SimulatedChannel::Direction;
+  FSYNC_RETURN_IF_ERROR(ValidateSyncConfig(config));
   ObservedSession scope(channel, obs, "session-batched");
   CollectionSyncResult result;
   result.files_total = server.size();
@@ -558,7 +582,7 @@ StatusOr<CollectionSyncResult> SyncCollectionBatchedImpl(
                                                 obs, std::move(c2s)));
   result.delta_bytes = totals.delta_bytes;
   for (FileSession& s : sessions) {
-    result.reconstructed[s.name] = s.client_ep->result();
+    result.reconstructed[s.name] = s.client->endpoint().result();
   }
   result.stats = channel.stats();
   return result;
@@ -572,6 +596,7 @@ StatusOr<TreeSyncResult> SyncCollectionTreeImpl(const Collection& client,
                                                 obs::SyncObserver* obs,
                                                 bool fingerprint_hints) {
   using Dir = SimulatedChannel::Direction;
+  FSYNC_RETURN_IF_ERROR(ValidateSyncConfig(params.config));
   ObservedSession scope(channel, obs, "session-tree");
   TreeSyncResult result;
   result.files_total = server.size();
@@ -716,7 +741,7 @@ StatusOr<TreeSyncResult> SyncCollectionTreeImpl(const Collection& client,
                                  std::move(c2s)));
       result.delta_bytes = totals.delta_bytes;
       for (FileSession& s : sessions) {
-        result.reconstructed[s.name] = s.client_ep->result();
+        result.reconstructed[s.name] = s.client->endpoint().result();
       }
     }
   }
@@ -762,59 +787,57 @@ StatusOr<TreeSyncResult> SyncCollectionTreeWithoutHints(
 
 }  // namespace core_internal
 
-StatusOr<CollectionSyncResult> SyncCollectionRsync(const Collection& client,
-                                                   const Collection& server,
-                                                   const RsyncParams& params,
-                                                   obs::SyncObserver* obs) {
+namespace {
+
+// The comparator collection drivers: the fingerprint exchange finds the
+// unchanged files, then `sync(f_old, f_new, channel)` runs once per other
+// server file, each over its own channel, fanned out across `num_threads`
+// when no observer is attached. Results fold in collection order, so
+// stats and error selection match a serial run; roundtrips are the
+// maximum over files plus the exchange.
+template <typename R, typename Sync>
+StatusOr<CollectionSyncResult> SyncCollectionPerFile(
+    const Collection& client, const Collection& server, int num_threads,
+    obs::SyncObserver* obs, const char* mismatch, const Sync& sync) {
   CollectionSyncResult result;
   result.stats.client_to_server_bytes += FingerprintExchangeBytes(client);
   obs::AddBytes(obs, obs::Phase::kHandshake, obs::Flow::kUp,
                 FingerprintExchangeBytes(client));
   result.files_total = server.size();
 
-  uint64_t max_roundtrips = 0;
-  static const Bytes kEmpty;
-  auto run_one = [&](const std::string& name,
-                     const Bytes& current) -> StatusOr<RsyncResult> {
+  auto run_one = [&](const std::string& name, const Bytes& current)
+      -> std::optional<StatusOr<R>> {
+    static const Bytes kEmpty;
     auto it = client.find(name);
+    if (it != client.end() && it->second == current) {
+      return std::nullopt;  // unchanged: the fold skips it
+    }
     const Bytes& outdated = it != client.end() ? it->second : kEmpty;
     SimulatedChannel channel;
-    return RsyncSynchronize(outdated, current, params, channel, obs);
+    return sync(outdated, current, channel);
   };
-  std::vector<std::optional<StatusOr<RsyncResult>>> pre;
-  if (params.num_threads > 1 && obs == nullptr) {
-    pre = ParallelSessions<RsyncResult>(
-        server, params.num_threads,
-        [&](const std::string& name,
-            const Bytes& current) -> std::optional<StatusOr<RsyncResult>> {
-          auto it = client.find(name);
-          if (it != client.end() && it->second == current) {
-            return std::nullopt;  // unchanged: the fold skips it
-          }
-          return run_one(name, current);
-        });
+  std::vector<std::optional<StatusOr<R>>> pre;
+  if (num_threads > 1 && obs == nullptr) {
+    pre = ParallelSessions<R>(server, num_threads, run_one);
   }
+  uint64_t max_roundtrips = 0;
   size_t file_idx = 0;
   for (const auto& [name, current] : server) {
     const size_t idx = file_idx++;
-    auto it = client.find(name);
-    if (it == client.end()) {
+    if (!client.contains(name)) {
       ++result.files_new;
     }
-    bool unchanged = it != client.end() && it->second == current;
-    if (unchanged) {
+    std::optional<StatusOr<R>> r_or =
+        pre.empty() ? run_one(name, current) : std::move(pre[idx]);
+    if (!r_or.has_value()) {
       ++result.files_unchanged;
       result.reconstructed[name] = current;
       continue;  // detected via the fingerprint exchange above
     }
-    StatusOr<RsyncResult> r_or =
-        pre.empty() ? run_one(name, current) : std::move(*pre[idx]);
-    FSYNC_ASSIGN_OR_RETURN(RsyncResult r, std::move(r_or));
+    FSYNC_ASSIGN_OR_RETURN(R r, std::move(*r_or));
     if (r.reconstructed != current) {
-      return Status::Internal("rsync collection: reconstruction mismatch");
+      return Status::Internal(mismatch);
     }
-    // Exclude the per-file fingerprint handshake (16 + 17 bytes + framing)
-    // that the batched exchange already covers.
     result.stats.client_to_server_bytes += r.stats.client_to_server_bytes;
     result.stats.server_to_client_bytes += r.stats.server_to_client_bytes;
     max_roundtrips = std::max(max_roundtrips, r.stats.roundtrips);
@@ -822,123 +845,43 @@ StatusOr<CollectionSyncResult> SyncCollectionRsync(const Collection& client,
   }
   result.stats.roundtrips = max_roundtrips + 1;
   return result;
+}
+
+}  // namespace
+
+StatusOr<CollectionSyncResult> SyncCollectionRsync(const Collection& client,
+                                                   const Collection& server,
+                                                   const RsyncParams& params,
+                                                   obs::SyncObserver* obs) {
+  return SyncCollectionPerFile<RsyncResult>(
+      client, server, params.num_threads, obs,
+      "rsync collection: reconstruction mismatch",
+      [&](ByteSpan f_old, ByteSpan f_new, SimulatedChannel& channel) {
+        return RsyncSynchronize(f_old, f_new, params, channel, obs);
+      });
 }
 
 StatusOr<CollectionSyncResult> SyncCollectionCdc(const Collection& client,
                                                  const Collection& server,
                                                  const CdcSyncParams& params,
                                                  obs::SyncObserver* obs) {
-  CollectionSyncResult result;
-  result.stats.client_to_server_bytes += FingerprintExchangeBytes(client);
-  obs::AddBytes(obs, obs::Phase::kHandshake, obs::Flow::kUp,
-                FingerprintExchangeBytes(client));
-  result.files_total = server.size();
-
-  uint64_t max_roundtrips = 0;
-  static const Bytes kEmpty;
-  auto run_one = [&](const std::string& name,
-                     const Bytes& current) -> StatusOr<CdcSyncResult> {
-    auto it = client.find(name);
-    const Bytes& outdated = it != client.end() ? it->second : kEmpty;
-    SimulatedChannel channel;
-    return CdcSynchronize(outdated, current, params, channel, obs);
-  };
-  std::vector<std::optional<StatusOr<CdcSyncResult>>> pre;
-  if (params.num_threads > 1 && obs == nullptr) {
-    pre = ParallelSessions<CdcSyncResult>(
-        server, params.num_threads,
-        [&](const std::string& name, const Bytes& current)
-            -> std::optional<StatusOr<CdcSyncResult>> {
-          auto it = client.find(name);
-          if (it != client.end() && it->second == current) {
-            return std::nullopt;
-          }
-          return run_one(name, current);
-        });
-  }
-  size_t file_idx = 0;
-  for (const auto& [name, current] : server) {
-    const size_t idx = file_idx++;
-    auto it = client.find(name);
-    if (it == client.end()) {
-      ++result.files_new;
-    }
-    if (it != client.end() && it->second == current) {
-      ++result.files_unchanged;
-      result.reconstructed[name] = current;
-      continue;
-    }
-    StatusOr<CdcSyncResult> r_or =
-        pre.empty() ? run_one(name, current) : std::move(*pre[idx]);
-    FSYNC_ASSIGN_OR_RETURN(CdcSyncResult r, std::move(r_or));
-    if (r.reconstructed != current) {
-      return Status::Internal("cdc collection: reconstruction mismatch");
-    }
-    result.stats.client_to_server_bytes += r.stats.client_to_server_bytes;
-    result.stats.server_to_client_bytes += r.stats.server_to_client_bytes;
-    max_roundtrips = std::max(max_roundtrips, r.stats.roundtrips);
-    result.reconstructed[name] = std::move(r.reconstructed);
-  }
-  result.stats.roundtrips = max_roundtrips + 1;
-  return result;
+  return SyncCollectionPerFile<CdcSyncResult>(
+      client, server, params.num_threads, obs,
+      "cdc collection: reconstruction mismatch",
+      [&](ByteSpan f_old, ByteSpan f_new, SimulatedChannel& channel) {
+        return CdcSynchronize(f_old, f_new, params, channel, obs);
+      });
 }
 
 StatusOr<CollectionSyncResult> SyncCollectionMultiround(
     const Collection& client, const Collection& server,
     const MultiroundParams& params, obs::SyncObserver* obs) {
-  CollectionSyncResult result;
-  result.stats.client_to_server_bytes += FingerprintExchangeBytes(client);
-  obs::AddBytes(obs, obs::Phase::kHandshake, obs::Flow::kUp,
-                FingerprintExchangeBytes(client));
-  result.files_total = server.size();
-
-  uint64_t max_roundtrips = 0;
-  static const Bytes kEmpty;
-  auto run_one = [&](const std::string& name,
-                     const Bytes& current) -> StatusOr<MultiroundResult> {
-    auto it = client.find(name);
-    const Bytes& outdated = it != client.end() ? it->second : kEmpty;
-    SimulatedChannel channel;
-    return MultiroundSynchronize(outdated, current, params, channel, obs);
-  };
-  std::vector<std::optional<StatusOr<MultiroundResult>>> pre;
-  if (params.num_threads > 1 && obs == nullptr) {
-    pre = ParallelSessions<MultiroundResult>(
-        server, params.num_threads,
-        [&](const std::string& name, const Bytes& current)
-            -> std::optional<StatusOr<MultiroundResult>> {
-          auto it = client.find(name);
-          if (it != client.end() && it->second == current) {
-            return std::nullopt;
-          }
-          return run_one(name, current);
-        });
-  }
-  size_t file_idx = 0;
-  for (const auto& [name, current] : server) {
-    const size_t idx = file_idx++;
-    auto it = client.find(name);
-    if (it == client.end()) {
-      ++result.files_new;
-    }
-    if (it != client.end() && it->second == current) {
-      ++result.files_unchanged;
-      result.reconstructed[name] = current;
-      continue;
-    }
-    StatusOr<MultiroundResult> r_or =
-        pre.empty() ? run_one(name, current) : std::move(*pre[idx]);
-    FSYNC_ASSIGN_OR_RETURN(MultiroundResult r, std::move(r_or));
-    if (r.reconstructed != current) {
-      return Status::Internal("multiround collection: mismatch");
-    }
-    result.stats.client_to_server_bytes += r.stats.client_to_server_bytes;
-    result.stats.server_to_client_bytes += r.stats.server_to_client_bytes;
-    max_roundtrips = std::max(max_roundtrips, r.stats.roundtrips);
-    result.reconstructed[name] = std::move(r.reconstructed);
-  }
-  result.stats.roundtrips = max_roundtrips + 1;
-  return result;
+  return SyncCollectionPerFile<MultiroundResult>(
+      client, server, params.num_threads, obs,
+      "multiround collection: mismatch",
+      [&](ByteSpan f_old, ByteSpan f_new, SimulatedChannel& channel) {
+        return MultiroundSynchronize(f_old, f_new, params, channel, obs);
+      });
 }
 
 uint64_t CollectionFullTransferBytes(const Collection& client,

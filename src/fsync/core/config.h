@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fsync/delta/delta.h"
+#include "fsync/util/status.h"
 
 namespace fsx {
 
@@ -121,6 +122,13 @@ int EffectiveContinuationBits(const SyncConfig& config, int round);
 
 /// Effective verification parameters for round `round`.
 VerifyConfig EffectiveVerify(const SyncConfig& config, int round);
+
+/// InvalidArgument unless the block sizes and the verification settings
+/// describe a protocol that terminates: a nonzero power-of-two
+/// start_block_size, nonzero min_block_size, min_continuation_block in
+/// [1, min_block_size], verify_bits in [1, 64], max_batches >= 1. Every
+/// entry point that runs the session protocol checks it first.
+Status ValidateSyncConfig(const SyncConfig& config);
 
 }  // namespace fsx
 

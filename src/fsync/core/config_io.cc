@@ -33,6 +33,24 @@ VerifyConfig EffectiveVerify(const SyncConfig& config, int round) {
   return v;
 }
 
+Status ValidateSyncConfig(const SyncConfig& config) {
+  if (config.start_block_size == 0 || config.min_block_size == 0 ||
+      (config.start_block_size & (config.start_block_size - 1)) != 0) {
+    return Status::InvalidArgument(
+        "start_block_size must be a nonzero power of two");
+  }
+  if (config.min_continuation_block == 0 ||
+      config.min_continuation_block > config.min_block_size) {
+    return Status::InvalidArgument(
+        "min_continuation_block must be in [1, min_block_size]");
+  }
+  if (config.verify.verify_bits < 1 || config.verify.verify_bits > 64 ||
+      config.verify.max_batches < 1) {
+    return Status::InvalidArgument("bad verification configuration");
+  }
+  return Status::Ok();
+}
+
 namespace {
 
 std::string Trim(const std::string& s) {
@@ -217,6 +235,7 @@ StatusOr<SyncConfig> ParseSyncConfig(const std::string& text) {
                                      ": unknown key '" + key + "'");
     }
   }
+  FSYNC_RETURN_IF_ERROR(ValidateSyncConfig(config));
   return config;
 }
 

@@ -19,7 +19,8 @@
 
 namespace fsx {
 
-/// Parses a parameter file. Unknown keys are errors (typo safety).
+/// Parses a parameter file. Unknown keys are errors (typo safety), and
+/// so is a config ValidateSyncConfig rejects.
 StatusOr<SyncConfig> ParseSyncConfig(const std::string& text);
 
 /// Writes `config` in the same format (round-trips through Parse).

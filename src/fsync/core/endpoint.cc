@@ -413,6 +413,22 @@ Bytes SyncServerEndpoint::OnFallbackRequest() const {
   return Compress(f_new_);
 }
 
+StatusOr<Bytes> SyncServerEndpoint::Handle(SessionMsg kind, ByteSpan msg) {
+  switch (kind) {
+    case SessionMsg::kRequest:
+      return OnRequest(msg);
+    case SessionMsg::kResumeRequest:
+      return OnResumeRequest(msg);
+    case SessionMsg::kRoundReply:
+      return OnClientMessage(msg);
+    case SessionMsg::kRepairRequest:
+      return OnRepairRequest(msg);
+    case SessionMsg::kFallbackRequest:
+      return OnFallbackRequest();
+  }
+  return Status::InvalidArgument("unknown session message kind");
+}
+
 StatusOr<Bytes> SyncServerEndpoint::ProcessBatch(BitReader& in) {
   const VerifyConfig vc = EffectiveVerify(config_, ledger_->round());
   uint64_t salt =

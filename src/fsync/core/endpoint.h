@@ -1,9 +1,10 @@
 // Message-level protocol endpoints. These are the building blocks for
 // running the synchronization protocol over a real transport: each side
 // holds one endpoint, feeds it the peer's messages, and sends back the
-// returned payloads. SynchronizeFile (session.h) wires two endpoints
-// through the in-process SimulatedChannel; a network deployment would
-// frame the same messages over TCP.
+// returned payloads. ClientFileSession (file_session.h) walks the client
+// endpoint through a whole session and SyncServerEndpoint::Handle routes
+// each client message; SynchronizeFile (session.h) moves them over the
+// in-process SimulatedChannel, the daemon (netd/) over TCP.
 //
 // Wire protocol (all payloads bit-packed, see the design doc):
 //   client -> server   request: old-file fingerprint + size
@@ -31,6 +32,18 @@
 #include "fsync/util/status.h"
 
 namespace fsx {
+
+/// What a client-to-server session message asks for. The byte values are
+/// fixed: the server cache chains them into its transcript keys
+/// (server_cache.h), and the daemon carries them in its kOpenFile and
+/// kFileMsg bodies (netd/protocol.h).
+enum class SessionMsg : uint8_t {
+  kRequest = 0,          // first message of a fresh session
+  kResumeRequest = 1,    // first message of a checkpoint resume
+  kRoundReply = 2,       // candidate bitmap / verification hashes
+  kRepairRequest = 3,    // rung 2: per-region hashes of a bad candidate
+  kFallbackRequest = 4,  // rung 3: ask for the whole file
+};
 
 /// Result of the client's region-repair attempt (rung 2 of the
 /// graceful-degradation ladder; see docs/PROTOCOL.md, "Degradation
@@ -177,6 +190,11 @@ class SyncServerEndpoint : private core_internal::EndpointBase {
   /// Full-transfer payload after the client reports a reconstruction
   /// failure (compressed current file; the ladder's last rung).
   Bytes OnFallbackRequest() const;
+
+  /// Routes one client message to the handler its kind names. Every
+  /// driver (in-process, multiplexed, daemon, cache replay) dispatches
+  /// through here.
+  StatusOr<Bytes> Handle(SessionMsg kind, ByteSpan msg);
 
   /// True once the unchanged short-circuit or the delta has been sent.
   bool done() const { return done_; }

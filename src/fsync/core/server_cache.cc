@@ -41,27 +41,6 @@ CachedServerEndpoint::CachedServerEndpoint(ByteSpan f_new,
   }
 }
 
-StatusOr<Bytes> CachedServerEndpoint::OnRequest(ByteSpan msg) {
-  return Dispatch(kRequest, msg);
-}
-
-StatusOr<Bytes> CachedServerEndpoint::OnResumeRequest(ByteSpan msg) {
-  return Dispatch(kResumeRequest, msg);
-}
-
-StatusOr<Bytes> CachedServerEndpoint::OnClientMessage(ByteSpan msg) {
-  return Dispatch(kClientMessage, msg);
-}
-
-StatusOr<Bytes> CachedServerEndpoint::OnRepairRequest(ByteSpan msg) {
-  return Dispatch(kRepairRequest, msg);
-}
-
-Bytes CachedServerEndpoint::OnFallbackRequest() {
-  StatusOr<Bytes> reply = Dispatch(kFallbackRequest, ByteSpan());
-  return reply.ok() ? std::move(reply).value() : Bytes();
-}
-
 bool CachedServerEndpoint::done() const {
   return live_ != nullptr ? live_->done() : done_;
 }
@@ -88,7 +67,10 @@ uint32_t CachedServerEndpoint::repair_bad_regions() const {
                           : repair_bad_regions_;
 }
 
-StatusOr<Bytes> CachedServerEndpoint::Dispatch(MsgKind kind, ByteSpan msg) {
+StatusOr<Bytes> CachedServerEndpoint::Handle(SessionMsg kind, ByteSpan msg) {
+  if (kind == SessionMsg::kFallbackRequest) {
+    msg = ByteSpan();  // the ask carries no content; chain it as empty
+  }
   AdvanceChain(kind, msg);
   if (live_ != nullptr) {
     return CallLive(kind, msg);
@@ -106,23 +88,10 @@ StatusOr<Bytes> CachedServerEndpoint::Dispatch(MsgKind kind, ByteSpan msg) {
   return CallLive(kind, msg);
 }
 
-StatusOr<Bytes> CachedServerEndpoint::CallLive(MsgKind kind, ByteSpan msg) {
+StatusOr<Bytes> CachedServerEndpoint::CallLive(SessionMsg kind,
+                                               ByteSpan msg) {
   const uint64_t start = NowNs();
-  StatusOr<Bytes> reply = [&]() -> StatusOr<Bytes> {
-    switch (kind) {
-      case kRequest:
-        return live_->OnRequest(msg);
-      case kResumeRequest:
-        return live_->OnResumeRequest(msg);
-      case kClientMessage:
-        return live_->OnClientMessage(msg);
-      case kRepairRequest:
-        return live_->OnRepairRequest(msg);
-      case kFallbackRequest:
-        return live_->OnFallbackRequest();
-    }
-    return Status::Internal("unknown server message kind");
-  }();
+  StatusOr<Bytes> reply = live_->Handle(kind, msg);
   const uint64_t elapsed = NowNs() - start;
   server_cpu_ns_ += elapsed;
   if (reply.ok() && cache_ != nullptr) {
@@ -141,23 +110,7 @@ Status CachedServerEndpoint::EnsureLive() {
   // the state the cached prefix already advertised. The replies are
   // recomputations of cached payloads and are discarded.
   for (const Incoming& in : history_) {
-    switch (in.kind) {
-      case kRequest:
-        FSYNC_RETURN_IF_ERROR(live_->OnRequest(in.msg).status());
-        break;
-      case kResumeRequest:
-        FSYNC_RETURN_IF_ERROR(live_->OnResumeRequest(in.msg).status());
-        break;
-      case kClientMessage:
-        FSYNC_RETURN_IF_ERROR(live_->OnClientMessage(in.msg).status());
-        break;
-      case kRepairRequest:
-        FSYNC_RETURN_IF_ERROR(live_->OnRepairRequest(in.msg).status());
-        break;
-      case kFallbackRequest:
-        (void)live_->OnFallbackRequest();
-        break;
-    }
+    FSYNC_RETURN_IF_ERROR(live_->Handle(in.kind, in.msg).status());
   }
   history_.clear();
   history_.shrink_to_fit();
@@ -165,7 +118,7 @@ Status CachedServerEndpoint::EnsureLive() {
   return Status::Ok();
 }
 
-void CachedServerEndpoint::AdvanceChain(MsgKind kind, ByteSpan msg) {
+void CachedServerEndpoint::AdvanceChain(SessionMsg kind, ByteSpan msg) {
   if (cache_ == nullptr && live_ != nullptr) {
     return;  // nothing will ever read the chain
   }

@@ -47,12 +47,8 @@ class CachedServerEndpoint {
                        obs::SyncObserver* obs = nullptr,
                        const Fingerprint* fp_new_hint = nullptr);
 
-  // The SyncServerEndpoint message surface, memoized.
-  StatusOr<Bytes> OnRequest(ByteSpan msg);
-  StatusOr<Bytes> OnResumeRequest(ByteSpan msg);
-  StatusOr<Bytes> OnClientMessage(ByteSpan msg);
-  StatusOr<Bytes> OnRepairRequest(ByteSpan msg);
-  Bytes OnFallbackRequest();
+  /// SyncServerEndpoint::Handle, memoized.
+  StatusOr<Bytes> Handle(SessionMsg kind, ByteSpan msg);
 
   // Endpoint state, mirrored from cache metadata on the hit path and
   // forwarded to the live endpoint otherwise.
@@ -70,19 +66,9 @@ class CachedServerEndpoint {
   uint64_t server_cpu_ns() const { return server_cpu_ns_; }
 
  private:
-  // Incoming-message kinds, part of the transcript chain.
-  enum MsgKind : uint8_t {
-    kRequest = 0,
-    kResumeRequest = 1,
-    kClientMessage = 2,
-    kRepairRequest = 3,
-    kFallbackRequest = 4,
-  };
-
-  StatusOr<Bytes> Dispatch(MsgKind kind, ByteSpan msg);
-  StatusOr<Bytes> CallLive(MsgKind kind, ByteSpan msg);
+  StatusOr<Bytes> CallLive(SessionMsg kind, ByteSpan msg);
   Status EnsureLive();
-  void AdvanceChain(MsgKind kind, ByteSpan msg);
+  void AdvanceChain(SessionMsg kind, ByteSpan msg);
   const Fingerprint& TargetFingerprint();
   cache::CacheKey ChainKey();
   void MirrorFromMeta(const cache::SyncCache::Meta& meta);
@@ -99,7 +85,7 @@ class CachedServerEndpoint {
   // Incoming history, kept only while serving from cache (replayed to
   // reconstruct the live endpoint on the first miss, then dropped).
   struct Incoming {
-    MsgKind kind;
+    SessionMsg kind;
     Bytes msg;
   };
   std::vector<Incoming> history_;

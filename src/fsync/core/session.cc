@@ -4,183 +4,94 @@
 #include <optional>
 
 #include "fsync/core/endpoint.h"
+#include "fsync/core/file_session.h"
 #include "fsync/core/server_cache.h"
 
 namespace fsx {
 
+namespace {
+
+bool IsMapMsg(SessionMsg kind) { return kind <= SessionMsg::kRoundReply; }
+
+}  // namespace
+
 StatusOr<FileSyncResult> SyncSession::Run(SimulatedChannel& channel,
                                           obs::SyncObserver* obs) {
   using Dir = SimulatedChannel::Direction;
-  if (config_.start_block_size == 0 || config_.min_block_size == 0 ||
-      (config_.start_block_size & (config_.start_block_size - 1)) != 0) {
-    return Status::InvalidArgument(
-        "start_block_size must be a nonzero power of two");
-  }
-  if (config_.min_continuation_block == 0 ||
-      config_.min_continuation_block > config_.min_block_size) {
-    return Status::InvalidArgument(
-        "min_continuation_block must be in [1, min_block_size]");
-  }
-  if (config_.verify.verify_bits < 1 || config_.verify.verify_bits > 64 ||
-      config_.verify.max_batches < 1) {
-    return Status::InvalidArgument("bad verification configuration");
-  }
+  FSYNC_RETURN_IF_ERROR(ValidateSyncConfig(config_));
 
   ObservedSession scope(channel, obs, "session");
-  SyncClientEndpoint client(f_old_, config_);
+  ClientFileSession client(f_old_, config_);
+  client.endpoint().set_observer(obs);
+  client.set_observer(obs);
+  client.set_checkpoint_fn(checkpoint_fn_);
   CachedServerEndpoint server(
       f_new_, config_, server_cache_, obs,
       fp_new_hint_.has_value() ? &*fp_new_hint_ : nullptr);
-  client.set_observer(obs);
-  FileSyncResult result;
 
-  // Request. A usable checkpoint turns it into a resume request; the
-  // server validates the claim and either continues mid-protocol or
-  // embeds a fresh round-1 message in its rejection.
-  obs::SetPhase(obs, obs::Phase::kHandshake);
-  bool resuming =
-      resume_cp_.has_value() && client.InstallCheckpoint(*resume_cp_).ok();
-  Bytes server_msg;
-  if (resuming) {
-    channel.Send(Dir::kClientToServer, client.MakeResumeRequest());
-    FSYNC_ASSIGN_OR_RETURN(Bytes req,
-                           channel.Receive(Dir::kClientToServer));
-    FSYNC_ASSIGN_OR_RETURN(server_msg, server.OnResumeRequest(req));
-  } else {
-    channel.Send(Dir::kClientToServer, client.MakeRequest());
-    FSYNC_ASSIGN_OR_RETURN(Bytes req,
-                           channel.Receive(Dir::kClientToServer));
-    FSYNC_ASSIGN_OR_RETURN(server_msg, server.OnRequest(req));
-  }
-
-  // Map-construction + delta loop. Server messages carry the round's
-  // candidate hashes (plus, mixed in, continuation hashes and eventually
-  // the delta — re-attributed below); client replies carry match bitmaps
-  // and verification hashes.
-  int saved_rounds = 0;  // rounds the checkpoint hook has already seen
+  // Map rounds, then the ladder's rungs if the reconstruction fails its
+  // fingerprint check (docs/PROTOCOL.md). Server messages carry the
+  // round's candidate hashes (plus, mixed in, continuation hashes and
+  // eventually the delta — re-attributed below); client replies carry
+  // match bitmaps and verification hashes.
+  std::optional<SessionSend> up =
+      client.Start(resume_cp_.has_value() ? &*resume_cp_ : nullptr);
+  std::optional<TrafficStats> map_stats;  // traffic when the map ended
   uint32_t exchange = 0;
-  bool first_reply = resuming;
-  for (;;) {
-    obs::SetRound(obs, ++exchange);
-    obs::SetPhase(obs, obs::Phase::kCandidates);
-    channel.Send(Dir::kServerToClient, server_msg);
+  while (up.has_value()) {
+    const SessionMsg kind = up->kind;
+    if (!IsMapMsg(kind) && !map_stats.has_value()) {
+      map_stats = channel.stats();
+    }
+    obs::SetPhase(obs, SessionMsgPhase(kind));
+    channel.Send(Dir::kClientToServer, up->bytes);
+    FSYNC_ASSIGN_OR_RETURN(Bytes req, channel.Receive(Dir::kClientToServer));
+    FSYNC_ASSIGN_OR_RETURN(Bytes reply, server.Handle(kind, req));
+    if (IsMapMsg(kind)) {
+      obs::SetRound(obs, ++exchange);
+    }
+    obs::SetPhase(obs, SessionReplyPhase(kind));
+    channel.Send(Dir::kServerToClient, reply);
     FSYNC_ASSIGN_OR_RETURN(Bytes msg, channel.Receive(Dir::kServerToClient));
-    std::optional<Bytes> reply;
-    if (first_reply) {
-      first_reply = false;
-      FSYNC_ASSIGN_OR_RETURN(reply, client.OnResumeReply(msg));
-      if (client.resumed()) {
-        saved_rounds = client.completed_rounds();
-        result.resumed = true;
-        result.resumed_rounds = saved_rounds;
-        obs::AddEvent(obs, obs::Event::kResume);
-      }
-    } else {
-      FSYNC_ASSIGN_OR_RETURN(reply, client.OnServerMessage(msg));
+    if (kind == SessionMsg::kRepairRequest && server.repair_used_full()) {
+      // The reply actually carried the whole file, not region literals.
+      obs::Reattribute(obs, obs::Phase::kLiterals, obs::Phase::kFallback,
+                       obs::Flow::kDown, MessageWireBytes(reply.size()));
     }
-    if (checkpoint_fn_ && client.completed_rounds() > saved_rounds) {
-      saved_rounds = client.completed_rounds();
-      checkpoint_fn_(client.MakeCheckpoint());
-    }
-    if (!reply.has_value()) {
-      break;
-    }
-    obs::SetPhase(obs, obs::Phase::kVerification);
-    channel.Send(Dir::kClientToServer, *reply);
-    FSYNC_ASSIGN_OR_RETURN(Bytes fwd, channel.Receive(Dir::kClientToServer));
-    FSYNC_ASSIGN_OR_RETURN(server_msg, server.OnClientMessage(fwd));
+    FSYNC_ASSIGN_OR_RETURN(up, client.OnServerMessage(msg));
   }
-  const uint64_t map_loop_s2c = channel.stats().server_to_client_bytes;
-  const uint64_t map_loop_c2s = channel.stats().client_to_server_bytes;
-
-  if (obs != nullptr) {
-    // Per-message attribution charged every server message to
-    // kCandidates, but the final message embeds the delta payload and the
-    // round messages embed continuation hashes. Move those slices now
-    // that all sends are counted; Reattribute clamps, so totals (and the
-    // conformance cross-check) are preserved exactly.
-    obs->Reattribute(obs::Phase::kCandidates, obs::Phase::kDelta,
-                     obs::Flow::kDown, server.delta_payload_bytes());
-    uint64_t continuation_bits = 0;
-    for (const RoundTrace& t : client.trace()) {
-      continuation_bits += static_cast<uint64_t>(t.continuation_hashes) *
-                           EffectiveContinuationBits(config_, t.round);
-    }
-    obs->Reattribute(obs::Phase::kCandidates, obs::Phase::kContinuation,
-                     obs::Flow::kDown, continuation_bits / 8);
-  }
-
-  if (client.needs_fallback()) {
-    // Graceful-degradation ladder (docs/PROTOCOL.md): the decoded
-    // reconstruction failed its fingerprint check. Rung 2 re-verifies it
-    // per region with strong hashes and fetches only the bad regions'
-    // literals; rung 3 is the compressed full transfer of old.
-    if (client.has_repair_candidate()) {
-      obs::SetPhase(obs, obs::Phase::kVerification);
-      channel.Send(Dir::kClientToServer, client.MakeRepairRequest());
-      FSYNC_ASSIGN_OR_RETURN(Bytes rreq,
-                             channel.Receive(Dir::kClientToServer));
-      FSYNC_ASSIGN_OR_RETURN(Bytes rreply, server.OnRepairRequest(rreq));
-      obs::SetPhase(obs, obs::Phase::kLiterals);
-      channel.Send(Dir::kServerToClient, rreply);
-      FSYNC_ASSIGN_OR_RETURN(Bytes rmsg,
-                             channel.Receive(Dir::kServerToClient));
-      FSYNC_ASSIGN_OR_RETURN(RepairOutcome outcome,
-                             client.OnRepairReply(rmsg));
-      if (server.repair_used_full()) {
-        // The reply actually carried the whole file, not region literals.
-        obs::Reattribute(obs, obs::Phase::kLiterals, obs::Phase::kFallback,
-                         obs::Flow::kDown, MessageWireBytes(rreply.size()));
-      }
-      switch (outcome) {
-        case RepairOutcome::kRepaired:
-          result.degradation_level = 1;
-          result.repaired_regions = client.repaired_regions();
-          obs::AddEvent(obs, obs::Event::kRepairRegion,
-                        client.repaired_regions());
-          break;
-        case RepairOutcome::kFullTransfer:
-          result.degradation_level = 2;
-          result.fallback = true;
-          obs::AddEvent(obs, obs::Event::kFullFallback);
-          break;
-        case RepairOutcome::kStillBroken:
-          break;  // fall through to rung 3 below
-      }
-    }
-    if (client.needs_fallback()) {
-      obs::SetPhase(obs, obs::Phase::kFallback);
-      Bytes ask = {1};
-      channel.Send(Dir::kClientToServer, ask);
-      FSYNC_ASSIGN_OR_RETURN(Bytes ask_msg,
-                             channel.Receive(Dir::kClientToServer));
-      (void)ask_msg;
-      Bytes full = server.OnFallbackRequest();
-      channel.Send(Dir::kServerToClient, full);
-      FSYNC_ASSIGN_OR_RETURN(Bytes full_msg,
-                             channel.Receive(Dir::kServerToClient));
-      FSYNC_RETURN_IF_ERROR(client.OnFallbackTransfer(full_msg));
-      result.degradation_level = 2;
-      result.fallback = true;
-      obs::AddEvent(obs, obs::Event::kFullFallback);
-    }
-  }
-
-  if (!client.done()) {
+  const SyncClientEndpoint& ep = client.endpoint();
+  if (!ep.done()) {
     return Status::Internal("session ended without completion");
   }
-  result.reconstructed = client.result();
+  if (!map_stats.has_value()) {
+    map_stats = channel.stats();
+  }
+
+  if (obs != nullptr) {
+    ReattributeRoundAnswers(*obs, server.delta_payload_bytes(),
+                            ContinuationHashBits(config_, ep.trace()));
+  }
+
+  FileSyncResult result;
+  result.reconstructed = ep.result();
   result.stats = channel.stats();
-  result.unchanged = client.unchanged();
-  result.rounds = client.rounds_executed();
-  result.trace = client.trace();
-  result.confirmed_fraction = client.confirmed_fraction();
+  result.unchanged = ep.unchanged();
+  result.rounds = ep.rounds_executed();
+  result.trace = ep.trace();
+  result.confirmed_fraction = ep.confirmed_fraction();
+  result.resumed = client.resumed();
+  result.resumed_rounds = client.resumed_rounds();
+  result.degradation_level = client.degradation_level();
+  result.fallback = client.degradation_level() == 2;
+  result.repaired_regions = client.repaired_regions();
   // Phase attribution: the delta rides in the final server message; the
   // remainder of the loop traffic is map construction plus fixed headers.
   result.delta_bytes = server.delta_payload_bytes();
   result.map_server_to_client_bytes =
-      map_loop_s2c - std::min(map_loop_s2c, result.delta_bytes);
-  result.map_client_to_server_bytes = map_loop_c2s;
+      map_stats->server_to_client_bytes -
+      std::min(map_stats->server_to_client_bytes, result.delta_bytes);
+  result.map_client_to_server_bytes = map_stats->client_to_server_bytes;
   result.server_cpu_ns = server.server_cpu_ns();
   return result;
 }

@@ -1,8 +1,8 @@
 // Single-file synchronization sessions: the multi-round map-construction
 // protocol (Section 5.6) followed by the delta phase, run between two
 // in-process endpoints over a SimulatedChannel with exact cost
-// accounting. For message-level endpoints usable over a real transport,
-// see fsync/core/endpoint.h.
+// accounting. For the message-in/message-out client state machine usable
+// over a real transport, see fsync/core/file_session.h.
 #ifndef FSYNC_CORE_SESSION_H_
 #define FSYNC_CORE_SESSION_H_
 

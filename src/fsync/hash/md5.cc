@@ -80,6 +80,9 @@ void Md5::Compress(const uint8_t block[64]) {
 }
 
 void Md5::Update(ByteSpan data) {
+  if (data.empty()) {
+    return;  // an empty span may carry a null data(); memcpy forbids it
+  }
   length_ += data.size();
   size_t pos = 0;
   if (buf_len_ > 0) {

@@ -10,7 +10,7 @@
 
 #include "fsync/core/checkpoint.h"
 #include "fsync/core/config_io.h"
-#include "fsync/core/endpoint.h"
+#include "fsync/core/file_session.h"
 #include "fsync/hash/md5.h"
 #include "fsync/netd/frame.h"
 #include "fsync/netd/protocol.h"
@@ -132,14 +132,8 @@ class ClientConn {
 
 /// One in-flight per-file session (client side).
 struct FileSession {
-  enum class Phase { kAwaitFirst, kAwaitRound, kAwaitRepair, kAwaitFallback };
-
   std::string path;
-  Bytes f_old;  // owned; the endpoint references it
-  std::unique_ptr<SyncClientEndpoint> ep;
-  Phase phase = Phase::kAwaitFirst;
-  bool resume = false;
-  int saved_rounds = 0;
+  std::unique_ptr<ClientFileSession> session;
   std::string ckpt_path;  // "" = checkpoints disabled
 };
 
@@ -154,18 +148,17 @@ std::string CheckpointPathFor(const std::string& dir,
          ".ckpt";
 }
 
-void MaybeSaveCheckpoint(FileSession& s, ClientResult& result) {
-  if (s.ckpt_path.empty() || result.checkpoints_disabled ||
-      s.ep->completed_rounds() <= s.saved_rounds) {
+void SaveCheckpoint(const std::string& ckpt_path, const SessionCheckpoint& cp,
+                    ClientResult& result) {
+  if (result.checkpoints_disabled) {
     return;
   }
-  s.saved_rounds = s.ep->completed_rounds();
   // Best effort (a failed save only costs resume coverage), but disk
   // faults degrade deliberately: a transient EIO / failed fsync gets one
   // retry after a short backoff; a persistent failure — or disk-full,
   // which a retry cannot fix — disables checkpointing for the rest of
   // the run instead of hammering a dead disk once per round.
-  Status st = SaveCheckpointFile(s.ckpt_path, s.ep->MakeCheckpoint());
+  Status st = SaveCheckpointFile(ckpt_path, cp);
   if (st.ok()) {
     return;
   }
@@ -173,7 +166,7 @@ void MaybeSaveCheckpoint(FileSession& s, ClientResult& result) {
       st.code() == StatusCode::kDataLoss) {
     ++result.disk_retries;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    st = SaveCheckpointFile(s.ckpt_path, s.ep->MakeCheckpoint());
+    st = SaveCheckpointFile(ckpt_path, cp);
     if (st.ok()) {
       return;
     }
@@ -247,21 +240,31 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
   }
 
   // Plan: unchanged files copy locally; everything else runs a session.
-  std::deque<std::string> pending;
+  // A size-matched file's fingerprint, computed here, is its session's
+  // hint, so no local file is hashed twice.
+  struct Pending {
+    std::string path;
+    std::optional<Fingerprint> fp_old;
+  };
+  std::deque<Pending> pending;
   result.files_total = manifest.size();
   for (const auto& [path, entry] : manifest) {
     auto it = local.find(path);
-    if (it != local.end() && it->second.size() == entry.size &&
-        FileFingerprint(ByteSpan(it->second.data(), it->second.size())) ==
-            entry.fingerprint) {
-      result.reconstructed[path] = it->second;
-      ++result.files_unchanged;
-      continue;
-    }
     if (it == local.end()) {
       ++result.files_new;
+      pending.push_back({path, std::nullopt});
+      continue;
     }
-    pending.push_back(path);
+    std::optional<Fingerprint> fp;
+    if (it->second.size() == entry.size) {
+      fp = FileFingerprint(ByteSpan(it->second.data(), it->second.size()));
+      if (*fp == entry.fingerprint) {
+        result.reconstructed[path] = it->second;
+        ++result.files_unchanged;
+        continue;
+      }
+    }
+    pending.push_back({path, fp});
   }
   for (const auto& [path, data] : local) {
     if (manifest.find(path) == manifest.end()) {
@@ -269,39 +272,41 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
     }
   }
 
-  // Multiplexed sessions.
+  // Multiplexed sessions: each stream carries one ClientFileSession's
+  // messages, each client message tagged with its SessionMsg kind.
   std::map<uint64_t, FileSession> sessions;
   uint64_t next_stream = 1;
   bool draining = false;
 
   auto open_next = [&]() -> Status {
+    static const Bytes kEmpty;
     while (!draining && !pending.empty() &&
            sessions.size() < static_cast<size_t>(options.max_streams)) {
-      const std::string path = pending.front();
+      Pending p = std::move(pending.front());
       pending.pop_front();
+      auto it = local.find(p.path);
+      const Bytes& f_old = it != local.end() ? it->second : kEmpty;
       FileSession s;
-      s.path = path;
-      auto it = local.find(path);
-      if (it != local.end()) {
-        s.f_old = it->second;
-      }
-      s.ep = std::make_unique<SyncClientEndpoint>(
-          ByteSpan(s.f_old.data(), s.f_old.size()), config);
-      s.ckpt_path = CheckpointPathFor(options.checkpoint_dir, path);
-      OpenFile open;
-      open.path = path;
+      s.path = p.path;
+      s.session = std::make_unique<ClientFileSession>(
+          ByteSpan(f_old.data(), f_old.size()), config,
+          p.fp_old.has_value() ? &*p.fp_old : nullptr);
+      s.ckpt_path = CheckpointPathFor(options.checkpoint_dir, p.path);
+      std::optional<SessionCheckpoint> cp;
       if (!s.ckpt_path.empty()) {
-        auto cp = LoadCheckpointFile(s.ckpt_path);
-        if (cp.ok() && s.ep->InstallCheckpoint(*cp).ok()) {
-          s.resume = true;
-          open.kind = OpenKind::kResume;
-          open.first_msg = s.ep->MakeResumeRequest();
+        s.session->set_checkpoint_fn(
+            [&result, ckpt_path = s.ckpt_path](const SessionCheckpoint& c) {
+              SaveCheckpoint(ckpt_path, c, result);
+            });
+        if (auto loaded = LoadCheckpointFile(s.ckpt_path); loaded.ok()) {
+          cp = std::move(*loaded);
         }
       }
-      if (!s.resume) {
-        open.kind = OpenKind::kFresh;
-        open.first_msg = s.ep->MakeRequest();
-      }
+      SessionSend first = s.session->Start(cp.has_value() ? &*cp : nullptr);
+      OpenFile open;
+      open.kind = first.kind;
+      open.path = p.path;
+      open.first_msg = std::move(first.bytes);
       const uint64_t stream = next_stream++;
       Bytes body = EncodeOpenFile(open);
       FSYNC_RETURN_IF_ERROR(conn.SendMsg(Msg::kOpenFile, stream,
@@ -314,12 +319,16 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
 
   auto finish_file = [&](uint64_t stream) -> Status {
     FileSession& s = sessions.at(stream);
-    if (!s.ep->done()) {
+    const SyncClientEndpoint& ep = s.session->endpoint();
+    if (!ep.done()) {
       return Status::Internal("client: session ended without completion");
     }
-    result.reconstructed[s.path] = s.ep->result();
-    if (s.ep->resumed()) {
+    result.reconstructed[s.path] = ep.result();
+    if (s.session->resumed()) {
       ++result.files_resumed;
+    }
+    if (s.session->degradation_level() > 0) {
+      ++result.files_degraded;
     }
     if (!s.ckpt_path.empty()) {
       Status st = RemoveCheckpointFile(s.ckpt_path);
@@ -352,7 +361,6 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
     if (sit == sessions.end()) {
       continue;  // late message for a closed stream; harmless
     }
-    FileSession& s = sit->second;
     if (msg.msg == Msg::kError) {
       // Stream-scoped failure (draining refusal, server-side error):
       // abort this file, keep the rest of the sync alive.
@@ -364,71 +372,18 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
     if (msg.msg != Msg::kFileMsg) {
       return Status::DataLoss("client: unexpected message on file stream");
     }
-    const ByteSpan body(msg.body.data(), msg.body.size());
-
-    switch (s.phase) {
-      case FileSession::Phase::kAwaitFirst:
-      case FileSession::Phase::kAwaitRound: {
-        StatusOr<std::optional<Bytes>> reply =
-            (s.phase == FileSession::Phase::kAwaitFirst && s.resume)
-                ? s.ep->OnResumeReply(body)
-                : s.ep->OnServerMessage(body);
-        FSYNC_RETURN_IF_ERROR(reply.status());
-        s.phase = FileSession::Phase::kAwaitRound;
-        MaybeSaveCheckpoint(s, result);
-        if (reply->has_value()) {
-          Bytes out = EncodeFileMsg(FileSub::kRoundReply,
-                                    ByteSpan((*reply)->data(),
-                                             (*reply)->size()));
-          FSYNC_RETURN_IF_ERROR(conn.SendMsg(
-              Msg::kFileMsg, msg.stream, ByteSpan(out.data(), out.size())));
-          break;
-        }
-        if (!s.ep->needs_fallback()) {
-          FSYNC_RETURN_IF_ERROR(finish_file(msg.stream));
-          break;
-        }
-        // Degradation ladder, same order as core/session.cc.
-        if (s.ep->has_repair_candidate()) {
-          Bytes req = s.ep->MakeRepairRequest();
-          Bytes out = EncodeFileMsg(FileSub::kRepairRequest,
-                                    ByteSpan(req.data(), req.size()));
-          FSYNC_RETURN_IF_ERROR(conn.SendMsg(
-              Msg::kFileMsg, msg.stream, ByteSpan(out.data(), out.size())));
-          s.phase = FileSession::Phase::kAwaitRepair;
-        } else {
-          Bytes ask = {1};
-          Bytes out = EncodeFileMsg(FileSub::kFallbackRequest,
-                                    ByteSpan(ask.data(), ask.size()));
-          FSYNC_RETURN_IF_ERROR(conn.SendMsg(
-              Msg::kFileMsg, msg.stream, ByteSpan(out.data(), out.size())));
-          s.phase = FileSession::Phase::kAwaitFallback;
-        }
-        break;
-      }
-      case FileSession::Phase::kAwaitRepair: {
-        FSYNC_ASSIGN_OR_RETURN(RepairOutcome outcome,
-                               s.ep->OnRepairReply(body));
-        if (outcome == RepairOutcome::kStillBroken) {
-          Bytes ask = {1};
-          Bytes out = EncodeFileMsg(FileSub::kFallbackRequest,
-                                    ByteSpan(ask.data(), ask.size()));
-          FSYNC_RETURN_IF_ERROR(conn.SendMsg(
-              Msg::kFileMsg, msg.stream, ByteSpan(out.data(), out.size())));
-          s.phase = FileSession::Phase::kAwaitFallback;
-          break;
-        }
-        ++result.files_degraded;
-        FSYNC_RETURN_IF_ERROR(finish_file(msg.stream));
-        break;
-      }
-      case FileSession::Phase::kAwaitFallback: {
-        FSYNC_RETURN_IF_ERROR(s.ep->OnFallbackTransfer(body));
-        ++result.files_degraded;
-        FSYNC_RETURN_IF_ERROR(finish_file(msg.stream));
-        break;
-      }
+    FSYNC_ASSIGN_OR_RETURN(
+        std::optional<SessionSend> next,
+        sit->second.session->OnServerMessage(
+            ByteSpan(msg.body.data(), msg.body.size())));
+    if (!next.has_value()) {
+      FSYNC_RETURN_IF_ERROR(finish_file(msg.stream));
+      continue;
     }
+    Bytes out = EncodeFileMsg(next->kind, ByteSpan(next->bytes.data(),
+                                                   next->bytes.size()));
+    FSYNC_RETURN_IF_ERROR(conn.SendMsg(Msg::kFileMsg, msg.stream,
+                                       ByteSpan(out.data(), out.size())));
   }
 
   result.files_aborted += pending.size();

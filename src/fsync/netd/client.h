@@ -2,10 +2,11 @@
 // connection drives the whole-tree sync: handshake (adopting the
 // server's negotiated config), manifest fetch, then up to
 // `max_streams` concurrent per-file sessions multiplexed over the
-// socket, each a SyncClientEndpoint state machine mirroring
-// core/session.cc's client flow — including checkpoint persistence
-// after every completed round, transparent resume on reconnect, and the
-// full degradation ladder (region repair, compressed fallback).
+// socket, each a ClientFileSession (core/file_session.h) — the same
+// per-file flow every in-process driver runs, including checkpoint
+// persistence after every completed round, transparent resume on
+// reconnect, and the full degradation ladder (region repair, compressed
+// fallback).
 //
 // Every manifest path is validated with IsSafeRelativePath before it is
 // used for anything: a hostile or corrupted server cannot name files

@@ -202,10 +202,8 @@ bool Connection::HandleOpenFile(uint64_t stream, ByteSpan body) {
   s.server = std::make_unique<CachedServerEndpoint>(
       ByteSpan(file->second.data(), file->second.size()), *ctx_->config,
       ctx_->cache, nullptr, fp_hint);
-  const ByteSpan first(open->first_msg.data(), open->first_msg.size());
-  StatusOr<Bytes> reply = open->kind == OpenKind::kResume
-                              ? s.server->OnResumeRequest(first)
-                              : s.server->OnRequest(first);
+  StatusOr<Bytes> reply = s.server->Handle(
+      open->kind, ByteSpan(open->first_msg.data(), open->first_msg.size()));
   if (!reply.ok()) {
     SendError(stream, reply.status());
     return true;
@@ -227,21 +225,9 @@ bool Connection::HandleFileMsg(uint64_t stream, ByteSpan body) {
     FailConnection(CloseReason::kProtocol);
     return false;
   }
-  const auto& [sub, payload] = *parsed;
-  CachedServerEndpoint& server = *it->second.server;
-  StatusOr<Bytes> reply = Status::Internal("unreachable");
-  switch (sub) {
-    case FileSub::kRoundReply:
-      reply = server.OnClientMessage(ByteSpan(payload.data(), payload.size()));
-      break;
-    case FileSub::kRepairRequest:
-      reply =
-          server.OnRepairRequest(ByteSpan(payload.data(), payload.size()));
-      break;
-    case FileSub::kFallbackRequest:
-      reply = server.OnFallbackRequest();
-      break;
-  }
+  const auto& [kind, payload] = *parsed;
+  StatusOr<Bytes> reply = it->second.server->Handle(
+      kind, ByteSpan(payload.data(), payload.size()));
   if (!reply.ok()) {
     // A per-stream protocol error poisons only that stream: report it
     // and free the session; the connection and its other streams live.

@@ -45,6 +45,7 @@ uint64_t SyncDaemon::NowUs() const {
 }
 
 Status SyncDaemon::Start() {
+  FSYNC_RETURN_IF_ERROR(ValidateSyncConfig(options_.config));
   if (!options_.unix_path.empty()) {
     FSYNC_ASSIGN_OR_RETURN(listener_, ListenUnix(options_.unix_path));
   } else {

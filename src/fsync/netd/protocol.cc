@@ -94,10 +94,10 @@ StatusOr<OpenFile> ParseOpenFile(ByteSpan body) {
   BitReader r(body);
   OpenFile open;
   FSYNC_ASSIGN_OR_RETURN(uint64_t kind, r.ReadBits(8));
-  if (kind > static_cast<uint64_t>(OpenKind::kResume)) {
+  if (kind > static_cast<uint64_t>(SessionMsg::kResumeRequest)) {
     return Status::DataLoss("daemon: unknown open kind");
   }
-  open.kind = static_cast<OpenKind>(kind);
+  open.kind = static_cast<SessionMsg>(kind);
   FSYNC_ASSIGN_OR_RETURN(uint64_t len, r.ReadVarint());
   FSYNC_ASSIGN_OR_RETURN(Bytes path, r.ReadBytes(len));
   open.path.assign(path.begin(), path.end());
@@ -105,22 +105,22 @@ StatusOr<OpenFile> ParseOpenFile(ByteSpan body) {
   return open;
 }
 
-Bytes EncodeFileMsg(FileSub sub, ByteSpan payload) {
+Bytes EncodeFileMsg(SessionMsg kind, ByteSpan payload) {
   BitWriter w;
-  w.WriteBits(static_cast<uint8_t>(sub), 8);
+  w.WriteBits(static_cast<uint8_t>(kind), 8);
   w.WriteBytes(payload);
   return w.Finish();
 }
 
-StatusOr<std::pair<FileSub, Bytes>> ParseFileMsg(ByteSpan body) {
+StatusOr<std::pair<SessionMsg, Bytes>> ParseFileMsg(ByteSpan body) {
   BitReader r(body);
-  FSYNC_ASSIGN_OR_RETURN(uint64_t sub, r.ReadBits(8));
-  if (sub < static_cast<uint64_t>(FileSub::kRoundReply) ||
-      sub > static_cast<uint64_t>(FileSub::kFallbackRequest)) {
-    return Status::DataLoss("daemon: unknown file-msg sub-kind");
+  FSYNC_ASSIGN_OR_RETURN(uint64_t kind, r.ReadBits(8));
+  if (kind < static_cast<uint64_t>(SessionMsg::kRoundReply) ||
+      kind > static_cast<uint64_t>(SessionMsg::kFallbackRequest)) {
+    return Status::DataLoss("daemon: unknown file-msg kind");
   }
   FSYNC_ASSIGN_OR_RETURN(Bytes payload, r.ReadBytes(r.bits_remaining() / 8));
-  return std::make_pair(static_cast<FileSub>(sub), std::move(payload));
+  return std::make_pair(static_cast<SessionMsg>(kind), std::move(payload));
 }
 
 Bytes EncodeError(const Status& status) {

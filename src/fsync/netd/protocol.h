@@ -8,15 +8,16 @@
 //
 // Stream 0 is the connection control stream (hello, manifest, drain,
 // goodbye); streams >= 1 are client-chosen ids, one per file session.
-// The file-session bodies are the *unmodified* endpoint messages of
-// core/endpoint.h — the daemon adds routing, never protocol content, so
-// a daemon sync is wire-compatible with an in-process session.
+// The file-session bodies are the *unmodified* session messages of
+// core/file_session.h, each client message tagged with its SessionMsg
+// byte — the daemon adds routing, never protocol content, so a daemon
+// sync is wire-compatible with an in-process session.
 //
 //   client -> server                      server -> client
 //   kHello      magic,version             kHelloAck  verdict,digest,config
 //   kManifestRequest                      kManifest  serialized manifest
 //   kOpenFile   kind,path,first msg       kFileMsg   server message
-//   kFileMsg    sub,payload               kFileMsg   server message
+//   kFileMsg    kind,payload              kFileMsg   server message
 //   kCloseStream                          kError     code,detail
 //   kGoodbye                              kDraining  (stream 0)
 #ifndef FSYNC_NETD_PROTOCOL_H_
@@ -25,6 +26,7 @@
 #include <cstdint>
 #include <string>
 
+#include "fsync/core/endpoint.h"
 #include "fsync/util/bytes.h"
 #include "fsync/util/status.h"
 
@@ -47,21 +49,6 @@ enum class Msg : uint8_t {
   kError = 8,
   kDraining = 9,
   kGoodbye = 10,
-};
-
-/// kOpenFile body: how the first embedded message must be interpreted.
-enum class OpenKind : uint8_t {
-  kFresh = 0,   // embedded message is MakeRequest()
-  kResume = 1,  // embedded message is MakeResumeRequest()
-};
-
-/// Client->server kFileMsg body sub-kinds, mapping onto the server
-/// endpoint surface. Server->client kFileMsg bodies are raw server
-/// messages (no sub-kind; the client endpoint knows what it awaits).
-enum class FileSub : uint8_t {
-  kRoundReply = 2,       // -> OnClientMessage
-  kRepairRequest = 3,    // -> OnRepairRequest
-  kFallbackRequest = 4,  // -> OnFallbackRequest
 };
 
 /// One parsed daemon message.
@@ -90,16 +77,22 @@ struct HelloAck {
 Bytes EncodeHelloAck(const HelloAck& ack);
 StatusOr<HelloAck> ParseHelloAck(ByteSpan body);
 
+/// kOpenFile body: [kind u8][path][first message]. `kind` is the first
+/// message's SessionMsg: kRequest or kResumeRequest.
 struct OpenFile {
-  OpenKind kind = OpenKind::kFresh;
+  SessionMsg kind = SessionMsg::kRequest;
   std::string path;
   Bytes first_msg;
 };
 Bytes EncodeOpenFile(const OpenFile& open);
 StatusOr<OpenFile> ParseOpenFile(ByteSpan body);
 
-Bytes EncodeFileMsg(FileSub sub, ByteSpan payload);
-StatusOr<std::pair<FileSub, Bytes>> ParseFileMsg(ByteSpan body);
+/// Client->server kFileMsg body: [kind u8][payload], `kind` one of
+/// kRoundReply, kRepairRequest, kFallbackRequest. Server->client kFileMsg
+/// bodies are raw server messages (the client session knows what it
+/// awaits).
+Bytes EncodeFileMsg(SessionMsg kind, ByteSpan payload);
+StatusOr<std::pair<SessionMsg, Bytes>> ParseFileMsg(ByteSpan body);
 
 struct WireError {
   uint8_t code = 0;  // StatusCode, numeric

@@ -144,15 +144,6 @@ StatusOr<Fd> ConnectUnix(const std::string& path) {
   return fd;
 }
 
-StatusOr<std::pair<Fd, Fd>> StreamSocketPair() {
-  int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) < 0) {
-    return Status::Internal(std::string("socketpair: ") +
-                            std::strerror(errno));
-  }
-  return std::make_pair(Fd(fds[0]), Fd(fds[1]));
-}
-
 long SocketIo::Read(uint8_t* buf, size_t len, bool* would_block) {
   *would_block = false;
   size_t ask = len;

@@ -61,9 +61,6 @@ StatusOr<Fd> ListenUnix(const std::string& path);
 StatusOr<Fd> ConnectTcp(const std::string& host, uint16_t port);
 StatusOr<Fd> ConnectUnix(const std::string& path);
 
-/// Connected AF_UNIX stream socketpair (loopback tests).
-StatusOr<std::pair<Fd, Fd>> StreamSocketPair();
-
 /// All socket I/O in netd flows through one of these, so tests can
 /// interpose faults. With a null injector it is plain read()/write().
 struct SocketIo {

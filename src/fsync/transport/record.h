@@ -23,11 +23,8 @@
 namespace fsx::transport {
 
 inline constexpr uint8_t kRecordTypeData = 0;
-/// Socket-channel frames (fsync/netd/socket_channel.h): a protocol
-/// message crossing a real socket, tagged with its logical channel
-/// direction so both directions can share one duplex byte stream.
-inline constexpr uint8_t kRecordTypeNetClientToServer = 1;
-inline constexpr uint8_t kRecordTypeNetServerToClient = 2;
+/// Types 1 and 2 (per-direction socket-channel frames) are retired and
+/// stay reserved, so the numbering below does not move.
 /// Daemon control/session frames (fsync/netd/protocol.h).
 inline constexpr uint8_t kRecordTypeDaemon = 3;
 /// Highest type DecodeRecord accepts; anything above is a torn frame.

@@ -181,6 +181,29 @@ TEST(CollectionBatched, AllUnchangedCostsOnlyAnnounce) {
   EXPECT_LT(r->stats.total_bytes(), 10 * 64u);
 }
 
+// A config SynchronizeFile refuses must be refused by the multiplexed
+// drivers too (they used to loop forever on these).
+TEST(CollectionBatched, InvalidConfigIsRejectedNotRun) {
+  Snapshots s = MakeSnapshots(5, 6);
+  for (int which = 0; which < 2; ++which) {
+    SyncConfig config;
+    (which == 0 ? config.start_block_size : config.min_continuation_block) =
+        0;
+    SimulatedChannel batched_channel;
+    auto batched = SyncCollectionBatched(s.old_snap, s.new_snap, config,
+                                         batched_channel);
+    EXPECT_EQ(batched.status().code(), StatusCode::kInvalidArgument)
+        << which;
+    TreeSyncParams params;
+    params.config = config;
+    params.small_file_threshold = 0;
+    SimulatedChannel tree_channel;
+    auto tree =
+        SyncCollectionTree(s.old_snap, s.new_snap, params, tree_channel);
+    EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument) << which;
+  }
+}
+
 TEST(Collection, EmptyCollections) {
   SyncConfig config;
   auto r = SyncCollection({}, {}, config);

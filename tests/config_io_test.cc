@@ -59,6 +59,19 @@ TEST(ConfigIo, RejectsBadInput) {
   EXPECT_FALSE(ParseSyncConfig("delta_codec = gzip\n").ok());
 }
 
+TEST(ConfigIo, RejectsConfigsTheProtocolCannotRun) {
+  // Well-formed text, but a session with these settings never terminates.
+  EXPECT_EQ(ParseSyncConfig("start_block_size = 0\n").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseSyncConfig("start_block_size = 3000\n").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      ParseSyncConfig("min_continuation_block = 0\n").status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseSyncConfig("verify_bits = 0\n").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ConfigIo, SerializationRoundTrips) {
   SyncConfig config;
   config.start_block_size = 8192;

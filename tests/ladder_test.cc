@@ -7,6 +7,7 @@
 // changes cost, never correctness.
 #include <gtest/gtest.h>
 
+#include "fsync/core/collection.h"
 #include "fsync/core/session.h"
 #include "fsync/obs/sync_obs.h"
 #include "fsync/testing/corpus.h"
@@ -116,6 +117,74 @@ TEST(Ladder, CleanSessionStaysOnLevelZero) {
   EXPECT_FALSE(r->fallback);
   EXPECT_EQ(obs.event_count(obs::Event::kRepairRegion), 0u);
   EXPECT_EQ(obs.event_count(obs::Event::kFullFallback), 0u);
+}
+
+// The same sweep through the multiplexed drivers: one collection per
+// verification width, one file per seed, so the broken sessions of a
+// batch share its rung-2 and rung-3 exchanges.
+struct MultiplexTally {
+  uint64_t repaired_regions = 0;
+  uint64_t full_fallbacks = 0;
+};
+
+void SweepMultiplexed(bool repair_enabled, bool tree,
+                      MultiplexTally& tally) {
+  for (int bits = 1; bits <= 5; ++bits) {
+    SyncConfig config = WeakVerifyConfig(bits);
+    config.repair.enabled = repair_enabled;
+    Collection client, server;
+    for (int seed = 0; seed < 8; ++seed) {
+      CorpusPair pair =
+          MakeCorpusPair(CorpusShape::kDispersedEdits, 9000 + seed);
+      const std::string name = "f" + std::to_string(seed);
+      client[name] = pair.f_old;
+      server[name] = pair.f_new;
+    }
+    SimulatedChannel channel;
+    obs::SyncObserver obs;
+    Collection reconstructed;
+    if (tree) {
+      TreeSyncParams params;
+      params.config = config;
+      params.small_file_threshold = 0;  // every stale file gets a session
+      auto r = SyncCollectionTree(client, server, params, channel, &obs);
+      ASSERT_TRUE(r.ok()) << "bits " << bits << ": " << r.status().ToString();
+      EXPECT_EQ(r->files_sessioned, server.size()) << "bits " << bits;
+      reconstructed = std::move(r->reconstructed);
+    } else {
+      auto r = SyncCollectionBatched(client, server, config, channel, &obs);
+      ASSERT_TRUE(r.ok()) << "bits " << bits << ": " << r.status().ToString();
+      reconstructed = std::move(r->reconstructed);
+    }
+    EXPECT_EQ(reconstructed, server) << "bits " << bits;
+    // Invariant 6: the observer's phase sums are the channel's stats.
+    EXPECT_EQ(obs.dir_bytes(obs::Flow::kUp),
+              channel.stats().client_to_server_bytes)
+        << "bits " << bits;
+    EXPECT_EQ(obs.dir_bytes(obs::Flow::kDown),
+              channel.stats().server_to_client_bytes)
+        << "bits " << bits;
+    tally.repaired_regions += obs.event_count(obs::Event::kRepairRegion);
+    tally.full_fallbacks += obs.event_count(obs::Event::kFullFallback);
+  }
+}
+
+TEST(Ladder, MultiplexedSessionsReachRegionRepair) {
+  for (bool tree : {false, true}) {
+    MultiplexTally tally;
+    SweepMultiplexed(/*repair_enabled=*/true, tree, tally);
+    EXPECT_GT(tally.repaired_regions, 0u)
+        << (tree ? "tree" : "batched") << ": region repair never engaged";
+  }
+}
+
+TEST(Ladder, MultiplexedRepairDisabledOnlyFallsBack) {
+  for (bool tree : {false, true}) {
+    MultiplexTally tally;
+    SweepMultiplexed(/*repair_enabled=*/false, tree, tally);
+    EXPECT_EQ(tally.repaired_regions, 0u) << (tree ? "tree" : "batched");
+    EXPECT_GT(tally.full_fallbacks, 0u) << (tree ? "tree" : "batched");
+  }
 }
 
 }  // namespace

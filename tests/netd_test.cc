@@ -1,10 +1,10 @@
-// netd suite: frame/protocol codec units, pollers, rate limiting, and
-// the loopback conformance sweep — every registered protocol (and the
-// tree drivers) run over a real socketpair through SocketChannel with
-// transcripts byte-compared against the in-process SimulatedChannel
-// run. Plus SyncDaemon end-to-end: handshake, manifest, multiplexed
-// sessions, concurrency fan-out, eviction, deadlines, backpressure, and
-// graceful drain. Labeled `net` in CTest.
+// netd suite: frame/protocol codec units, pollers, rate limiting, the
+// daemon transcript pin — a ClientFileSession speaking raw frames to a
+// real SyncDaemon must put exactly SynchronizeFile's SimulatedChannel
+// transcript on each stream, for every corpus shape — and SyncDaemon
+// end-to-end: handshake, manifest, multiplexed sessions, concurrency
+// fan-out, eviction, deadlines, backpressure, and graceful drain.
+// Labeled `net` in CTest.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -15,19 +15,17 @@
 #include "fsync/core/config_io.h"
 #include "fsync/core/checkpoint.h"
 #include "fsync/core/endpoint.h"
+#include "fsync/core/file_session.h"
+#include "fsync/core/session.h"
 #include "fsync/netd/client.h"
 #include "fsync/netd/daemon.h"
 #include "fsync/netd/event_loop.h"
 #include "fsync/netd/frame.h"
 #include "fsync/netd/protocol.h"
 #include "fsync/netd/rate.h"
-#include "fsync/netd/reflector.h"
-#include "fsync/netd/socket_channel.h"
 #include "fsync/netd/sockets.h"
 #include "fsync/store/fsstore.h"
 #include "fsync/testing/corpus.h"
-#include "fsync/testing/protocols.h"
-#include "fsync/testing/tree_protocols.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/tree.h"
 
@@ -153,23 +151,42 @@ TEST(Protocol, HelloRejectsBadMagic) {
 
 TEST(Protocol, OpenFileAndFileMsgRoundTrip) {
   OpenFile open;
-  open.kind = OpenKind::kResume;
+  open.kind = SessionMsg::kResumeRequest;
   open.path = "dir/sub/file.txt";
   open.first_msg = Bytes(100, 0x5A);
   Bytes wire = EncodeOpenFile(open);
   auto parsed = ParseOpenFile(ByteSpan(wire.data(), wire.size()));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->kind, OpenKind::kResume);
+  EXPECT_EQ(parsed->kind, SessionMsg::kResumeRequest);
   EXPECT_EQ(parsed->path, open.path);
   EXPECT_EQ(parsed->first_msg, open.first_msg);
 
   Bytes payload = ToBytes("round reply");
-  Bytes fm = EncodeFileMsg(FileSub::kRoundReply,
+  Bytes fm = EncodeFileMsg(SessionMsg::kRoundReply,
                            ByteSpan(payload.data(), payload.size()));
   auto pf = ParseFileMsg(ByteSpan(fm.data(), fm.size()));
   ASSERT_TRUE(pf.ok()) << pf.status().ToString();
-  EXPECT_EQ(pf->first, FileSub::kRoundReply);
+  EXPECT_EQ(pf->first, SessionMsg::kRoundReply);
   EXPECT_EQ(pf->second, payload);
+}
+
+TEST(Protocol, OpenFileAndFileMsgRejectOutOfRangeKinds) {
+  // A kOpenFile may carry only a first message (request or resume);
+  // a kFileMsg only a later one (round reply, repair, fallback).
+  OpenFile open;
+  open.path = "f";
+  Bytes wire = EncodeOpenFile(open);
+  for (uint8_t kind : {2, 3, 4, 5, 255}) {
+    wire[0] = kind;
+    EXPECT_FALSE(ParseOpenFile(ByteSpan(wire.data(), wire.size())).ok())
+        << int{kind};
+  }
+  Bytes fm = EncodeFileMsg(SessionMsg::kRoundReply, ByteSpan());
+  for (uint8_t kind : {0, 1, 5, 255}) {
+    fm[0] = kind;
+    EXPECT_FALSE(ParseFileMsg(ByteSpan(fm.data(), fm.size())).ok())
+        << int{kind};
+  }
 }
 
 TEST(Protocol, ErrorRoundTrip) {
@@ -241,118 +258,6 @@ TEST(Poller, EpollBackend) {
     GTEST_SKIP() << "epoll unavailable on this kernel";
   }
   ExercisePoller(*poller);
-}
-
-// ----------------------------------------------- loopback conformance
-
-// Runs `entry` twice — over a SimulatedChannel and over a socketpair
-// with a byte-reflecting peer — and requires bit-identical transcripts,
-// stats, and reconstruction. This is the contract that lets every
-// protocol in the library run over real sockets unmodified.
-void ExpectSocketRunMatchesSimulated(const ProtocolEntry& entry,
-                                     const CorpusPair& pair) {
-  SimulatedChannel sim;
-  sim.EnableTranscript();
-  auto sim_result = entry.run(pair.f_old, pair.f_new, sim, nullptr);
-  ASSERT_TRUE(sim_result.ok())
-      << entry.name << "/" << pair.Label() << ": "
-      << sim_result.status().ToString();
-
-  auto fds = StreamSocketPair();
-  ASSERT_TRUE(fds.ok()) << fds.status().ToString();
-  Reflector reflector(std::move(fds->second));
-  SocketChannel sock(fds->first.get());
-  sock.EnableTranscript();
-  auto sock_result = entry.run(pair.f_old, pair.f_new, sock, nullptr);
-  ASSERT_TRUE(sock_result.ok())
-      << entry.name << "/" << pair.Label() << ": "
-      << sock_result.status().ToString();
-
-  EXPECT_EQ(sock_result->reconstructed, pair.f_new)
-      << entry.name << "/" << pair.Label();
-  EXPECT_EQ(sock.stats().client_to_server_bytes,
-            sim.stats().client_to_server_bytes)
-      << entry.name << "/" << pair.Label();
-  EXPECT_EQ(sock.stats().server_to_client_bytes,
-            sim.stats().server_to_client_bytes)
-      << entry.name << "/" << pair.Label();
-  EXPECT_EQ(sock.stats().roundtrips, sim.stats().roundtrips)
-      << entry.name << "/" << pair.Label();
-
-  ASSERT_EQ(sock.transcript().size(), sim.transcript().size())
-      << entry.name << "/" << pair.Label();
-  for (size_t i = 0; i < sim.transcript().size(); ++i) {
-    ASSERT_EQ(sock.transcript()[i].dir, sim.transcript()[i].dir)
-        << entry.name << "/" << pair.Label() << " message " << i;
-    ASSERT_EQ(sock.transcript()[i].payload, sim.transcript()[i].payload)
-        << entry.name << "/" << pair.Label() << " message " << i;
-  }
-  // The physical stream really carried everything (framing overhead on
-  // top of the logical payload bytes, both directions echoed).
-  EXPECT_GE(sock.physical_bytes_sent(),
-            sim.stats().total_bytes());
-}
-
-TEST(LoopbackConformance, AllProtocolsAllShapesMatchSimulated) {
-  const uint64_t seed = SeedFromEnv(29);
-  for (const ProtocolEntry& entry : ConformanceProtocols()) {
-    for (CorpusShape shape : AllCorpusShapes()) {
-      ExpectSocketRunMatchesSimulated(entry, MakeCorpusPair(shape, seed));
-    }
-  }
-}
-
-TEST(LoopbackConformance, TreeProtocolsMatchSimulated) {
-  TreeChurnProfile profile = ReleaseTreeProfile(60);
-  profile.seed = SeedFromEnv(31);
-  TreePair pair = MakeTreeWorkload(profile);
-  for (const TreeProtocolEntry& entry : TreeConformanceProtocols()) {
-    SimulatedChannel sim;
-    sim.EnableTranscript();
-    auto sim_result = entry.run(pair.old_tree, pair.new_tree, sim, nullptr);
-    ASSERT_TRUE(sim_result.ok())
-        << entry.name << ": " << sim_result.status().ToString();
-
-    auto fds = StreamSocketPair();
-    ASSERT_TRUE(fds.ok()) << fds.status().ToString();
-    Reflector reflector(std::move(fds->second));
-    SocketChannel sock(fds->first.get());
-    sock.EnableTranscript();
-    auto sock_result =
-        entry.run(pair.old_tree, pair.new_tree, sock, nullptr);
-    ASSERT_TRUE(sock_result.ok())
-        << entry.name << ": " << sock_result.status().ToString();
-
-    EXPECT_EQ(sock_result->reconstructed, pair.new_tree) << entry.name;
-    EXPECT_EQ(sock.stats().total_bytes(), sim.stats().total_bytes())
-        << entry.name;
-    ASSERT_EQ(sock.transcript().size(), sim.transcript().size())
-        << entry.name;
-    for (size_t i = 0; i < sim.transcript().size(); ++i) {
-      ASSERT_EQ(sock.transcript()[i].payload, sim.transcript()[i].payload)
-          << entry.name << " message " << i;
-    }
-  }
-}
-
-TEST(LoopbackConformance, TornFrameIsCaughtByCrc) {
-  // A fault injector that garbles frame tails must surface as a channel
-  // error (CRC poisoning) — never as delivered-but-wrong payload.
-  FaultPlan plan;
-  plan.seed = 99;
-  plan.torn_frame = 1.0;  // every write torn
-  FaultInjector fault(plan);
-  auto fds = StreamSocketPair();
-  ASSERT_TRUE(fds.ok());
-  Reflector reflector(std::move(fds->second));
-  SocketChannel sock(fds->first.get(), &fault);
-  sock.set_receive_timeout_ms(2000);
-  Bytes payload = ToBytes("this payload will be torn on the wire");
-  sock.Send(SimulatedChannel::Direction::kClientToServer,
-            ByteSpan(payload.data(), payload.size()));
-  auto got = sock.Receive(SimulatedChannel::Direction::kClientToServer);
-  ASSERT_FALSE(got.ok());
-  EXPECT_NE(got.status().code(), StatusCode::kNotFound);
 }
 
 // --------------------------------------------------------------- daemon
@@ -572,6 +477,133 @@ class RawClient {
   FrameReader reader_;
   uint32_t seq_ = 0;
 };
+
+// Syncs `pair` as the daemon's only file ("f") over one raw stream
+// driven by a ClientFileSession, and requires the stream's bodies, in
+// order, to be SynchronizeFile's SimulatedChannel transcript: the client
+// payloads without their SessionMsg byte, the server messages as sent.
+// `level` receives the ladder rung that finished the session.
+void ExpectDaemonStreamMatchesSimulated(const CorpusPair& pair,
+                                        const SyncConfig& config,
+                                        const std::string& label,
+                                        int* level = nullptr) {
+  SimulatedChannel sim;
+  sim.EnableTranscript();
+  auto expected = SynchronizeFile(pair.f_old, pair.f_new, config, sim);
+  ASSERT_TRUE(expected.ok()) << label << ": " << expected.status().ToString();
+
+  DaemonOptions options;
+  options.config = config;
+  SyncDaemon daemon(Collection{{"f", pair.f_new}}, options);
+  ASSERT_TRUE(daemon.Start().ok()) << label;
+  auto raw = RawClient::Connect(daemon.port());
+  ASSERT_TRUE(raw.ok()) << label;
+  ASSERT_TRUE(raw->Handshake().ok()) << label;
+
+  ClientFileSession session(pair.f_old, config);
+  SessionSend first = session.Start();
+  std::vector<Bytes> bodies = {first.bytes};
+  OpenFile open;
+  open.kind = first.kind;
+  open.path = "f";
+  open.first_msg = first.bytes;
+  Bytes open_body = EncodeOpenFile(open);
+  ASSERT_TRUE(raw->Send(Msg::kOpenFile, 1,
+                        ByteSpan(open_body.data(), open_body.size()))
+                  .ok());
+  for (;;) {
+    auto msg = raw->Recv();
+    ASSERT_TRUE(msg.ok()) << label << ": " << msg.status().ToString();
+    ASSERT_EQ(msg->msg, Msg::kFileMsg) << label;
+    ASSERT_EQ(msg->stream, 1u) << label;
+    bodies.push_back(msg->body);
+    auto next = session.OnServerMessage(
+        ByteSpan(msg->body.data(), msg->body.size()));
+    ASSERT_TRUE(next.ok()) << label << ": " << next.status().ToString();
+    if (!next->has_value()) {
+      break;
+    }
+    bodies.push_back((*next)->bytes);
+    Bytes fm = EncodeFileMsg((*next)->kind, ByteSpan((*next)->bytes.data(),
+                                                     (*next)->bytes.size()));
+    ASSERT_TRUE(
+        raw->Send(Msg::kFileMsg, 1, ByteSpan(fm.data(), fm.size())).ok());
+  }
+  EXPECT_EQ(session.endpoint().result(), pair.f_new) << label;
+  EXPECT_EQ(session.degradation_level(), expected->degradation_level)
+      << label;
+  if (level != nullptr) {
+    *level = session.degradation_level();
+  }
+
+  ASSERT_EQ(bodies.size(), sim.transcript().size()) << label;
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    EXPECT_EQ(sim.transcript()[i].dir,
+              i % 2 == 0 ? SimulatedChannel::Direction::kClientToServer
+                         : SimulatedChannel::Direction::kServerToClient)
+        << label << " message " << i;
+    ASSERT_EQ(bodies[i], sim.transcript()[i].payload)
+        << label << " message " << i;
+  }
+  ASSERT_TRUE(raw->Send(Msg::kCloseStream, 1, ByteSpan()).ok());
+  ASSERT_TRUE(raw->Send(Msg::kGoodbye, 0, ByteSpan()).ok());
+  EXPECT_TRUE(raw->WaitForEof(5000)) << label;
+  daemon.Stop();
+  daemon.Join();
+}
+
+TEST(DaemonTranscript, EveryShapeMatchesSimulatedSession) {
+  const uint64_t seed = SeedFromEnv(29);
+  for (CorpusShape shape : AllCorpusShapes()) {
+    CorpusPair pair = MakeCorpusPair(shape, seed);
+    ExpectDaemonStreamMatchesSimulated(pair, SyncConfig{}, pair.Label());
+  }
+}
+
+TEST(DaemonTranscript, LadderRungsMatchSimulatedSession) {
+  // Weak verification lets false matches reach the delta, so the stream
+  // also carries rung-2 (repair) and rung-3 (full transfer) exchanges.
+  SyncConfig config;
+  config.verify.group_size = 1;
+  config.verify.max_batches = 1;
+  config.verify.continuation_group_size = 1;
+  config.verify.adaptive_groups = false;
+  config.global_extra_bits = 0;
+  config.continuation_bits = 2;
+  config.repair.region_size = 1024;
+  for (bool repair : {true, false}) {
+    config.repair.enabled = repair;
+    int rungs_reached[3] = {0, 0, 0};
+    for (int bits = 1; bits <= 5; ++bits) {
+      config.verify.verify_bits = bits;
+      for (int seed = 0; seed < 4; ++seed) {
+        CorpusPair pair =
+            MakeCorpusPair(CorpusShape::kDispersedEdits, 9000 + seed);
+        int level = 0;
+        ExpectDaemonStreamMatchesSimulated(
+            pair, config,
+            (repair ? "repair/" : "no-repair/") + std::to_string(bits) +
+                "/" + std::to_string(seed),
+            &level);
+        ++rungs_reached[level];
+      }
+    }
+    // The sweep must actually put ladder exchanges on the stream.
+    if (repair) {
+      EXPECT_GT(rungs_reached[1], 0) << "region repair never engaged";
+    } else {
+      EXPECT_EQ(rungs_reached[1], 0);
+      EXPECT_GT(rungs_reached[2], 0) << "full transfer never engaged";
+    }
+  }
+}
+
+TEST(Daemon, StartRefusesAnInvalidConfig) {
+  DaemonOptions options;
+  options.config.start_block_size = 0;
+  SyncDaemon daemon(SmallServerTree(), options);
+  EXPECT_EQ(daemon.Start().code(), StatusCode::kInvalidArgument);
+}
 
 TEST(Daemon, HandshakeDeadlineClosesSilentConnections) {
   DaemonOptions options;
