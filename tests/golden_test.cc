@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include "fsync/compress/codec.h"
+#include "fsync/core/collection.h"
 #include "fsync/core/session.h"
 #include "fsync/delta/zd.h"
 #include "fsync/hash/karp_rabin.h"
 #include "fsync/hash/md5.h"
 #include "fsync/hash/tabled_adler.h"
+#include "fsync/reconcile/merkle.h"
+#include "fsync/store/fsstore.h"
+#include "fsync/testing/tree_corpus.h"
 #include "fsync/util/hex.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/edits.h"
@@ -21,6 +25,30 @@ namespace fsx {
 namespace {
 
 const char kPangram[] = "The quick brown fox jumps over the lazy dog";
+
+// The tree shapes the transcript pins run over: churn with edits,
+// adoption-only moves, and a swarm of tiny files.
+const TreeShape kPinnedShapes[] = {TreeShape::kMixedChurn,
+                                   TreeShape::kPureRename,
+                                   TreeShape::kSmallFileSwarm};
+constexpr uint64_t kPinnedSeed = 12345;
+
+// MD5 over every transcript entry as (direction byte, 8-byte
+// little-endian length, payload), in send order.
+void HashTranscript(const SimulatedChannel& channel, Md5& h) {
+  for (const auto& entry : channel.transcript()) {
+    uint8_t head[9];
+    const bool up =
+        entry.dir == SimulatedChannel::Direction::kClientToServer;
+    head[0] = up ? 0 : 1;
+    for (int i = 0; i < 8; ++i) {
+      head[1 + i] = static_cast<uint8_t>(
+          static_cast<uint64_t>(entry.payload.size()) >> (8 * i));
+    }
+    h.Update(ByteSpan(head, sizeof(head)));
+    h.Update(entry.payload);
+  }
+}
 
 TEST(Golden, TabledAdlerValues) {
   AdlerPair p = TabledAdler::Hash(ToBytes(kPangram));
@@ -80,6 +108,53 @@ TEST(Golden, SessionTrafficIsStable) {
   EXPECT_EQ(r->stats.client_to_server_bytes, 75u);
   EXPECT_EQ(r->stats.server_to_client_bytes, 294u);
   EXPECT_EQ(r->stats.roundtrips, 11u);
+}
+
+TEST(Golden, TreeTrafficIsStable) {
+  // The whole tree pipeline's wire bytes: manifest walk, adoption, the
+  // small-file bundle and the multiplexed sessions.
+  Md5 h;
+  for (TreeShape shape : kPinnedShapes) {
+    TreeCorpusPair pair = MakeTreeCorpusPair(shape, kPinnedSeed);
+    SimulatedChannel channel;
+    channel.EnableTranscript();
+    auto r = SyncCollectionTree(pair.old_tree, pair.new_tree,
+                                TreeSyncParams{}, channel);
+    ASSERT_TRUE(r.ok()) << pair.Label();
+    ASSERT_EQ(r->reconstructed, pair.new_tree) << pair.Label();
+    HashTranscript(channel, h);
+  }
+  EXPECT_EQ(HexEncode(h.Finish()),
+            "28cb9f552738f753f4d9757642f9db18");
+}
+
+TEST(Golden, MerkleWalkIsStable) {
+  // The classic binary walk (descend_levels = 1) that
+  // bench/ablation_reconcile measures.
+  Md5 h;
+  for (TreeShape shape : kPinnedShapes) {
+    TreeCorpusPair pair = MakeTreeCorpusPair(shape, kPinnedSeed);
+    SimulatedChannel channel;
+    channel.EnableTranscript();
+    MerkleParams params;
+    params.descend_levels = 1;
+    auto r = MerkleReconcile(DigestCollection(pair.old_tree),
+                             DigestCollection(pair.new_tree), params,
+                             channel);
+    ASSERT_TRUE(r.ok()) << pair.Label();
+    HashTranscript(channel, h);
+  }
+  EXPECT_EQ(HexEncode(h.Finish()),
+            "0d712cd331338e2e36f1b5a1fbcebb25");
+}
+
+TEST(Golden, ManifestFileIsStable) {
+  // The .fsx-manifest bytes of a fixed collection.
+  TreeCorpusPair pair =
+      MakeTreeCorpusPair(TreeShape::kMixedChurn, kPinnedSeed);
+  Bytes manifest = SerializeManifest(BuildManifest(pair.new_tree));
+  EXPECT_EQ(HexEncode(Md5::Hash(manifest)),
+            "c50a520c517295b0d58df705479a86e0");
 }
 
 }  // namespace
