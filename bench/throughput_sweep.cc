@@ -1,7 +1,9 @@
 // GB/s-per-core sweep over the sync hot paths, scalar vs hardware
 // dispatch: CRC32C (slice-by-4 vs SSE4.2/ARMv8 three-stream), the
 // rolling weak-hash scan loop (tabled Adler vs GEAR), batched strong-
-// hash verification (scalar MD5 vs 4-lane interleaved), and the two
+// hash verification (scalar MD5 vs 4-lane interleaved), whole-file
+// fingerprints over a 20k-file tree (scalar vs the lane-refill batch),
+// and the two
 // end-to-end kernels those feed — server signature generation
 // (MakeZsyncControl) and client scan (PlanFromControl).
 //
@@ -10,6 +12,7 @@
 // --check to enforce the PR acceptance bars as exit status:
 //   - HW CRC32C >= 3x slice-by-4 (only on machines exposing a HW tier);
 //   - batched MD5 verify >= 1.0x scalar (it must never lose);
+//   - batched whole-file fingerprints >= 1.0x scalar (the same bar);
 //   - GEAR scan >= 1.3x the Adler scan (the config-gated fast weak
 //     hash, which is where the e2e client-scan speedup comes from);
 //   - e2e client scan under HW dispatch >= 0.9x scalar (neutrality
@@ -31,6 +34,7 @@
 
 #include "bench/bench_util.h"
 #include "fsync/hash/crc32c.h"
+#include "fsync/hash/fingerprint.h"
 #include "fsync/hash/gear.h"
 #include "fsync/hash/md5.h"
 #include "fsync/hash/md5_batch.h"
@@ -41,6 +45,7 @@
 #include "fsync/simd/crc32c_kernels.h"
 #include "fsync/simd/dispatch.h"
 #include "fsync/util/random.h"
+#include "fsync/workload/tree.h"
 #include "fsync/zsync/zsync.h"
 
 namespace fsx {
@@ -206,6 +211,39 @@ Row BenchVerify(ByteSpan buf, uint64_t block_size, bool batched) {
   return row;
 }
 
+// ---- Whole-file fingerprints: every file of a tree, one scalar
+// FileFingerprint each vs one Md5Batch pass over them all (the shape of
+// the manifest builders). The files differ in length, so the batch
+// row measures the lane-refill scheduler. ----
+uint64_t FileHashesCpuNs(const std::vector<ByteSpan>& files, bool batched) {
+  std::vector<Fingerprint> out(files.size());
+  const uint64_t start = ThreadCpuNs();
+  if (batched) {
+    Md5Batch(files.data(), files.size(), out.data());
+  } else {
+    for (size_t i = 0; i < files.size(); ++i) {
+      out[i] = FileFingerprint(files[i]);
+    }
+  }
+  const uint64_t ns = ThreadCpuNs() - start;
+  g_sink = g_sink + out.back()[0];
+  return ns;
+}
+
+PairedRows BenchFileHashes(const Collection& tree) {
+  std::vector<ByteSpan> files;
+  uint64_t bytes = 0;
+  for (const auto& [name, data] : tree) {
+    files.push_back(data);
+    bytes += data.size();
+  }
+  return TimePaired(
+      Row{"md5-files", "scalar", bytes, 0},
+      [&] { return FileHashesCpuNs(files, /*batched=*/false); },
+      Row{"md5-files", "batch4", bytes, 0},
+      [&] { return FileHashesCpuNs(files, /*batched=*/true); });
+}
+
 // ---- End-to-end kernels: zsync signature generation and client scan
 // over a shifted copy (every block matches, at an offset the rolling
 // scan must find). ----
@@ -306,6 +344,13 @@ int Main(int argc, char** argv) {
   add(scans.b);
   add(BenchVerify(buf, 2048, /*batched=*/false));
   add(BenchVerify(buf, 2048, /*batched=*/true));
+  // The mirror-apply tree: 20,003 files of 64 B - 4 KiB.
+  const Collection tree =
+      MakeTreeWorkload(ReleaseTreeProfile(20000)).new_tree;
+  const PairedRows file_hashes = BenchFileHashes(tree);
+  report.AddWorkload("release-tree-20000", tree.size(), file_hashes.a.bytes);
+  add(file_hashes.a);
+  add(file_hashes.b);
 
   // The e2e pair syncs `buf` against a copy shifted by half a block, so
   // every block exists in the haystack but never on its natural
@@ -358,6 +403,7 @@ int Main(int argc, char** argv) {
     gate("md5 batch4 vs scalar",
          rate_of("md5-verify", "batch4") / rate_of("md5-verify", "scalar"),
          1.0);
+    gate("md5-files batch4 vs scalar", file_hashes.speedup, 1.0);
   }
   return rc;
 }

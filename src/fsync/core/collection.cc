@@ -10,6 +10,7 @@
 #include "fsync/core/file_session.h"
 #include "fsync/core/server_cache.h"
 #include "fsync/hash/fingerprint.h"
+#include "fsync/hash/md5_batch.h"
 #include "fsync/par/thread_pool.h"
 #include "fsync/util/bit_io.h"
 
@@ -308,26 +309,31 @@ Bytes CachedCompress(cache::SyncCache* cache, const Fingerprint& fp,
   return comp;
 }
 
-// Parallel manifest hashing: fingerprints are computed across the worker
-// pool but assembled in path order, so the manifest (and therefore every
-// wire byte derived from it) is identical at any thread count.
+// Parallel manifest hashing: each worker hashes one contiguous run of
+// files through Md5Batch, and the fingerprints are assembled in path
+// order, so the manifest (and therefore every wire byte derived from it)
+// is identical at any thread count.
 TreeManifest BuildManifestParallel(const Collection& files,
                                    int num_threads) {
   if (num_threads <= 1) {
     return BuildTreeManifest(files);
   }
-  std::vector<const Collection::value_type*> items;
-  items.reserve(files.size());
+  std::vector<ByteSpan> spans;
+  spans.reserve(files.size());
   for (const auto& kv : files) {
-    items.push_back(&kv);
+    spans.push_back(kv.second);
   }
-  std::vector<Fingerprint> fps(items.size());
-  par::ParallelFor(num_threads, items.size(), [&](size_t i) {
-    fps[i] = FileFingerprint(items[i]->second);
+  std::vector<Fingerprint> fps(spans.size());
+  const size_t chunks = static_cast<size_t>(num_threads);
+  par::ParallelFor(num_threads, chunks, [&](size_t c) {
+    const size_t lo = spans.size() * c / chunks;
+    const size_t hi = spans.size() * (c + 1) / chunks;
+    Md5Batch(spans.data() + lo, hi - lo, fps.data() + lo);
   });
   TreeManifest out;
-  for (size_t i = 0; i < items.size(); ++i) {
-    out[items[i]->first] = TreeEntry{fps[i], items[i]->second.size()};
+  size_t i = 0;
+  for (const auto& [name, data] : files) {
+    out.emplace_hint(out.end(), name, TreeEntry{fps[i++], data.size()});
   }
   return out;
 }

@@ -101,7 +101,7 @@ uint64_t GroupVerifyHash(ByteSpan file, const std::vector<size_t>& members,
                          int verify_bits, uint64_t salt);
 
 /// GroupVerifyHash of every group, out[i] for groups[i], computed by
-/// Md5HashBitsBatch (four consecutive equal-length groups at a time).
+/// Md5HashBitsBatch (four groups at a time, whatever their lengths).
 /// A single-member group is hashed in place; multi-member groups are
 /// gathered into a buffer of bounded size (groups are hashed in runs that
 /// fit it), so memory does not grow with the file.

@@ -7,6 +7,9 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "fsync/util/bytes.h"
 
@@ -17,6 +20,11 @@ using Fingerprint = std::array<uint8_t, 16>;
 
 /// Computes the fingerprint of `data`.
 Fingerprint FileFingerprint(ByteSpan data);
+
+/// FileFingerprint of every file of `files`, in map order, computed in
+/// one pass that hashes four files at a time (Md5Batch).
+std::vector<Fingerprint> FileFingerprints(
+    const std::map<std::string, Bytes>& files);
 
 }  // namespace fsx
 

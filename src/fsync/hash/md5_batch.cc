@@ -94,79 +94,132 @@ const uint8_t* LaneBlock(ByteSpan data, uint64_t salt, size_t prefix,
   if (begin >= prefix && begin + 64 <= prefix + data.size()) {
     return data.data() + (begin - prefix);
   }
+  std::memset(stage, 0, 64);
+  for (uint64_t pos = begin; pos < prefix && pos < begin + 64; ++pos) {
+    stage[pos - begin] = static_cast<uint8_t>(salt >> (8 * pos));
+  }
+  // Data bytes [max(begin, prefix), min(begin + 64, total_len)).
+  const uint64_t lo = begin > prefix ? begin : prefix;
+  const uint64_t hi = total_len < begin + 64 ? total_len : begin + 64;
+  if (lo < hi) {
+    std::memcpy(stage + (lo - begin), data.data() + (lo - prefix), hi - lo);
+  }
+  if (total_len >= begin && total_len < begin + 64) {
+    stage[total_len - begin] = 0x80;
+  }
   const uint64_t padded_end = ((total_len + 8) / 64 + 1) * 64;
-  for (int i = 0; i < 64; ++i) {
-    const uint64_t pos = begin + i;
-    uint8_t byte = 0;
-    if (pos < prefix) {
-      byte = static_cast<uint8_t>(salt >> (8 * pos));
-    } else if (pos < total_len) {
-      byte = data[pos - prefix];
-    } else if (pos == total_len) {
-      byte = 0x80;
-    } else if (pos >= padded_end - 8) {
-      const uint64_t bit_len = total_len * 8;
-      byte = static_cast<uint8_t>(bit_len >> (8 * (pos - (padded_end - 8))));
+  if (padded_end == begin + 64) {
+    const uint64_t bit_len = total_len * 8;
+    for (int i = 0; i < 8; ++i) {
+      stage[56 + i] = static_cast<uint8_t>(bit_len >> (8 * i));
     }
-    stage[i] = byte;
   }
   return stage;
+}
+
+constexpr uint32_t kIv[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu,
+                             0x10325476u};
+
+// The lane-refill scheduler: hashes msgs[0, n) four at a time. Each lane
+// walks one message's padded blocks through Compress4; when a lane's
+// message ends, `done(i, words)` receives message i's final state words
+// and the lane is refilled with the next message, so messages of any
+// mix of lengths keep all four lanes busy until the last three. Idle
+// lanes at the tail compress a dummy block whose result is discarded.
+template <typename Done>
+void Md5Lanes(const ByteSpan* msgs, size_t n, uint64_t salt, Done done) {
+  struct Lane {
+    size_t msg = 0;
+    size_t block = 0;
+    size_t n_blocks = 0;  // 0 = idle
+    uint64_t total_len = 0;
+  };
+  static constexpr uint8_t kIdle[64] = {};
+  const size_t prefix = salt != 0 ? 8 : 0;
+  U32x4 state[4] = {};
+  Lane lanes[4];
+  uint8_t stage[4][64];
+  size_t next = 0;
+  int active = 0;
+  while (true) {
+    for (int l = 0; l < 4; ++l) {
+      if (lanes[l].n_blocks == 0 && next < n) {
+        Lane& lane = lanes[l];
+        lane.msg = next++;
+        lane.block = 0;
+        lane.total_len = prefix + msgs[lane.msg].size();
+        lane.n_blocks = static_cast<size_t>((lane.total_len + 8) / 64 + 1);
+        for (int j = 0; j < 4; ++j) {
+          state[j][l] = kIv[j];
+        }
+        ++active;
+      }
+    }
+    if (active == 0) {
+      return;
+    }
+    const uint8_t* ptrs[4];
+    for (int l = 0; l < 4; ++l) {
+      const Lane& lane = lanes[l];
+      ptrs[l] = lane.n_blocks == 0
+                    ? kIdle
+                    : LaneBlock(msgs[lane.msg], salt, prefix, lane.total_len,
+                                lane.block, stage[l]);
+    }
+    Compress4(state, ptrs);
+    for (int l = 0; l < 4; ++l) {
+      Lane& lane = lanes[l];
+      if (lane.n_blocks != 0 && ++lane.block == lane.n_blocks) {
+        const uint32_t words[4] = {state[0][l], state[1][l], state[2][l],
+                                   state[3][l]};
+        done(lane.msg, words);
+        lane.n_blocks = 0;
+        --active;
+      }
+    }
+  }
 }
 #endif  // FSYNC_MD5X4_SIMD
 
 }  // namespace
 
-void Md5HashBits4(const ByteSpan blocks[4], int num_bits, uint64_t salt,
-                  uint64_t out[4]) {
+void Md5Batch(const ByteSpan* msgs, size_t n, Md5Digest* out) {
 #if defined(FSYNC_MD5X4_SIMD)
-  const size_t prefix = salt != 0 ? 8 : 0;
-  const uint64_t total_len = prefix + blocks[0].size();
-  const size_t n_blocks =
-      static_cast<size_t>((total_len + 8) / 64 + 1);  // incl. padding
-  U32x4 state[4] = {
-      U32x4{} + 0x67452301u,
-      U32x4{} + 0xefcdab89u,
-      U32x4{} + 0x98badcfeu,
-      U32x4{} + 0x10325476u,
-  };
-  uint8_t stage[4][64];
-  for (size_t k = 0; k < n_blocks; ++k) {
-    const uint8_t* ptrs[4];
-    for (int l = 0; l < 4; ++l) {
-      ptrs[l] = LaneBlock(blocks[l], salt, prefix, total_len, k, stage[l]);
+  Md5Lanes(msgs, n, /*salt=*/0, [out](size_t i, const uint32_t words[4]) {
+    for (int j = 0; j < 4; ++j) {
+      for (int b = 0; b < 4; ++b) {
+        out[i][4 * j + b] = static_cast<uint8_t>(words[j] >> (8 * b));
+      }
     }
-    Compress4(state, ptrs);
-  }
-  for (int l = 0; l < 4; ++l) {
-    // Low 8 digest bytes = state_[0] and state_[1], little-endian.
-    uint64_t v = static_cast<uint64_t>(state[0][l]) |
-                 (static_cast<uint64_t>(state[1][l]) << 32);
-    out[l] = num_bits >= 64 ? v : (v & ((uint64_t{1} << num_bits) - 1));
-  }
+  });
 #else
-  for (int l = 0; l < 4; ++l) {
-    out[l] = Md5::HashBits(blocks[l], num_bits, salt);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = Md5::Hash(msgs[i]);
   }
 #endif
 }
 
 void Md5HashBitsBatch(const ByteSpan* blocks, size_t n, int num_bits,
                       uint64_t salt, uint64_t* out) {
-  size_t i = 0;
-  while (i + 4 <= n) {
-    if (blocks[i + 1].size() == blocks[i].size() &&
-        blocks[i + 2].size() == blocks[i].size() &&
-        blocks[i + 3].size() == blocks[i].size()) {
-      Md5HashBits4(blocks + i, num_bits, salt, out + i);
-      i += 4;
-    } else {
-      out[i] = Md5::HashBits(blocks[i], num_bits, salt);
-      ++i;
-    }
-  }
-  for (; i < n; ++i) {
+#if defined(FSYNC_MD5X4_SIMD)
+  const uint64_t mask =
+      num_bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << num_bits) - 1;
+  Md5Lanes(blocks, n, salt, [out, mask](size_t i, const uint32_t words[4]) {
+    // Low 8 digest bytes = state words 0 and 1, little-endian.
+    out[i] = (static_cast<uint64_t>(words[0]) |
+              (static_cast<uint64_t>(words[1]) << 32)) &
+             mask;
+  });
+#else
+  for (size_t i = 0; i < n; ++i) {
     out[i] = Md5::HashBits(blocks[i], num_bits, salt);
   }
+#endif
+}
+
+void Md5HashBits4(const ByteSpan blocks[4], int num_bits, uint64_t salt,
+                  uint64_t out[4]) {
+  Md5HashBitsBatch(blocks, 4, num_bits, salt, out);
 }
 
 }  // namespace fsx

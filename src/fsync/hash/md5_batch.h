@@ -5,30 +5,39 @@
 // without SIMD, still overlap their dependency chains for ILP). The
 // protocols verify *many* candidate blocks of the same size per round
 // (zsync control files, multiround round hashes, group-testing batches),
-// which is exactly this shape.
+// which is exactly this shape; so do the tree builders, which fingerprint
+// every file of a collection and hash every trie node of a walk.
 //
-// Bit-exactness contract: Md5HashBitsBatch(b, n, k, s, out) leaves
-// out[i] == Md5::HashBits(b[i], k, s) for every input — the batch is an
-// execution detail, never a wire-visible one (pinned in hash_test.cc).
+// Messages need not share a length: a lane-refill scheduler gives each
+// of the four lanes one message and, the moment a lane's message ends,
+// refills it with the next one, so a batch of mixed lengths runs 4-wide
+// until its last three messages.
+//
+// Bit-exactness contract: Md5Batch(m, n, out) leaves out[i] ==
+// Md5::Hash(m[i]) and Md5HashBitsBatch(b, n, k, s, out) leaves out[i] ==
+// Md5::HashBits(b[i], k, s) for every input — the batch is an execution
+// detail, never a wire-visible one (pinned in hash_test.cc).
 #ifndef FSYNC_HASH_MD5_BATCH_H_
 #define FSYNC_HASH_MD5_BATCH_H_
 
 #include <cstddef>
 #include <cstdint>
 
+#include "fsync/hash/md5.h"
 #include "fsync/util/bytes.h"
 
 namespace fsx {
 
+/// Computes out[i] = Md5::Hash(msgs[i]) for i in [0, n), four messages
+/// at a time whatever their lengths.
+void Md5Batch(const ByteSpan* msgs, size_t n, Md5Digest* out);
+
 /// Computes out[i] = Md5::HashBits(blocks[i], num_bits, salt) for
-/// i in [0, n). Runs of four consecutive equal-length blocks go through
-/// the interleaved 4-lane compress; stragglers (tails, odd counts) fall
-/// back to the scalar hasher. Callers that sort or group by size get the
-/// full batch speedup; any order is correct.
+/// i in [0, n), on the same scheduler as Md5Batch.
 void Md5HashBitsBatch(const ByteSpan* blocks, size_t n, int num_bits,
                       uint64_t salt, uint64_t* out);
 
-/// The 4-lane core: all four blocks MUST have the same size.
+/// Md5HashBitsBatch over exactly four blocks:
 /// out[i] = Md5::HashBits(blocks[i], num_bits, salt).
 void Md5HashBits4(const ByteSpan blocks[4], int num_bits, uint64_t salt,
                   uint64_t out[4]);

@@ -12,6 +12,7 @@
 #include "fsync/core/config_io.h"
 #include "fsync/core/file_session.h"
 #include "fsync/hash/md5.h"
+#include "fsync/hash/md5_batch.h"
 #include "fsync/netd/frame.h"
 #include "fsync/netd/protocol.h"
 #include "fsync/netd/sockets.h"
@@ -240,26 +241,42 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
   }
 
   // Plan: unchanged files copy locally; everything else runs a session.
-  // A size-matched file's fingerprint, computed here, is its session's
-  // hint, so no local file is hashed twice.
+  // Every size-matched local file is hashed up front in one batched
+  // pass; its fingerprint is also its session's hint, so no local file
+  // is hashed twice.
   struct Pending {
     std::string path;
     std::optional<Fingerprint> fp_old;
   };
-  std::deque<Pending> pending;
-  result.files_total = manifest.size();
+  std::vector<const Bytes*> old_files;  // per manifest entry; null = new
+  old_files.reserve(manifest.size());
+  std::vector<ByteSpan> matched;  // size-matched local files, in order
   for (const auto& [path, entry] : manifest) {
     auto it = local.find(path);
-    if (it == local.end()) {
+    old_files.push_back(it != local.end() ? &it->second : nullptr);
+    if (it != local.end() && it->second.size() == entry.size) {
+      matched.push_back(it->second);
+    }
+  }
+  std::vector<Fingerprint> matched_fps(matched.size());
+  Md5Batch(matched.data(), matched.size(), matched_fps.data());
+
+  std::deque<Pending> pending;
+  result.files_total = manifest.size();
+  size_t index = 0;
+  size_t next_fp = 0;
+  for (const auto& [path, entry] : manifest) {
+    const Bytes* old_file = old_files[index++];
+    if (old_file == nullptr) {
       ++result.files_new;
       pending.push_back({path, std::nullopt});
       continue;
     }
     std::optional<Fingerprint> fp;
-    if (it->second.size() == entry.size) {
-      fp = FileFingerprint(ByteSpan(it->second.data(), it->second.size()));
+    if (old_file->size() == entry.size) {
+      fp = matched_fps[next_fp++];
       if (*fp == entry.fingerprint) {
-        result.reconstructed[path] = it->second;
+        result.reconstructed[path] = *old_file;
         ++result.files_unchanged;
         continue;
       }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "fsync/hash/md5.h"
 #include "fsync/reconcile/trie.h"
 #include "fsync/util/bit_io.h"
 
@@ -17,16 +16,14 @@ namespace {
 // same fields in fixed-width little-endian form.
 struct TreeEntryCodec {
   using Meta = TreeEntry;
-  static void HashMeta(Md5& h, const TreeEntry& e) {
-    h.Update(ByteSpan(e.fp.data(), e.fp.size()));
-    uint8_t tail[12];
+  static void AppendMeta(Bytes& out, const TreeEntry& e) {
+    Append(out, e.fp);
     for (int i = 0; i < 8; ++i) {
-      tail[i] = static_cast<uint8_t>(e.size >> (8 * i));
+      out.push_back(static_cast<uint8_t>(e.size >> (8 * i)));
     }
     for (int i = 0; i < 4; ++i) {
-      tail[8 + i] = static_cast<uint8_t>(e.mode >> (8 * i));
+      out.push_back(static_cast<uint8_t>(e.mode >> (8 * i)));
     }
-    h.Update(ByteSpan(tail, sizeof(tail)));
   }
   static void WriteMeta(BitWriter& w, const TreeEntry& e) {
     w.WriteBytes(ByteSpan(e.fp.data(), e.fp.size()));
@@ -50,29 +47,40 @@ struct TreeEntryCodec {
 }  // namespace
 
 TreeManifest BuildTreeManifest(const std::map<std::string, Bytes>& files) {
+  const std::vector<Fingerprint> fps = FileFingerprints(files);
   TreeManifest out;
+  size_t i = 0;
   for (const auto& [name, data] : files) {
-    out[name] = TreeEntry{FileFingerprint(data), data.size()};
+    out.emplace_hint(out.end(), name, TreeEntry{fps[i++], data.size()});
   }
   return out;
 }
 
 void DetectAdoptions(const TreeManifest& client, ManifestDiff& diff) {
-  // Content key -> lexicographically smallest client path holding it.
-  // std::map iteration over `client` is already in path order, so the
-  // first insertion per key wins and the choice is deterministic.
+  // Content key -> lexicographically smallest client path holding it,
+  // for just the keys some stale path asks for. std::map iteration over
+  // `client` is already in path order, so the first match per key wins
+  // and the choice is deterministic.
   std::map<std::pair<Fingerprint, uint64_t>, const TreeManifest::value_type*>
       by_content;
+  for (const std::string& path : diff.stale) {
+    const TreeEntry& want = diff.stale_entries.at(path);
+    by_content.emplace(std::make_pair(want.fp, want.size), nullptr);
+  }
   for (const auto& kv : client) {
-    by_content.emplace(std::make_pair(kv.second.fp, kv.second.size), &kv);
+    auto it = by_content.find(std::make_pair(kv.second.fp, kv.second.size));
+    if (it != by_content.end() && it->second == nullptr) {
+      it->second = &kv;
+    }
   }
   std::vector<std::string> residual;
   residual.reserve(diff.stale.size());
   for (std::string& path : diff.stale) {
     const TreeEntry& want = diff.stale_entries.at(path);
-    auto it = by_content.find(std::make_pair(want.fp, want.size));
-    if (it != by_content.end() && it->second->second.mode == want.mode) {
-      diff.adopts.push_back(AdoptOp{std::move(path), it->second->first});
+    const TreeManifest::value_type* source =
+        by_content.at(std::make_pair(want.fp, want.size));
+    if (source != nullptr && source->second.mode == want.mode) {
+      diff.adopts.push_back(AdoptOp{std::move(path), source->first});
     } else {
       residual.push_back(std::move(path));
     }

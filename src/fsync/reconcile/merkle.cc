@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "fsync/hash/md5.h"
 #include "fsync/reconcile/trie.h"
 #include "fsync/util/bit_io.h"
 
@@ -18,8 +17,8 @@ namespace {
 // out stay valid.
 struct FingerprintCodec {
   using Meta = Fingerprint;
-  static void HashMeta(Md5& h, const Fingerprint& fp) {
-    h.Update(ByteSpan(fp.data(), fp.size()));
+  static void AppendMeta(Bytes& out, const Fingerprint& fp) {
+    Append(out, fp);
   }
   static void WriteMeta(BitWriter& w, const Fingerprint& fp) {
     w.WriteBytes(ByteSpan(fp.data(), fp.size()));
@@ -35,9 +34,11 @@ struct FingerprintCodec {
 }  // namespace
 
 FileDigestMap DigestCollection(const std::map<std::string, Bytes>& files) {
+  const std::vector<Fingerprint> fps = FileFingerprints(files);
   FileDigestMap out;
-  for (const auto& [name, data] : files) {
-    out[name] = FileFingerprint(data);
+  size_t i = 0;
+  for (const auto& kv : files) {
+    out.emplace_hint(out.end(), kv.first, fps[i++]);
   }
   return out;
 }

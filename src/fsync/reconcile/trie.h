@@ -9,7 +9,7 @@
 //
 //   struct Codec {
 //     using Meta = ...;                    // ==-comparable entry payload
-//     static void HashMeta(Md5&, const Meta&);          // node hashing
+//     static void AppendMeta(Bytes&, const Meta&);      // node hashing
 //     static void WriteMeta(BitWriter&, const Meta&);   // leaf wire form
 //     static StatusOr<Meta> ReadMeta(BitReader&);
 //   };
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "fsync/hash/md5.h"
+#include "fsync/hash/md5_batch.h"
 #include "fsync/net/channel.h"
 #include "fsync/util/bit_io.h"
 #include "fsync/util/status.h"
@@ -35,9 +36,8 @@ namespace fsx::reconcile_internal {
 
 inline constexpr int kMaxDepth = 64;
 
-inline uint64_t NameKey(const std::string& name) {
-  return Md5::HashBits(ToBytes(name), 64, /*salt=*/0x791E0);
-}
+// Salt of the trie key H(name) = Md5::HashBits(name, 64, kNameKeySalt).
+inline constexpr uint64_t kNameKeySalt = 0x791E0;
 
 // A trie node: all entries whose key starts with the high `depth` bits of
 // `prefix` (prefix stored left-aligned in the high bits).
@@ -92,27 +92,61 @@ inline constexpr uint64_t kReplyLeaves = 0;    // entry list follows
 inline constexpr uint64_t kReplyChildren = 1;  // two child hashes follow
 inline constexpr uint64_t kReplySame = 2;      // root only: hashes matched
 
-// One replica's entries sorted by the 64-bit trie key H(name).
+// One replica entry under its 64-bit trie key H(name). `name` and
+// `meta` point into the caller's map, which outlives the walk.
 template <typename Meta>
 struct Entry {
   uint64_t key = 0;
-  std::string name;
-  Meta meta{};
+  const std::string* name = nullptr;
+  const Meta* meta = nullptr;
 };
 
+// One replica's side of the walk: its entries sorted by (key, name), and
+// each entry's node-hash preimage (name, 0, AppendMeta) written once, in
+// that order, into one buffer. The entries under a node are a contiguous
+// run, so the node's hash is the MD5 of one slice of `preimage`.
 template <typename Meta>
-std::vector<Entry<Meta>> BuildEntries(
-    const std::map<std::string, Meta>& files) {
-  std::vector<Entry<Meta>> out;
-  out.reserve(files.size());
-  for (const auto& [name, meta] : files) {
-    out.push_back({NameKey(name), name, meta});
+struct TrieSide {
+  std::vector<Entry<Meta>> entries;
+  Bytes preimage;
+  std::vector<size_t> offsets;  // entry i is [offsets[i], offsets[i + 1])
+};
+
+template <typename Codec>
+TrieSide<typename Codec::Meta> BuildSide(
+    const std::map<std::string, typename Codec::Meta>& files) {
+  using Meta = typename Codec::Meta;
+  TrieSide<Meta> side;
+  std::vector<ByteSpan> names;
+  names.reserve(files.size());
+  size_t name_bytes = 0;
+  for (const auto& kv : files) {
+    names.push_back(AsBytes(kv.first));
+    name_bytes += kv.first.size();
   }
-  std::sort(out.begin(), out.end(),
+  std::vector<uint64_t> keys(files.size());
+  Md5HashBitsBatch(names.data(), names.size(), 64, kNameKeySalt,
+                   keys.data());
+  side.entries.reserve(files.size());
+  size_t i = 0;
+  for (const auto& [name, meta] : files) {
+    side.entries.push_back({keys[i++], &name, &meta});
+  }
+  std::sort(side.entries.begin(), side.entries.end(),
             [](const Entry<Meta>& a, const Entry<Meta>& b) {
-              return a.key != b.key ? a.key < b.key : a.name < b.name;
+              return a.key != b.key ? a.key < b.key : *a.name < *b.name;
             });
-  return out;
+  // A Meta's fixed-width hash form is never larger than the Meta itself.
+  side.preimage.reserve(name_bytes + files.size() * (1 + sizeof(Meta)));
+  side.offsets.reserve(files.size() + 1);
+  side.offsets.push_back(0);
+  for (const Entry<Meta>& e : side.entries) {
+    Append(side.preimage, AsBytes(*e.name));
+    side.preimage.push_back(0);
+    Codec::AppendMeta(side.preimage, *e.meta);
+    side.offsets.push_back(side.preimage.size());
+  }
+  return side;
 }
 
 // Half-open range of entries under `node`.
@@ -137,23 +171,36 @@ std::pair<size_t, size_t> NodeRange(const std::vector<Entry<Meta>>& entries,
           static_cast<size_t>(hi - entries.begin())};
 }
 
-template <typename Codec>
-uint64_t NodeHash(const std::vector<Entry<typename Codec::Meta>>& entries,
-                  NodeId node, uint32_t hash_bytes) {
-  auto [lo, hi] = NodeRange(entries, node);
-  Md5 h;
-  for (size_t i = lo; i < hi; ++i) {
-    h.Update(ToBytes(entries[i].name));
-    uint8_t sep = 0;
-    h.Update(ByteSpan(&sep, 1));
-    Codec::HashMeta(h, entries[i].meta);
+// The node-hash preimage of every entry under `node`.
+template <typename Meta>
+ByteSpan NodePreimage(const TrieSide<Meta>& side, NodeId node) {
+  auto [lo, hi] = NodeRange(side.entries, node);
+  return ByteSpan(side.preimage)
+      .subspan(side.offsets[lo], side.offsets[hi] - side.offsets[lo]);
+}
+
+// A node hash: the low 8 * hash_bytes bits of the MD5 of its preimage.
+template <typename Meta>
+uint64_t NodeHash(const TrieSide<Meta>& side, NodeId node,
+                  uint32_t hash_bytes) {
+  return Md5::HashBits(NodePreimage(side, node), 8 * hash_bytes);
+}
+
+// NodeHash of each of the 2^levels descendants of `node`, in key order,
+// hashed in one batched call.
+template <typename Meta>
+std::vector<uint64_t> DescendantHashes(const TrieSide<Meta>& side,
+                                       NodeId node, int levels,
+                                       uint32_t hash_bytes) {
+  const size_t count = size_t{1} << levels;
+  std::vector<ByteSpan> slices(count);
+  for (size_t idx = 0; idx < count; ++idx) {
+    slices[idx] = NodePreimage(side, Descendant(node, levels, idx));
   }
-  Md5Digest d = h.Finish();
-  uint64_t v = 0;
-  for (uint32_t i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(d[i]) << (8 * i);
-  }
-  return hash_bytes >= 8 ? v : v & ((uint64_t{1} << (8 * hash_bytes)) - 1);
+  std::vector<uint64_t> out(count);
+  Md5HashBitsBatch(slices.data(), count, 8 * static_cast<int>(hash_bytes),
+                   /*salt=*/0, out.data());
+  return out;
 }
 
 template <typename Codec>
@@ -162,9 +209,9 @@ void WriteEntryList(BitWriter& w,
                     size_t lo, size_t hi) {
   w.WriteVarint(hi - lo);
   for (size_t i = lo; i < hi; ++i) {
-    w.WriteVarint(entries[i].name.size());
-    w.WriteBytes(ToBytes(entries[i].name));
-    Codec::WriteMeta(w, entries[i].meta);
+    w.WriteVarint(entries[i].name->size());
+    w.WriteBytes(AsBytes(*entries[i].name));
+    Codec::WriteMeta(w, *entries[i].meta);
   }
 }
 
@@ -204,8 +251,8 @@ StatusOr<TrieDiff<typename Codec::Meta>> TrieReconcile(
   }
   TrieDiff<Meta> result;
   const TrafficStats before = channel.stats();
-  std::vector<Entry<Meta>> client = BuildEntries(client_files);
-  std::vector<Entry<Meta>> server = BuildEntries(server_files);
+  const TrieSide<Meta> client = BuildSide<Codec>(client_files);
+  const TrieSide<Meta> server = BuildSide<Codec>(server_files);
 
   // Tracks which client entries were covered by a mismatching subtree the
   // server enumerated; anything it has that the server's list lacks is
@@ -227,7 +274,7 @@ StatusOr<TrieDiff<typename Codec::Meta>> TrieReconcile(
       WriteNodeId(ask, n);
     }
     if (first_round) {
-      ask.WriteBits(NodeHash<Codec>(client, NodeId{}, node_hash_bytes),
+      ask.WriteBits(NodeHash(client, NodeId{}, node_hash_bytes),
                     8 * node_hash_bytes);
     }
     channel.Send(Dir::kClientToServer, ask.Finish());
@@ -253,16 +300,15 @@ StatusOr<TrieDiff<typename Codec::Meta>> TrieReconcile(
       if (first_round && i == 0) {
         FSYNC_ASSIGN_OR_RETURN(uint64_t client_root,
                                ain.ReadBits(8 * node_hash_bytes));
-        if (client_root ==
-            NodeHash<Codec>(server, NodeId{}, node_hash_bytes)) {
+        if (client_root == NodeHash(server, NodeId{}, node_hash_bytes)) {
           reply.WriteBits(kReplySame, 2);
           continue;
         }
       }
-      auto [lo, hi] = NodeRange(server, n);
+      auto [lo, hi] = NodeRange(server.entries, n);
       if (hi - lo <= leaf_batch || n.depth >= kMaxDepth) {
         reply.WriteBits(kReplyLeaves, 2);
-        WriteEntryList<Codec>(reply, server, lo, hi);
+        WriteEntryList<Codec>(reply, server.entries, lo, hi);
         reply_has_leaves = true;
       } else {
         // Both sides derive the effective descent from the node's depth,
@@ -270,11 +316,9 @@ StatusOr<TrieDiff<typename Codec::Meta>> TrieReconcile(
         const int levels = std::min<int>(
             static_cast<int>(descend_levels), kMaxDepth - n.depth);
         reply.WriteBits(kReplyChildren, 2);
-        for (uint64_t idx = 0; idx < (uint64_t{1} << levels); ++idx) {
-          reply.WriteBits(NodeHash<Codec>(server,
-                                          Descendant(n, levels, idx),
-                                          node_hash_bytes),
-                          8 * node_hash_bytes);
+        for (uint64_t h :
+             DescendantHashes(server, n, levels, node_hash_bytes)) {
+          reply.WriteBits(h, 8 * node_hash_bytes);
         }
       }
     }
@@ -296,12 +340,13 @@ StatusOr<TrieDiff<typename Codec::Meta>> TrieReconcile(
       if (code == kReplyChildren) {
         const int levels = std::min<int>(
             static_cast<int>(descend_levels), kMaxDepth - n.depth);
-        for (uint64_t idx = 0; idx < (uint64_t{1} << levels); ++idx) {
+        const std::vector<uint64_t> mine =
+            DescendantHashes(client, n, levels, node_hash_bytes);
+        for (uint64_t idx = 0; idx < mine.size(); ++idx) {
           FSYNC_ASSIGN_OR_RETURN(uint64_t server_hash,
                                  rin.ReadBits(8 * node_hash_bytes));
-          NodeId c = Descendant(n, levels, idx);
-          if (NodeHash<Codec>(client, c, node_hash_bytes) != server_hash) {
-            next.push_back(c);
+          if (mine[idx] != server_hash) {
+            next.push_back(Descendant(n, levels, idx));
           }
         }
         continue;
@@ -324,15 +369,16 @@ StatusOr<TrieDiff<typename Codec::Meta>> TrieReconcile(
         server_side[ToString(name_bytes)] = meta;
       }
       // Compare against the client's entries in this subtree.
-      auto [clo, chi] = NodeRange(client, n);
+      auto [clo, chi] = NodeRange(client.entries, n);
       for (size_t k = clo; k < chi; ++k) {
-        auto it = server_side.find(client[k].name);
+        const std::string& name = *client.entries[k].name;
+        auto it = server_side.find(name);
         if (it == server_side.end()) {
-          result.extra.push_back(client[k].name);
+          result.extra.push_back(name);
         } else {
-          if (it->second != client[k].meta) {
-            result.stale.push_back(client[k].name);
-            result.stale_entries[client[k].name] = it->second;
+          if (it->second != *client.entries[k].meta) {
+            result.stale.push_back(name);
+            result.stale_entries[name] = it->second;
           }
           server_side.erase(it);
         }

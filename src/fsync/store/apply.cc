@@ -31,6 +31,11 @@ StatusOr<Bytes> ReadFileBytes(const fs::path& p) {
   return ReadWholeFile(p.string());
 }
 
+/// The manifest entry of `content`.
+ManifestEntry EntryOf(ByteSpan content) {
+  return ManifestEntry{content.size(), FileFingerprint(content)};
+}
+
 /// The file as it exists on disk right now, in manifest terms; nullopt
 /// when absent. This is the conflict detector's ground truth. One open:
 /// ReadWholeFile fstats the open descriptor and refuses anything but a
@@ -40,7 +45,7 @@ std::optional<ManifestEntry> DiskEntry(const fs::path& p) {
   if (!data.ok()) {
     return std::nullopt;
   }
-  return ManifestEntry{data->size(), FileFingerprint(*data)};
+  return EntryOf(*data);
 }
 
 Status ValidateRelPath(const std::string& path) {
@@ -245,13 +250,13 @@ Status ApplyTransaction::Begin() {
 }
 
 Status ApplyTransaction::StageFile(const std::string& path, ByteSpan content,
+                                   const ManifestEntry& next,
                                    const ManifestEntry* expected_old,
                                    FileOp op, const std::string& from_path) {
   FSYNC_RETURN_IF_ERROR(CheckBegun());
   FSYNC_RETURN_IF_ERROR(ValidateRelPath(path));
 
   fs::path target = root_ / fs::path(path);
-  ManifestEntry next{content.size(), FileFingerprint(content)};
   // One read of the disk file (see DiskEntry). Bytes equal to `content`
   // are unchanged outright — a stronger test than comparing size and
   // MD5 — so the disk bytes are hashed only when they differ, for the
@@ -265,7 +270,7 @@ Status ApplyTransaction::StageFile(const std::string& path, ByteSpan content,
       ++report_.files_unchanged;
       return Status::Ok();
     }
-    disk = ManifestEntry{on_disk->size(), FileFingerprint(*on_disk)};
+    disk = EntryOf(*on_disk);
   }
 
   // Conflict rule: the disk must look exactly as the caller last saw it
@@ -317,7 +322,8 @@ Status ApplyTransaction::StageFile(const std::string& path, ByteSpan content,
 
 Status ApplyTransaction::WriteFile(const std::string& path, ByteSpan content,
                                    const ManifestEntry* expected_old) {
-  return StageFile(path, content, expected_old, FileOp::kWrite, {});
+  return StageFile(path, content, EntryOf(content), expected_old,
+                   FileOp::kWrite, {});
 }
 
 Status ApplyTransaction::AdoptFile(const std::string& path,
@@ -343,7 +349,8 @@ Status ApplyTransaction::AdoptFile(const std::string& path,
     obs::AddEvent(obs_, obs::Event::kConflictDetected);
     return Status::Aborted("adopt source missing: " + from_path);
   }
-  return StageFile(path, *content, expected_old, FileOp::kAdopt, from_path);
+  return StageFile(path, *content, EntryOf(*content), expected_old,
+                   FileOp::kAdopt, from_path);
 }
 
 Status ApplyTransaction::AdoptFile(const std::string& path,
@@ -352,7 +359,8 @@ Status ApplyTransaction::AdoptFile(const std::string& path,
                                    const ManifestEntry* expected_old) {
   FSYNC_RETURN_IF_ERROR(CheckBegun());
   FSYNC_RETURN_IF_ERROR(ValidateRelPath(from_path));
-  return StageFile(path, content, expected_old, FileOp::kAdopt, from_path);
+  return StageFile(path, content, EntryOf(content), expected_old,
+                   FileOp::kAdopt, from_path);
 }
 
 Status ApplyTransaction::DeleteFile(const std::string& path,
@@ -497,8 +505,13 @@ StatusOr<ApplyReport> ApplyTreeWithAdopts(const std::string& root,
     }
   }
 
+  // WriteFile's fingerprints for every incoming file, in one batched
+  // pass; StageFile then stages each under the entry computed here.
+  const std::vector<Fingerprint> fps = FileFingerprints(files);
+  size_t i = 0;
   for (const auto& [name, data] : files) {
-    Status s = txn.WriteFile(name, data, expected_entry(name));
+    Status s = txn.StageFile(name, data, ManifestEntry{data.size(), fps[i++]},
+                             expected_entry(name), FileOp::kWrite, {});
     if (!s.ok() && s.code() != StatusCode::kAborted) {
       return fail(s);
     }

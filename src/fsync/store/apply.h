@@ -126,8 +126,17 @@ class ApplyTransaction {
   const ApplyReport& report() const { return report_; }
 
  private:
+  // ApplyTreeWithAdopts fingerprints all its files in one batched pass
+  // and hands each entry to StageFile.
+  friend StatusOr<ApplyReport> ApplyTreeWithAdopts(
+      const std::string& root, const Collection& files,
+      const std::vector<AdoptOp>& adopts, const Manifest& expected,
+      const ApplyOptions& options, obs::SyncObserver* obs);
+
   Status CheckBegun() const;
+  // Stages `content`, whose manifest entry is `next`.
   Status StageFile(const std::string& path, ByteSpan content,
+                   const ManifestEntry& next,
                    const ManifestEntry* expected_old, FileOp op,
                    const std::string& from_path);
 

@@ -84,9 +84,11 @@ bool IsSafeRelativePath(const std::string& path) {
 }
 
 Manifest BuildManifest(const Collection& files) {
+  const std::vector<Fingerprint> fps = FileFingerprints(files);
   Manifest m;
+  size_t i = 0;
   for (const auto& [name, data] : files) {
-    m[name] = ManifestEntry{data.size(), FileFingerprint(data)};
+    m.emplace_hint(m.end(), name, ManifestEntry{data.size(), fps[i++]});
   }
   return m;
 }

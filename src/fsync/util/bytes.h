@@ -21,6 +21,11 @@ inline Bytes ToBytes(const std::string& s) {
   return Bytes(s.begin(), s.end());
 }
 
+/// A read-only view of a string's bytes (no copy).
+inline ByteSpan AsBytes(const std::string& s) {
+  return ByteSpan(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+}
+
 /// Converts bytes to a std::string (bytes are copied verbatim).
 inline std::string ToString(ByteSpan b) {
   return std::string(b.begin(), b.end());

@@ -503,5 +503,87 @@ TEST(Md5Batch, BatchHandlesMixedSizesAndStragglers) {
   }
 }
 
+TEST(Md5Batch, DigestsMatchScalarAtEveryLength) {
+  // Every length 0-300 covers each padding split (with the 0x80 byte and
+  // the bit length landing in the same or the next block) several times
+  // over; 4095-4097 straddle a page-sized file.
+  Rng rng(41);
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  lengths.insert(lengths.end(), {4095, 4096, 4097});
+  Bytes backing = rng.RandomBytes(4097 + lengths.size());
+  std::vector<ByteSpan> msgs;
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    msgs.push_back(ByteSpan(backing.data() + i, lengths[i]));
+  }
+  std::vector<Md5Digest> out(msgs.size());
+  Md5Batch(msgs.data(), msgs.size(), out.data());
+  for (size_t i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(out[i], Md5::Hash(msgs[i])) << "length " << lengths[i];
+  }
+}
+
+TEST(Md5Batch, DigestsMatchScalarAtEveryCount) {
+  // Counts below, at and above one lane set, plus a long batch whose
+  // lanes refill hundreds of times.
+  Rng rng(43);
+  Bytes backing = rng.RandomBytes(8192);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5},
+                   size_t{1001}}) {
+    std::vector<ByteSpan> msgs;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t len = rng.Uniform(700);
+      const size_t off = rng.Uniform(backing.size() - len + 1);
+      msgs.push_back(ByteSpan(backing.data() + off, len));
+    }
+    std::vector<Md5Digest> out(n);
+    Md5Batch(msgs.data(), n, out.data());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out[i], Md5::Hash(msgs[i])) << "n " << n << " msg " << i;
+    }
+  }
+}
+
+TEST(Md5Batch, LongStragglerAmongSmallMessages) {
+  // A 1 MiB message holds one lane for ~16k blocks while the other three
+  // lanes cycle through the small messages on either side of it.
+  Rng rng(47);
+  Bytes big = rng.RandomBytes(size_t{1} << 20);
+  Bytes small = rng.RandomBytes(4096);
+  std::vector<ByteSpan> msgs;
+  for (size_t i = 0; i < 1000; ++i) {
+    if (i == 500) msgs.push_back(big);
+    const size_t len = rng.Uniform(200);
+    msgs.push_back(ByteSpan(small.data() + rng.Uniform(4096 - len), len));
+  }
+  std::vector<Md5Digest> out(msgs.size());
+  Md5Batch(msgs.data(), msgs.size(), out.data());
+  for (size_t i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(out[i], Md5::Hash(msgs[i])) << "msg " << i;
+  }
+}
+
+TEST(Md5Batch, HashBitsBatchMatchesScalarOnMixedLengths) {
+  Rng rng(53);
+  Bytes backing = rng.RandomBytes(4096);
+  std::vector<ByteSpan> blocks;
+  for (int i = 0; i < 257; ++i) {
+    const size_t len = rng.Uniform(1500);
+    blocks.push_back(
+        ByteSpan(backing.data() + rng.Uniform(backing.size() - len), len));
+  }
+  for (uint64_t salt : {uint64_t{0}, uint64_t{0xA11}, uint64_t{0x791E0},
+                        ~uint64_t{0}}) {
+    for (int bits : {1, 24, 64}) {
+      std::vector<uint64_t> out(blocks.size());
+      Md5HashBitsBatch(blocks.data(), blocks.size(), bits, salt, out.data());
+      for (size_t i = 0; i < blocks.size(); ++i) {
+        EXPECT_EQ(out[i], Md5::HashBits(blocks[i], bits, salt))
+            << "salt " << salt << " bits " << bits << " block " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fsx
