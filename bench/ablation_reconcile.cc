@@ -16,12 +16,12 @@ namespace {
 int Run(bench::JsonReport& report) {
   const int kFiles = 5000;
   Rng rng(0xF11E5);
-  FileDigestMap client;
+  Manifest client;
   for (int i = 0; i < kFiles; ++i) {
     Fingerprint fp;
     Bytes r = rng.RandomBytes(16);
     std::copy(r.begin(), r.end(), fp.begin());
-    client["pages/p" + std::to_string(i) + ".html"] = fp;
+    client["pages/p" + std::to_string(i) + ".html"] = ManifestEntry{fp};
   }
   uint64_t flat = FullExchangeBytes(client);
   report.AddWorkload("digest-map", kFiles, flat);
@@ -32,7 +32,7 @@ int Run(bench::JsonReport& report) {
               "merkle KB", "rounds", "vs flat");
 
   for (double frac : {0.0, 0.001, 0.01, 0.05, 0.2, 0.5}) {
-    FileDigestMap server = client;
+    Manifest server = client;
     int changes = static_cast<int>(frac * kFiles);
     auto it = server.begin();
     for (int i = 0; i < changes && it != server.end(); ++i) {
@@ -40,7 +40,7 @@ int Run(bench::JsonReport& report) {
       if (it == server.end()) {
         break;
       }
-      it->second[rng.Uniform(16)] ^= 0x5A;
+      it->second.fingerprint[rng.Uniform(16)] ^= 0x5A;
     }
     SimulatedChannel channel;
     MerkleParams params;

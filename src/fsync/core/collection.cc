@@ -10,7 +10,6 @@
 #include "fsync/core/file_session.h"
 #include "fsync/core/server_cache.h"
 #include "fsync/hash/fingerprint.h"
-#include "fsync/hash/md5_batch.h"
 #include "fsync/par/thread_pool.h"
 #include "fsync/util/bit_io.h"
 
@@ -63,21 +62,17 @@ struct FileSession {
   std::optional<SessionSend> next;
 };
 
-const Fingerprint& FingerprintOf(const Fingerprint& fp) { return fp; }
-const Fingerprint& FingerprintOf(const TreeEntry& entry) { return entry.fp; }
-
-// `old_fps` / `new_fps` map file names to the fingerprints each side
-// already computed for the handshake (a name -> Fingerprint map, or a
-// TreeManifest), so no endpoint hashes its file a second time: one
-// fingerprint per file per side. With `hints` false the endpoints are
-// built without them and hash their files again (a test pins that this
-// never changes a wire byte).
-template <typename OldFps, typename NewFps>
+// `client_manifest` / `server_manifest` are the manifests each side
+// already built for the handshake, so no endpoint hashes its file a
+// second time: one fingerprint per file per side. With `hints` false the
+// endpoints are built without them and hash their files again (a test
+// pins that this never changes a wire byte).
 std::vector<FileSession> BuildFileSessions(
     const std::vector<std::string>& names, const Collection& client,
     const Collection& server, const SyncConfig& config,
-    cache::SyncCache* cache, obs::SyncObserver* obs, const OldFps& old_fps,
-    const NewFps& new_fps, bool hints) {
+    cache::SyncCache* cache, obs::SyncObserver* obs,
+    const Manifest& client_manifest, const Manifest& server_manifest,
+    bool hints) {
   static const Bytes kEmpty;
   std::vector<FileSession> sessions;
   sessions.reserve(names.size());
@@ -85,17 +80,18 @@ std::vector<FileSession> BuildFileSessions(
     auto cit = client.find(name);
     const Bytes& f_old = cit != client.end() ? cit->second : kEmpty;
     const Bytes& f_new = server.at(name);
-    auto hint = [&](const auto& fps) -> const Fingerprint* {
-      auto it = fps.find(name);
-      return hints && it != fps.end() ? &FingerprintOf(it->second) : nullptr;
+    auto hint = [&](const Manifest& manifest) -> const Fingerprint* {
+      auto it = manifest.find(name);
+      return hints && it != manifest.end() ? &it->second.fingerprint
+                                           : nullptr;
     };
     FileSession s;
     s.name = name;
-    s.client =
-        std::make_unique<ClientFileSession>(f_old, config, hint(old_fps));
+    s.client = std::make_unique<ClientFileSession>(f_old, config,
+                                                   hint(client_manifest));
     s.client->set_observer(obs);
     s.server = std::make_unique<CachedServerEndpoint>(
-        f_new, config, cache, obs, hint(new_fps));
+        f_new, config, cache, obs, hint(server_manifest));
     sessions.push_back(std::move(s));
   }
   return sessions;
@@ -309,35 +305,6 @@ Bytes CachedCompress(cache::SyncCache* cache, const Fingerprint& fp,
   return comp;
 }
 
-// Parallel manifest hashing: each worker hashes one contiguous run of
-// files through Md5Batch, and the fingerprints are assembled in path
-// order, so the manifest (and therefore every wire byte derived from it)
-// is identical at any thread count.
-TreeManifest BuildManifestParallel(const Collection& files,
-                                   int num_threads) {
-  if (num_threads <= 1) {
-    return BuildTreeManifest(files);
-  }
-  std::vector<ByteSpan> spans;
-  spans.reserve(files.size());
-  for (const auto& kv : files) {
-    spans.push_back(kv.second);
-  }
-  std::vector<Fingerprint> fps(spans.size());
-  const size_t chunks = static_cast<size_t>(num_threads);
-  par::ParallelFor(num_threads, chunks, [&](size_t c) {
-    const size_t lo = spans.size() * c / chunks;
-    const size_t hi = spans.size() * (c + 1) / chunks;
-    Md5Batch(spans.data() + lo, hi - lo, fps.data() + lo);
-  });
-  TreeManifest out;
-  size_t i = 0;
-  for (const auto& [name, data] : files) {
-    out.emplace_hint(out.end(), name, TreeEntry{fps[i++], data.size()});
-  }
-  return out;
-}
-
 }  // namespace
 
 StatusOr<CollectionSyncResult> SyncCollection(const Collection& client,
@@ -429,19 +396,18 @@ StatusOr<CollectionSyncResult> SyncCollectionBatchedImpl(
   result.files_total = server.size();
 
   // --- 1. Client announces (name, fingerprint) for every file. Each
-  //         side keeps the fingerprints it computes here for its session
+  //         side keeps the manifest it builds here for its session
   //         endpoints (one fingerprint per file per side). ---
   obs::SetPhase(obs, obs::Phase::kHandshake);
-  std::map<std::string, Fingerprint> client_fp;
+  const Manifest client_manifest = BuildManifest(client, config.num_threads);
   {
     BitWriter msg;
-    msg.WriteVarint(client.size());
-    for (const auto& [name, data] : client) {
+    msg.WriteVarint(client_manifest.size());
+    for (const auto& [name, entry] : client_manifest) {
       msg.WriteVarint(name.size());
-      msg.WriteBytes(ToBytes(name));
-      Fingerprint fp = FileFingerprint(data);
-      msg.WriteBytes(ByteSpan(fp.data(), fp.size()));
-      client_fp.emplace(name, fp);
+      msg.WriteBytes(AsBytes(name));
+      msg.WriteBytes(
+          ByteSpan(entry.fingerprint.data(), entry.fingerprint.size()));
     }
     channel.Send(Dir::kClientToServer, msg.Finish());
   }
@@ -455,7 +421,7 @@ StatusOr<CollectionSyncResult> SyncCollectionBatchedImpl(
   //         is (index into the sorted plan, announce index) so the
   //         client copies locally and both sides skip the session). ---
   std::vector<std::string> sync_names;  // deterministic on both sides
-  std::map<std::string, Fingerprint> server_fp;  // for planned files
+  const Manifest server_manifest = BuildManifest(server, config.num_threads);
   {
     BitReader in(announce);
     FSYNC_ASSIGN_OR_RETURN(uint64_t count, in.ReadVarint());
@@ -473,23 +439,20 @@ StatusOr<CollectionSyncResult> SyncCollectionBatchedImpl(
       Fingerprint client_fp;
       std::copy(fp_bytes.begin(), fp_bytes.end(), client_fp.begin());
       announced.emplace(client_fp, i);
-      auto it = server.find(name);
-      if (it == server.end()) {
+      auto it = server_manifest.find(name);
+      if (it == server_manifest.end()) {
         verdict.WriteBits(2, 2);  // delete
         continue;
       }
-      Fingerprint fp = FileFingerprint(it->second);
-      bool same = fp == client_fp;
+      bool same = it->second.fingerprint == client_fp;
       verdict.WriteBits(same ? 0 : 1, 2);
       if (!same) {
-        server_fp[name] = fp;
         changed_names.push_back(std::move(name));
       }
     }
     std::vector<std::string> new_names;
     for (const auto& [name, data] : server) {
       if (!client.contains(name)) {
-        server_fp[name] = FileFingerprint(data);
         new_names.push_back(name);
       }
     }
@@ -505,7 +468,7 @@ StatusOr<CollectionSyncResult> SyncCollectionBatchedImpl(
     std::sort(planned.begin(), planned.end());
     std::vector<std::pair<uint64_t, uint64_t>> adopt_pairs;
     for (uint64_t i = 0; i < planned.size(); ++i) {
-      auto it = announced.find(server_fp.at(planned[i]));
+      auto it = announced.find(server_manifest.at(planned[i]).fingerprint);
       if (it != announced.end()) {
         adopt_pairs.emplace_back(i, it->second);
       }
@@ -579,8 +542,8 @@ StatusOr<CollectionSyncResult> SyncCollectionBatchedImpl(
   // --- 3. Multiplex the per-file sessions, one message per direction
   //         per round for the whole batch; then the fallbacks. ---
   std::vector<FileSession> sessions = BuildFileSessions(
-      sync_names, client, server, config, cache, obs, client_fp, server_fp,
-      fingerprint_hints);
+      sync_names, client, server, config, cache, obs, client_manifest,
+      server_manifest, fingerprint_hints);
   channel.Send(Dir::kClientToServer, BuildInitialRequestBatch(sessions));
   FSYNC_ASSIGN_OR_RETURN(Bytes c2s, channel.Receive(Dir::kClientToServer));
   FSYNC_ASSIGN_OR_RETURN(MultiplexTotals totals,
@@ -608,10 +571,10 @@ StatusOr<TreeSyncResult> SyncCollectionTreeImpl(const Collection& client,
   result.files_total = server.size();
 
   // --- 1. Manifest reconciliation (trie walk, Phase::kManifest). ---
-  TreeManifest client_manifest =
-      BuildManifestParallel(client, params.config.num_threads);
-  TreeManifest server_manifest =
-      BuildManifestParallel(server, params.config.num_threads);
+  const Manifest client_manifest =
+      BuildManifest(client, params.config.num_threads);
+  const Manifest server_manifest =
+      BuildManifest(server, params.config.num_threads);
   FSYNC_ASSIGN_OR_RETURN(
       ManifestDiff diff,
       ManifestReconcile(client_manifest, server_manifest, params.merkle,
@@ -706,7 +669,7 @@ StatusOr<TreeSyncResult> SyncCollectionTreeImpl(const Collection& client,
         }
         if (it->second.size() <= params.small_file_threshold) {
           Bytes comp = CachedCompress(params.cache,
-                                      server_manifest.at(want).fp,
+                                      server_manifest.at(want).fingerprint,
                                       it->second, obs);
           bundle.WriteVarint(comp.size());
           bundle.WriteBytes(comp);
@@ -729,7 +692,8 @@ StatusOr<TreeSyncResult> SyncCollectionTreeImpl(const Collection& client,
         FSYNC_ASSIGN_OR_RETURN(uint64_t len, bin.ReadVarint());
         FSYNC_ASSIGN_OR_RETURN(Bytes comp, bin.ReadBytes(len));
         FSYNC_ASSIGN_OR_RETURN(Bytes data, Decompress(comp));
-        if (FileFingerprint(data) != diff.stale_entries.at(path).fp) {
+        if (FileFingerprint(data) !=
+            diff.stale_entries.at(path).fingerprint) {
           return Status::DataLoss("tree sync: small-file batch mismatch");
         }
         result.reconstructed[path] = std::move(data);

@@ -106,8 +106,9 @@ struct SyncConfig {
   /// map has been built (the paper's restricted-roundtrip mode).
   int max_roundtrips = 0;
 
-  /// Worker threads for the client's candidate scans and for per-file
-  /// fan-out in collection synchronization (1 = serial). Pure execution
+  /// Worker threads for the client's candidate scans, for the
+  /// collection drivers' manifest hashing, and for per-file fan-out in
+  /// collection synchronization (1 = serial). Pure execution
   /// knob: it never enters any wire message, and every value produces
   /// bit-identical traffic and results (see docs/architecture.md,
   /// "Determinism contract"). Hence it is deliberately NOT part of the

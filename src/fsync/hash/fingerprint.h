@@ -21,10 +21,11 @@ using Fingerprint = std::array<uint8_t, 16>;
 /// Computes the fingerprint of `data`.
 Fingerprint FileFingerprint(ByteSpan data);
 
-/// FileFingerprint of every file of `files`, in map order, computed in
-/// one pass that hashes four files at a time (Md5Batch).
+/// FileFingerprint of every file of `files`, in map order, hashed four
+/// files at a time (Md5Batch). `num_threads` > 1 gives each worker one
+/// contiguous run of files; the result is identical at any thread count.
 std::vector<Fingerprint> FileFingerprints(
-    const std::map<std::string, Bytes>& files);
+    const std::map<std::string, Bytes>& files, int num_threads = 1);
 
 }  // namespace fsx
 

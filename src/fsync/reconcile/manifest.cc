@@ -14,10 +14,9 @@ namespace {
 // length, name bytes, raw 16-byte fingerprint, varint size, varint mode
 // (see docs/PROTOCOL.md, "Manifest reconciliation"). The node hash covers the
 // same fields in fixed-width little-endian form.
-struct TreeEntryCodec {
-  using Meta = TreeEntry;
-  static void AppendMeta(Bytes& out, const TreeEntry& e) {
-    Append(out, e.fp);
+struct ManifestEntryCodec {
+  static void AppendMeta(Bytes& out, const ManifestEntry& e) {
+    Append(out, e.fingerprint);
     for (int i = 0; i < 8; ++i) {
       out.push_back(static_cast<uint8_t>(e.size >> (8 * i)));
     }
@@ -25,15 +24,15 @@ struct TreeEntryCodec {
       out.push_back(static_cast<uint8_t>(e.mode >> (8 * i)));
     }
   }
-  static void WriteMeta(BitWriter& w, const TreeEntry& e) {
-    w.WriteBytes(ByteSpan(e.fp.data(), e.fp.size()));
+  static void WriteMeta(BitWriter& w, const ManifestEntry& e) {
+    w.WriteBytes(ByteSpan(e.fingerprint.data(), e.fingerprint.size()));
     w.WriteVarint(e.size);
     w.WriteVarint(e.mode);
   }
-  static StatusOr<TreeEntry> ReadMeta(BitReader& r) {
-    TreeEntry e;
+  static StatusOr<ManifestEntry> ReadMeta(BitReader& r) {
+    ManifestEntry e;
     FSYNC_ASSIGN_OR_RETURN(Bytes fp_bytes, r.ReadBytes(16));
-    std::copy(fp_bytes.begin(), fp_bytes.end(), e.fp.begin());
+    std::copy(fp_bytes.begin(), fp_bytes.end(), e.fingerprint.begin());
     FSYNC_ASSIGN_OR_RETURN(e.size, r.ReadVarint());
     FSYNC_ASSIGN_OR_RETURN(uint64_t mode, r.ReadVarint());
     if (mode > 0777) {
@@ -42,33 +41,38 @@ struct TreeEntryCodec {
     e.mode = static_cast<uint32_t>(mode);
     return e;
   }
+  static bool Same(const ManifestEntry& a, const ManifestEntry& b) {
+    return a == b;
+  }
 };
 
 }  // namespace
 
-TreeManifest BuildTreeManifest(const std::map<std::string, Bytes>& files) {
-  const std::vector<Fingerprint> fps = FileFingerprints(files);
-  TreeManifest out;
+Manifest BuildManifest(const std::map<std::string, Bytes>& files,
+                       int num_threads) {
+  const std::vector<Fingerprint> fps = FileFingerprints(files, num_threads);
+  Manifest out;
   size_t i = 0;
   for (const auto& [name, data] : files) {
-    out.emplace_hint(out.end(), name, TreeEntry{fps[i++], data.size()});
+    out.emplace_hint(out.end(), name, ManifestEntry{fps[i++], data.size()});
   }
   return out;
 }
 
-void DetectAdoptions(const TreeManifest& client, ManifestDiff& diff) {
+void DetectAdoptions(const Manifest& client, ManifestDiff& diff) {
   // Content key -> lexicographically smallest client path holding it,
   // for just the keys some stale path asks for. std::map iteration over
   // `client` is already in path order, so the first match per key wins
   // and the choice is deterministic.
-  std::map<std::pair<Fingerprint, uint64_t>, const TreeManifest::value_type*>
+  std::map<std::pair<Fingerprint, uint64_t>, const Manifest::value_type*>
       by_content;
   for (const std::string& path : diff.stale) {
-    const TreeEntry& want = diff.stale_entries.at(path);
-    by_content.emplace(std::make_pair(want.fp, want.size), nullptr);
+    const ManifestEntry& want = diff.stale_entries.at(path);
+    by_content.emplace(std::make_pair(want.fingerprint, want.size), nullptr);
   }
   for (const auto& kv : client) {
-    auto it = by_content.find(std::make_pair(kv.second.fp, kv.second.size));
+    auto it = by_content.find(
+        std::make_pair(kv.second.fingerprint, kv.second.size));
     if (it != by_content.end() && it->second == nullptr) {
       it->second = &kv;
     }
@@ -76,9 +80,9 @@ void DetectAdoptions(const TreeManifest& client, ManifestDiff& diff) {
   std::vector<std::string> residual;
   residual.reserve(diff.stale.size());
   for (std::string& path : diff.stale) {
-    const TreeEntry& want = diff.stale_entries.at(path);
-    const TreeManifest::value_type* source =
-        by_content.at(std::make_pair(want.fp, want.size));
+    const ManifestEntry& want = diff.stale_entries.at(path);
+    const Manifest::value_type* source =
+        by_content.at(std::make_pair(want.fingerprint, want.size));
     if (source != nullptr && source->second.mode == want.mode) {
       diff.adopts.push_back(AdoptOp{std::move(path), source->first});
     } else {
@@ -88,15 +92,15 @@ void DetectAdoptions(const TreeManifest& client, ManifestDiff& diff) {
   diff.stale = std::move(residual);
 }
 
-StatusOr<ManifestDiff> ManifestReconcile(const TreeManifest& client,
-                                         const TreeManifest& server,
+StatusOr<ManifestDiff> ManifestReconcile(const Manifest& client,
+                                         const Manifest& server,
                                          const MerkleParams& params,
                                          SimulatedChannel& channel,
                                          obs::SyncObserver* obs) {
   ObservedSession scope(channel, obs, "manifest");
   FSYNC_ASSIGN_OR_RETURN(
       auto walk,
-      reconcile_internal::TrieReconcile<TreeEntryCodec>(
+      reconcile_internal::TrieReconcile<ManifestEntryCodec>(
           client, server, params.node_hash_bytes, params.leaf_batch,
           params.descend_levels, channel, obs, obs::Phase::kManifest,
           obs::Phase::kManifest));

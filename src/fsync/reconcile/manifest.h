@@ -1,7 +1,8 @@
 // Tree-level manifest reconciliation: the Directory Reconciliation step
 // that runs *before* any per-file sync. Both replicas summarize their
-// tree as a (path -> content-hash, size, mode) manifest; a hash-trie walk
-// (shared with merkle.h) narrows the exchange to the differing subset, so
+// tree as a (path -> content-hash, size, mode) manifest, the same type
+// the store commits and the daemon ships; a hash-trie walk (shared with
+// merkle.h) narrows the exchange to the differing subset, so
 // an unchanged file costs nothing and the whole round trip is
 // O(set difference), not O(n) fingerprints.
 //
@@ -20,28 +21,48 @@
 
 #include "fsync/hash/fingerprint.h"
 #include "fsync/net/channel.h"
-#include "fsync/reconcile/merkle.h"
 #include "fsync/util/status.h"
 
 namespace fsx {
 
-/// One manifest row: everything tree-level reconciliation knows about a
-/// file without re-reading its contents.
-struct TreeEntry {
-  Fingerprint fp{};
+/// One manifest row: everything tree-level reconciliation, the store
+/// and the daemon know about a file without re-reading its contents.
+struct ManifestEntry {
+  Fingerprint fingerprint{};
   uint64_t size = 0;
-  /// POSIX permission bits. Collections synthesized from in-memory maps
-  /// carry the conventional 0644; the field still rides the wire and the
-  /// trie node hashes, so a future chmod alone marks a file stale.
+  /// POSIX permission bits. Every collection carries the conventional
+  /// 0644, and the text manifest (store/fsstore.h) neither writes nor
+  /// reads it; the field still rides the trie walk's wire and node
+  /// hashes, so a future chmod alone marks a file stale.
   uint32_t mode = 0644;
-  friend bool operator==(const TreeEntry&, const TreeEntry&) = default;
+  friend bool operator==(const ManifestEntry&,
+                         const ManifestEntry&) = default;
 };
 
-/// (path -> TreeEntry) manifest of one replica's tree.
-using TreeManifest = std::map<std::string, TreeEntry>;
+/// Snapshot manifest: relative path -> metadata.
+using Manifest = std::map<std::string, ManifestEntry>;
 
-/// Builds the manifest of an in-memory collection snapshot.
-TreeManifest BuildTreeManifest(const std::map<std::string, Bytes>& files);
+/// Computes the manifest of an in-memory collection: a loop over
+/// FileFingerprints(files, num_threads), so the result is identical at
+/// any thread count.
+Manifest BuildManifest(const std::map<std::string, Bytes>& files,
+                       int num_threads = 1);
+
+/// Trie-walk tuning, shared by ManifestReconcile and MerkleReconcile.
+struct MerkleParams {
+  /// Trie node hashes are truncated to this many bytes on the wire.
+  uint32_t node_hash_bytes = 8;
+  /// Subtrees with at most this many leaves are shipped outright instead
+  /// of probed further (cuts roundtrips on small differences).
+  uint32_t leaf_batch = 4;
+  /// Trie levels descended per round: a mismatching node is answered with
+  /// the hashes of its 2^descend_levels descendant subtrees, trading
+  /// per-round hash bytes for proportionally fewer roundtrips. 1
+  /// reproduces the classic binary walk (and its exact wire format);
+  /// the tree-sync driver uses wider descents so the whole manifest
+  /// round finishes in a handful of roundtrips even at 100k files.
+  uint32_t descend_levels = 1;
+};
 
 /// A zero-literal ledger op: `path` must take the content the client
 /// already holds at `from` (a rename/move/copy detected by content hash).
@@ -61,7 +82,7 @@ struct ManifestDiff {
   /// Server-side entries for every differing path — both the `stale`
   /// ones and the adopted ones — so callers can plan sessions (size) and
   /// verify adoptions (fingerprint) without another round.
-  std::map<std::string, TreeEntry> stale_entries;
+  Manifest stale_entries;
   /// Paths only the client has: deleted under mirror semantics.
   std::vector<std::string> extra;
   /// Differing paths whose server content the client already holds under
@@ -77,8 +98,8 @@ struct ManifestDiff {
 /// server holding `server` over `channel`, then detects adoptions
 /// client-side. Exact: stale + adopts + extra always equals the true
 /// difference. All traffic is charged to obs::Phase::kManifest.
-StatusOr<ManifestDiff> ManifestReconcile(const TreeManifest& client,
-                                         const TreeManifest& server,
+StatusOr<ManifestDiff> ManifestReconcile(const Manifest& client,
+                                         const Manifest& server,
                                          const MerkleParams& params,
                                          SimulatedChannel& channel,
                                          obs::SyncObserver* obs = nullptr);
@@ -89,7 +110,7 @@ StatusOr<ManifestDiff> ManifestReconcile(const TreeManifest& client,
 /// destination adopts from the lexicographically smallest matching client
 /// path; a source may serve many destinations (identical-content
 /// fan-out). Requires equal (fingerprint, size, mode).
-void DetectAdoptions(const TreeManifest& client, ManifestDiff& diff);
+void DetectAdoptions(const Manifest& client, ManifestDiff& diff);
 
 }  // namespace fsx
 

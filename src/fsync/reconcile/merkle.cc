@@ -16,43 +16,35 @@ namespace {
 // implementation, so transcripts pinned before the trie core was factored
 // out stay valid.
 struct FingerprintCodec {
-  using Meta = Fingerprint;
-  static void AppendMeta(Bytes& out, const Fingerprint& fp) {
-    Append(out, fp);
+  static void AppendMeta(Bytes& out, const ManifestEntry& e) {
+    Append(out, e.fingerprint);
   }
-  static void WriteMeta(BitWriter& w, const Fingerprint& fp) {
-    w.WriteBytes(ByteSpan(fp.data(), fp.size()));
+  static void WriteMeta(BitWriter& w, const ManifestEntry& e) {
+    w.WriteBytes(ByteSpan(e.fingerprint.data(), e.fingerprint.size()));
   }
-  static StatusOr<Fingerprint> ReadMeta(BitReader& r) {
+  static StatusOr<ManifestEntry> ReadMeta(BitReader& r) {
     FSYNC_ASSIGN_OR_RETURN(Bytes fp_bytes, r.ReadBytes(16));
-    Fingerprint fp;
-    std::copy(fp_bytes.begin(), fp_bytes.end(), fp.begin());
-    return fp;
+    ManifestEntry e;
+    std::copy(fp_bytes.begin(), fp_bytes.end(), e.fingerprint.begin());
+    return e;
+  }
+  static bool Same(const ManifestEntry& a, const ManifestEntry& b) {
+    return a.fingerprint == b.fingerprint;
   }
 };
 
 }  // namespace
 
-FileDigestMap DigestCollection(const std::map<std::string, Bytes>& files) {
-  const std::vector<Fingerprint> fps = FileFingerprints(files);
-  FileDigestMap out;
-  size_t i = 0;
-  for (const auto& kv : files) {
-    out.emplace_hint(out.end(), kv.first, fps[i++]);
-  }
-  return out;
-}
-
-uint64_t FullExchangeBytes(const FileDigestMap& client_files) {
+uint64_t FullExchangeBytes(const Manifest& client_files) {
   uint64_t total = 0;
-  for (const auto& [name, fp] : client_files) {
+  for (const auto& [name, entry] : client_files) {
     total += 16 + name.size() + 1;
   }
   return total;
 }
 
-StatusOr<ReconcileResult> MerkleReconcile(const FileDigestMap& client_files,
-                                          const FileDigestMap& server_files,
+StatusOr<ReconcileResult> MerkleReconcile(const Manifest& client_files,
+                                          const Manifest& server_files,
                                           const MerkleParams& params,
                                           SimulatedChannel& channel,
                                           obs::SyncObserver* obs) {
@@ -67,7 +59,7 @@ StatusOr<ReconcileResult> MerkleReconcile(const FileDigestMap& client_files,
   result.stale = std::move(diff.stale);
   result.extra = std::move(diff.extra);
   result.rounds = diff.rounds;
-  result.stats = channel.stats();
+  result.stats = diff.stats;
   return result;
 }
 

@@ -10,21 +10,14 @@
 #ifndef FSYNC_RECONCILE_MERKLE_H_
 #define FSYNC_RECONCILE_MERKLE_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "fsync/hash/fingerprint.h"
 #include "fsync/net/channel.h"
+#include "fsync/reconcile/manifest.h"
 #include "fsync/util/status.h"
 
 namespace fsx {
-
-/// (name -> content fingerprint) of one replica's files.
-using FileDigestMap = std::map<std::string, Fingerprint>;
-
-/// Computes the digest map of a collection snapshot.
-FileDigestMap DigestCollection(const std::map<std::string, Bytes>& files);
 
 /// What the reconciliation discovered (from the client's perspective).
 struct ReconcileResult {
@@ -33,38 +26,25 @@ struct ReconcileResult {
   std::vector<std::string> stale;
   /// Files only the client has: to be deleted under mirror semantics.
   std::vector<std::string> extra;
+  /// This walk's traffic only (deltas of the channel's TrafficStats).
   TrafficStats stats;
   int rounds = 0;
 };
 
-/// Reconciliation tuning.
-struct MerkleParams {
-  /// Trie node hashes are truncated to this many bytes on the wire.
-  uint32_t node_hash_bytes = 8;
-  /// Subtrees with at most this many leaves are shipped outright instead
-  /// of probed further (cuts roundtrips on small differences).
-  uint32_t leaf_batch = 4;
-  /// Trie levels descended per round: a mismatching node is answered with
-  /// the hashes of its 2^descend_levels descendant subtrees, trading
-  /// per-round hash bytes for proportionally fewer roundtrips. 1
-  /// reproduces the classic binary walk (and its exact wire format);
-  /// the tree-sync driver uses wider descents so the whole manifest
-  /// round finishes in a handful of roundtrips even at 100k files.
-  uint32_t descend_levels = 1;
-};
-
 /// Runs the trie walk between a client holding `client_files` and a
-/// server holding `server_files`, over `channel`. Exact: the returned
-/// sets always equal the true difference.
-StatusOr<ReconcileResult> MerkleReconcile(const FileDigestMap& client_files,
-                                          const FileDigestMap& server_files,
+/// server holding `server_files`, over `channel`. Only each entry's
+/// fingerprint rides the wire, is hashed, or is compared; size and mode
+/// are ignored. Exact: the returned sets always equal the true
+/// difference.
+StatusOr<ReconcileResult> MerkleReconcile(const Manifest& client_files,
+                                          const Manifest& server_files,
                                           const MerkleParams& params,
                                           SimulatedChannel& channel,
                                           obs::SyncObserver* obs = nullptr);
 
 /// Baseline for comparison: the full fingerprint exchange used by
 /// SyncCollection (client sends every (name, fingerprint)).
-uint64_t FullExchangeBytes(const FileDigestMap& client_files);
+uint64_t FullExchangeBytes(const Manifest& client_files);
 
 }  // namespace fsx
 

@@ -3,15 +3,16 @@
 // ManifestReconcile (manifest.h) run the same top-down walk: each side
 // builds a binary trie keyed by H(name); the client probes nodes, the
 // server answers with either two child hashes or the subtree's leaf
-// entries, and the walk descends only where the hashes disagree. The
-// two protocols differ only in the per-entry payload (the `Meta`), so
-// the walk is a template over a small codec:
+// entries, and the walk descends only where the hashes disagree. Both
+// walk a Manifest; they differ only in which fields of a ManifestEntry
+// an entry carries (the fingerprint alone, or all of it), so the walk
+// is a template over a small codec:
 //
 //   struct Codec {
-//     using Meta = ...;                    // ==-comparable entry payload
-//     static void AppendMeta(Bytes&, const Meta&);      // node hashing
-//     static void WriteMeta(BitWriter&, const Meta&);   // leaf wire form
-//     static StatusOr<Meta> ReadMeta(BitReader&);
+//     static void AppendMeta(Bytes&, const ManifestEntry&);     // node hash
+//     static void WriteMeta(BitWriter&, const ManifestEntry&);  // leaf wire
+//     static StatusOr<ManifestEntry> ReadMeta(BitReader&);
+//     static bool Same(const ManifestEntry&, const ManifestEntry&);
 //   };
 //
 // This header is an implementation detail of fsync/reconcile — include
@@ -29,6 +30,7 @@
 #include "fsync/hash/md5.h"
 #include "fsync/hash/md5_batch.h"
 #include "fsync/net/channel.h"
+#include "fsync/reconcile/manifest.h"
 #include "fsync/util/bit_io.h"
 #include "fsync/util/status.h"
 
@@ -93,30 +95,26 @@ inline constexpr uint64_t kReplyChildren = 1;  // two child hashes follow
 inline constexpr uint64_t kReplySame = 2;      // root only: hashes matched
 
 // One replica entry under its 64-bit trie key H(name). `name` and
-// `meta` point into the caller's map, which outlives the walk.
-template <typename Meta>
+// `meta` point into the caller's manifest, which outlives the walk.
 struct Entry {
   uint64_t key = 0;
   const std::string* name = nullptr;
-  const Meta* meta = nullptr;
+  const ManifestEntry* meta = nullptr;
 };
 
 // One replica's side of the walk: its entries sorted by (key, name), and
 // each entry's node-hash preimage (name, 0, AppendMeta) written once, in
 // that order, into one buffer. The entries under a node are a contiguous
 // run, so the node's hash is the MD5 of one slice of `preimage`.
-template <typename Meta>
 struct TrieSide {
-  std::vector<Entry<Meta>> entries;
+  std::vector<Entry> entries;
   Bytes preimage;
   std::vector<size_t> offsets;  // entry i is [offsets[i], offsets[i + 1])
 };
 
 template <typename Codec>
-TrieSide<typename Codec::Meta> BuildSide(
-    const std::map<std::string, typename Codec::Meta>& files) {
-  using Meta = typename Codec::Meta;
-  TrieSide<Meta> side;
+TrieSide BuildSide(const Manifest& files) {
+  TrieSide side;
   std::vector<ByteSpan> names;
   names.reserve(files.size());
   size_t name_bytes = 0;
@@ -133,14 +131,15 @@ TrieSide<typename Codec::Meta> BuildSide(
     side.entries.push_back({keys[i++], &name, &meta});
   }
   std::sort(side.entries.begin(), side.entries.end(),
-            [](const Entry<Meta>& a, const Entry<Meta>& b) {
+            [](const Entry& a, const Entry& b) {
               return a.key != b.key ? a.key < b.key : *a.name < *b.name;
             });
-  // A Meta's fixed-width hash form is never larger than the Meta itself.
-  side.preimage.reserve(name_bytes + files.size() * (1 + sizeof(Meta)));
+  // An entry's fixed-width hash form is never larger than the entry.
+  side.preimage.reserve(name_bytes +
+                        files.size() * (1 + sizeof(ManifestEntry)));
   side.offsets.reserve(files.size() + 1);
   side.offsets.push_back(0);
-  for (const Entry<Meta>& e : side.entries) {
+  for (const Entry& e : side.entries) {
     Append(side.preimage, AsBytes(*e.name));
     side.preimage.push_back(0);
     Codec::AppendMeta(side.preimage, *e.meta);
@@ -150,9 +149,8 @@ TrieSide<typename Codec::Meta> BuildSide(
 }
 
 // Half-open range of entries under `node`.
-template <typename Meta>
-std::pair<size_t, size_t> NodeRange(const std::vector<Entry<Meta>>& entries,
-                                    NodeId node) {
+inline std::pair<size_t, size_t> NodeRange(const std::vector<Entry>& entries,
+                                           NodeId node) {
   if (node.depth == 0) {
     return {0, entries.size()};
   }
@@ -163,35 +161,32 @@ std::pair<size_t, size_t> NodeRange(const std::vector<Entry<Meta>>& entries,
           : node.prefix | ((uint64_t{1} << (64 - node.depth)) - 1);
   auto lo = std::lower_bound(
       entries.begin(), entries.end(), lo_key,
-      [](const Entry<Meta>& e, uint64_t k) { return e.key < k; });
+      [](const Entry& e, uint64_t k) { return e.key < k; });
   auto hi = std::upper_bound(
       entries.begin(), entries.end(), hi_key,
-      [](uint64_t k, const Entry<Meta>& e) { return k < e.key; });
+      [](uint64_t k, const Entry& e) { return k < e.key; });
   return {static_cast<size_t>(lo - entries.begin()),
           static_cast<size_t>(hi - entries.begin())};
 }
 
 // The node-hash preimage of every entry under `node`.
-template <typename Meta>
-ByteSpan NodePreimage(const TrieSide<Meta>& side, NodeId node) {
+inline ByteSpan NodePreimage(const TrieSide& side, NodeId node) {
   auto [lo, hi] = NodeRange(side.entries, node);
   return ByteSpan(side.preimage)
       .subspan(side.offsets[lo], side.offsets[hi] - side.offsets[lo]);
 }
 
 // A node hash: the low 8 * hash_bytes bits of the MD5 of its preimage.
-template <typename Meta>
-uint64_t NodeHash(const TrieSide<Meta>& side, NodeId node,
-                  uint32_t hash_bytes) {
+inline uint64_t NodeHash(const TrieSide& side, NodeId node,
+                         uint32_t hash_bytes) {
   return Md5::HashBits(NodePreimage(side, node), 8 * hash_bytes);
 }
 
 // NodeHash of each of the 2^levels descendants of `node`, in key order,
 // hashed in one batched call.
-template <typename Meta>
-std::vector<uint64_t> DescendantHashes(const TrieSide<Meta>& side,
-                                       NodeId node, int levels,
-                                       uint32_t hash_bytes) {
+inline std::vector<uint64_t> DescendantHashes(const TrieSide& side,
+                                              NodeId node, int levels,
+                                              uint32_t hash_bytes) {
   const size_t count = size_t{1} << levels;
   std::vector<ByteSpan> slices(count);
   for (size_t idx = 0; idx < count; ++idx) {
@@ -204,8 +199,7 @@ std::vector<uint64_t> DescendantHashes(const TrieSide<Meta>& side,
 }
 
 template <typename Codec>
-void WriteEntryList(BitWriter& w,
-                    const std::vector<Entry<typename Codec::Meta>>& entries,
+void WriteEntryList(BitWriter& w, const std::vector<Entry>& entries,
                     size_t lo, size_t hi) {
   w.WriteVarint(hi - lo);
   for (size_t i = lo; i < hi; ++i) {
@@ -216,12 +210,11 @@ void WriteEntryList(BitWriter& w,
 }
 
 /// What the trie walk discovered (from the client's perspective).
-template <typename Meta>
 struct TrieDiff {
   /// Paths whose metadata differs or that only the server has, with the
   /// server-side metadata the walk delivered for them.
   std::vector<std::string> stale;
-  std::map<std::string, Meta> stale_entries;
+  Manifest stale_entries;
   /// Paths only the client has (deleted under mirror semantics).
   std::vector<std::string> extra;
   TrafficStats stats;  // this walk's traffic only (channel deltas)
@@ -235,24 +228,22 @@ struct TrieDiff {
 /// entry lists); the legacy fingerprint protocol uses candidate/literal
 /// phases, the manifest protocol charges everything to Phase::kManifest.
 template <typename Codec>
-StatusOr<TrieDiff<typename Codec::Meta>> TrieReconcile(
-    const std::map<std::string, typename Codec::Meta>& client_files,
-    const std::map<std::string, typename Codec::Meta>& server_files,
+StatusOr<TrieDiff> TrieReconcile(
+    const Manifest& client_files, const Manifest& server_files,
     uint32_t node_hash_bytes, uint32_t leaf_batch, uint32_t descend_levels,
     SimulatedChannel& channel, obs::SyncObserver* obs,
     obs::Phase probe_phase, obs::Phase leaves_phase) {
   using Dir = SimulatedChannel::Direction;
-  using Meta = typename Codec::Meta;
   if (node_hash_bytes == 0 || node_hash_bytes > 8) {
     return Status::InvalidArgument("merkle: node_hash_bytes in [1,8]");
   }
   if (descend_levels == 0 || descend_levels > 8) {
     return Status::InvalidArgument("merkle: descend_levels in [1,8]");
   }
-  TrieDiff<Meta> result;
+  TrieDiff result;
   const TrafficStats before = channel.stats();
-  const TrieSide<Meta> client = BuildSide<Codec>(client_files);
-  const TrieSide<Meta> server = BuildSide<Codec>(server_files);
+  const TrieSide client = BuildSide<Codec>(client_files);
+  const TrieSide server = BuildSide<Codec>(server_files);
 
   // Tracks which client entries were covered by a mismatching subtree the
   // server enumerated; anything it has that the server's list lacks is
@@ -358,14 +349,14 @@ StatusOr<TrieDiff<typename Codec::Meta>> TrieReconcile(
       if (n_entries > reply_msg.size()) {
         return Status::DataLoss("merkle: implausible entry count");
       }
-      std::map<std::string, Meta> server_side;
+      Manifest server_side;
       for (uint64_t e = 0; e < n_entries; ++e) {
         FSYNC_ASSIGN_OR_RETURN(uint64_t len, rin.ReadVarint());
         if (len > 4096) {
           return Status::DataLoss("merkle: implausible name length");
         }
         FSYNC_ASSIGN_OR_RETURN(Bytes name_bytes, rin.ReadBytes(len));
-        FSYNC_ASSIGN_OR_RETURN(Meta meta, Codec::ReadMeta(rin));
+        FSYNC_ASSIGN_OR_RETURN(ManifestEntry meta, Codec::ReadMeta(rin));
         server_side[ToString(name_bytes)] = meta;
       }
       // Compare against the client's entries in this subtree.
@@ -376,7 +367,7 @@ StatusOr<TrieDiff<typename Codec::Meta>> TrieReconcile(
         if (it == server_side.end()) {
           result.extra.push_back(name);
         } else {
-          if (it->second != *client.entries[k].meta) {
+          if (!Codec::Same(it->second, *client.entries[k].meta)) {
             result.stale.push_back(name);
             result.stale_entries[name] = it->second;
           }

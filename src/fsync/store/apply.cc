@@ -33,7 +33,7 @@ StatusOr<Bytes> ReadFileBytes(const fs::path& p) {
 
 /// The manifest entry of `content`.
 ManifestEntry EntryOf(ByteSpan content) {
-  return ManifestEntry{content.size(), FileFingerprint(content)};
+  return ManifestEntry{FileFingerprint(content), content.size()};
 }
 
 /// The file as it exists on disk right now, in manifest terms; nullopt
@@ -510,7 +510,7 @@ StatusOr<ApplyReport> ApplyTreeWithAdopts(const std::string& root,
   const std::vector<Fingerprint> fps = FileFingerprints(files);
   size_t i = 0;
   for (const auto& [name, data] : files) {
-    Status s = txn.StageFile(name, data, ManifestEntry{data.size(), fps[i++]},
+    Status s = txn.StageFile(name, data, ManifestEntry{fps[i++], data.size()},
                              expected_entry(name), FileOp::kWrite, {});
     if (!s.ok() && s.code() != StatusCode::kAborted) {
       return fail(s);

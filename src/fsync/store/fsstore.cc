@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <memory>
 
-#include "fsync/hash/md5.h"
 #include "fsync/store/journal.h"
 #include "fsync/store/tree_walk.h"
 #include "fsync/store/vfs.h"
@@ -65,7 +64,7 @@ bool IsSafeRelativePath(const std::string& path) {
   size_t start = 0;
   for (size_t i = 0; i <= path.size(); ++i) {
     if (i < path.size() && path[i] != '/') {
-      if (path[i] == '\0' || path[i] == '\\') {
+      if (path[i] == '\0' || path[i] == '\n' || path[i] == '\\') {
         return false;
       }
       continue;
@@ -81,35 +80,6 @@ bool IsSafeRelativePath(const std::string& path) {
     start = i + 1;
   }
   return true;
-}
-
-Manifest BuildManifest(const Collection& files) {
-  const std::vector<Fingerprint> fps = FileFingerprints(files);
-  Manifest m;
-  size_t i = 0;
-  for (const auto& [name, data] : files) {
-    m.emplace_hint(m.end(), name, ManifestEntry{data.size(), fps[i++]});
-  }
-  return m;
-}
-
-Fingerprint ManifestDigest(const Manifest& manifest) {
-  Md5 h;
-  uint8_t len[8];
-  for (const auto& [name, e] : manifest) {
-    for (int i = 0; i < 8; ++i) {
-      len[i] = static_cast<uint8_t>(uint64_t{name.size()} >> (8 * i));
-    }
-    h.Update(ByteSpan(len, sizeof(len)));
-    h.Update(ByteSpan(reinterpret_cast<const uint8_t*>(name.data()),
-                      name.size()));
-    for (int i = 0; i < 8; ++i) {
-      len[i] = static_cast<uint8_t>(e.size >> (8 * i));
-    }
-    h.Update(ByteSpan(len, sizeof(len)));
-    h.Update(ByteSpan(e.fingerprint.data(), e.fingerprint.size()));
-  }
-  return h.Finish();
 }
 
 Bytes SerializeManifest(const Manifest& manifest) {
@@ -200,13 +170,15 @@ StatusOr<Collection> LoadTree(const std::string& root) {
 
 Status StoreTree(const std::string& root, const Collection& files,
                  bool delete_extra, bool write_manifest) {
-  std::error_code ec;
-  fs::path base(root);
-  fs::create_directories(base, ec);
   for (const auto& [name, data] : files) {
     if (!IsSafeRelativePath(name)) {
       return Status::InvalidArgument("unsafe path in collection: " + name);
     }
+  }
+  std::error_code ec;
+  fs::path base(root);
+  fs::create_directories(base, ec);
+  for (const auto& [name, data] : files) {
     FSYNC_RETURN_IF_ERROR(WriteFileAtomic(base / name, data));
   }
   if (delete_extra) {

@@ -10,43 +10,25 @@
 
 #include "fsync/core/checkpoint.h"
 #include "fsync/core/collection.h"
-#include "fsync/hash/fingerprint.h"
+#include "fsync/reconcile/manifest.h"
 #include "fsync/util/status.h"
 
 namespace fsx {
 
 /// True when `path` is a safe tree-relative name: non-empty, '/'
 /// separated, with no empty, "." or ".." components, no leading '/',
-/// and no NUL or backslash bytes. Everything that turns wire data into
-/// filesystem paths (apply transactions, the netd client's manifest
-/// handling) must reject anything else *before* touching the
-/// filesystem — a hostile manifest must not be able to write outside
-/// the tree.
+/// and no NUL, newline or backslash bytes (the text manifest is one
+/// line per file, so it cannot carry a newline). Everything that turns
+/// wire data into filesystem paths (apply transactions, the netd
+/// client's manifest handling) must reject anything else *before*
+/// touching the filesystem — a hostile manifest must not be able to
+/// write outside the tree.
 bool IsSafeRelativePath(const std::string& path);
 
-/// Per-file metadata recorded in a manifest.
-struct ManifestEntry {
-  uint64_t size = 0;
-  Fingerprint fingerprint{};
-
-  friend bool operator==(const ManifestEntry&,
-                         const ManifestEntry&) = default;
-};
-
-/// Snapshot manifest: relative path -> metadata.
-using Manifest = std::map<std::string, ManifestEntry>;
-
-/// Computes the manifest of an in-memory collection.
-Manifest BuildManifest(const Collection& files);
-
-/// Deterministic digest of a whole manifest: MD5 over the sorted
-/// (length-prefixed path, size, fingerprint) entries. Equal digests
-/// mean byte-identical trees — the one-message fast path before any
-/// reconciliation round.
-Fingerprint ManifestDigest(const Manifest& manifest);
-
-/// Serializes / parses the manifest (stable text format, one line per
-/// file: "<hex fingerprint> <size> <path>\n", sorted by path).
+/// Serializes / parses a Manifest (reconcile/manifest.h) in a stable
+/// text format, one line per file: "<hex fingerprint> <size> <path>\n",
+/// sorted by path. The mode is not written; a parsed entry carries the
+/// default 0644.
 Bytes SerializeManifest(const Manifest& manifest);
 StatusOr<Manifest> ParseManifest(ByteSpan data);
 
@@ -57,10 +39,12 @@ StatusOr<Manifest> ParseManifest(ByteSpan data);
 /// the walk cannot read is kInternal, never a silently partial tree.
 StatusOr<Collection> LoadTree(const std::string& root);
 
-/// Writes `files` under `root`, creating directories as needed. Each
-/// file is staged to `<name>.fsx-tmp` and renamed into place, so a
-/// killed process leaves every file either old or new, never torn (for
-/// durability across power loss use the journaled store::ApplyTree).
+/// Writes `files` under `root`, creating directories as needed; a name
+/// IsSafeRelativePath rejects is kInvalidArgument before anything is
+/// written. Each file is staged to `<name>.fsx-tmp` and renamed into
+/// place, so a killed process leaves every file either old or new,
+/// never torn (for durability across power loss use the journaled
+/// store::ApplyTree).
 /// With `delete_extra`, regular files not in `files` are removed
 /// (mirror semantics) — except fsstore/apply bookkeeping artifacts
 /// (manifest, journals, staged temps); a directory the mirror walk

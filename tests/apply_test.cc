@@ -237,8 +237,8 @@ TEST_F(ApplyTest, EditOfAnUnchangedFileIsAConflictAtAnySize) {
 
     // The committed manifest records what the user left on disk.
     Manifest on_disk = BuildManifest(next);
-    on_disk["a.txt"] = ManifestEntry{edit.size(),
-                                     FileFingerprint(ToBytes(edit))};
+    on_disk["a.txt"] = ManifestEntry{FileFingerprint(ToBytes(edit)),
+                                     edit.size()};
     EXPECT_EQ(CommittedManifest(root_), on_disk);
     auto dirty = VerifyTree(root_);
     ASSERT_TRUE(dirty.ok());

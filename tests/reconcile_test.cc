@@ -7,20 +7,21 @@
 namespace fsx {
 namespace {
 
-FileDigestMap MakeDigests(uint64_t seed, int n, const std::string& prefix) {
+// A manifest of `n` random fingerprints (the walk reads nothing else).
+Manifest MakeDigests(uint64_t seed, int n, const std::string& prefix) {
   Rng rng(seed);
-  FileDigestMap out;
+  Manifest out;
   for (int i = 0; i < n; ++i) {
     Fingerprint fp;
     Bytes r = rng.RandomBytes(16);
     std::copy(r.begin(), r.end(), fp.begin());
-    out[prefix + std::to_string(i)] = fp;
+    out[prefix + std::to_string(i)] = ManifestEntry{fp};
   }
   return out;
 }
 
-ReconcileResult MustReconcile(const FileDigestMap& client,
-                              const FileDigestMap& server,
+ReconcileResult MustReconcile(const Manifest& client,
+                              const Manifest& server,
                               const MerkleParams& params = {}) {
   SimulatedChannel channel;
   auto r = MerkleReconcile(client, server, params, channel);
@@ -29,17 +30,18 @@ ReconcileResult MustReconcile(const FileDigestMap& client,
 }
 
 // Reference answer computed directly.
-void ExpectExact(const FileDigestMap& client, const FileDigestMap& server,
+void ExpectExact(const Manifest& client, const Manifest& server,
                  const ReconcileResult& r) {
   std::vector<std::string> want_stale;
   std::vector<std::string> want_extra;
-  for (const auto& [name, fp] : server) {
+  for (const auto& [name, entry] : server) {
     auto it = client.find(name);
-    if (it == client.end() || it->second != fp) {
+    if (it == client.end() ||
+        it->second.fingerprint != entry.fingerprint) {
       want_stale.push_back(name);
     }
   }
-  for (const auto& [name, fp] : client) {
+  for (const auto& [name, entry] : client) {
     if (!server.contains(name)) {
       want_extra.push_back(name);
     }
@@ -49,7 +51,7 @@ void ExpectExact(const FileDigestMap& client, const FileDigestMap& server,
 }
 
 TEST(Merkle, IdenticalSetsCostOneRound) {
-  FileDigestMap files = MakeDigests(1, 500, "f");
+  Manifest files = MakeDigests(1, 500, "f");
   ReconcileResult r = MustReconcile(files, files);
   EXPECT_TRUE(r.stale.empty());
   EXPECT_TRUE(r.extra.empty());
@@ -58,9 +60,9 @@ TEST(Merkle, IdenticalSetsCostOneRound) {
 }
 
 TEST(Merkle, SingleChangedFileFound) {
-  FileDigestMap client = MakeDigests(2, 1000, "f");
-  FileDigestMap server = client;
-  server["f123"][0] ^= 0xFF;
+  Manifest client = MakeDigests(2, 1000, "f");
+  Manifest server = client;
+  server["f123"].fingerprint[0] ^= 0xFF;
   ReconcileResult r = MustReconcile(client, server);
   ASSERT_EQ(r.stale.size(), 1u);
   EXPECT_EQ(r.stale[0], "f123");
@@ -70,19 +72,18 @@ TEST(Merkle, SingleChangedFileFound) {
 }
 
 TEST(Merkle, AddedAndRemovedFiles) {
-  FileDigestMap client = MakeDigests(3, 200, "f");
-  FileDigestMap server = client;
+  Manifest client = MakeDigests(3, 200, "f");
+  Manifest server = client;
   server.erase("f7");
   server.erase("f42");
-  Fingerprint fp{};
-  server["brand/new"] = fp;
+  server["brand/new"] = ManifestEntry{};
   ReconcileResult r = MustReconcile(client, server);
   ExpectExact(client, server, r);
 }
 
 TEST(Merkle, DisjointSets) {
-  FileDigestMap client = MakeDigests(4, 50, "a");
-  FileDigestMap server = MakeDigests(5, 50, "b");
+  Manifest client = MakeDigests(4, 50, "a");
+  Manifest server = MakeDigests(5, 50, "b");
   ReconcileResult r = MustReconcile(client, server);
   ExpectExact(client, server, r);
   EXPECT_EQ(r.stale.size(), 50u);
@@ -90,7 +91,7 @@ TEST(Merkle, DisjointSets) {
 }
 
 TEST(Merkle, EmptySides) {
-  FileDigestMap files = MakeDigests(6, 20, "f");
+  Manifest files = MakeDigests(6, 20, "f");
   ReconcileResult a = MustReconcile({}, files);
   EXPECT_EQ(a.stale.size(), 20u);
   ReconcileResult b = MustReconcile(files, {});
@@ -101,12 +102,12 @@ TEST(Merkle, EmptySides) {
 }
 
 TEST(Merkle, CostScalesWithChangesNotCollectionSize) {
-  FileDigestMap small_client = MakeDigests(7, 100, "f");
-  FileDigestMap big_client = MakeDigests(7, 10000, "f");
-  FileDigestMap small_server = small_client;
-  FileDigestMap big_server = big_client;
-  small_server["f5"][0] ^= 1;
-  big_server["f5"][0] ^= 1;
+  Manifest small_client = MakeDigests(7, 100, "f");
+  Manifest big_client = MakeDigests(7, 10000, "f");
+  Manifest small_server = small_client;
+  Manifest big_server = big_client;
+  small_server["f5"].fingerprint[0] ^= 1;
+  big_server["f5"].fingerprint[0] ^= 1;
   ReconcileResult rs = MustReconcile(small_client, small_server);
   ReconcileResult rb = MustReconcile(big_client, big_server);
   // 100x the files must cost far less than 100x the bytes (log growth).
@@ -118,8 +119,8 @@ class MerkleFuzz : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(MerkleFuzz, AlwaysExact) {
   Rng rng(GetParam());
   int n = 1 + static_cast<int>(rng.Uniform(400));
-  FileDigestMap client = MakeDigests(GetParam() * 13 + 1, n, "f");
-  FileDigestMap server = client;
+  Manifest client = MakeDigests(GetParam() * 13 + 1, n, "f");
+  Manifest server = client;
   // Random churn.
   int changes = static_cast<int>(rng.Uniform(20));
   for (int i = 0; i < changes; ++i) {
@@ -127,7 +128,8 @@ TEST_P(MerkleFuzz, AlwaysExact) {
       case 0: {  // modify
         auto it = server.begin();
         std::advance(it, rng.Uniform(server.size()));
-        it->second[rng.Uniform(16)] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+        it->second.fingerprint[rng.Uniform(16)] ^=
+            static_cast<uint8_t>(1 + rng.Uniform(255));
         break;
       }
       case 1: {  // delete
@@ -142,7 +144,7 @@ TEST_P(MerkleFuzz, AlwaysExact) {
         Fingerprint fp;
         Bytes r = rng.RandomBytes(16);
         std::copy(r.begin(), r.end(), fp.begin());
-        server["new" + std::to_string(rng.Uniform(1000))] = fp;
+        server["new" + std::to_string(rng.Uniform(1000))] = ManifestEntry{fp};
         break;
       }
     }
@@ -157,14 +159,42 @@ TEST_P(MerkleFuzz, AlwaysExact) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MerkleFuzz,
                          ::testing::Range<uint64_t>(0, 25));
 
-TEST(Merkle, DigestCollectionMatchesFingerprints) {
+TEST(Merkle, WalksOnOneChannelReportTheirOwnTraffic) {
+  Manifest client = MakeDigests(9, 300, "f");
+  Manifest server = client;
+  server["f17"].fingerprint[0] ^= 1;
+  SimulatedChannel channel;
+  auto first = MerkleReconcile(client, server, MerkleParams{}, channel);
+  auto second = MerkleReconcile(client, server, MerkleParams{}, channel);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_GT(first->stats.total_bytes(), 0u);
+  EXPECT_EQ(second->stats.client_to_server_bytes,
+            first->stats.client_to_server_bytes);
+  EXPECT_EQ(second->stats.server_to_client_bytes,
+            first->stats.server_to_client_bytes);
+  EXPECT_EQ(second->stats.roundtrips, first->stats.roundtrips);
+}
+
+TEST(Merkle, BuildManifestMatchesFingerprints) {
+  // Sizes from empty to past a few MD5 blocks, so the four-lane batch
+  // and every thread-count split see uneven files.
   Rng rng(8);
   std::map<std::string, Bytes> files;
-  files["a"] = SynthSourceFile(rng, 1000);
-  files["b"] = SynthSourceFile(rng, 2000);
-  FileDigestMap digests = DigestCollection(files);
-  EXPECT_EQ(digests.at("a"), FileFingerprint(files.at("a")));
-  EXPECT_EQ(digests.at("b"), FileFingerprint(files.at("b")));
+  for (int i = 0; i < 23; ++i) {
+    files["f" + std::to_string(i)] =
+        rng.RandomBytes(static_cast<size_t>(rng.Uniform(600)));
+  }
+  files["empty"] = {};
+  files["src.c"] = SynthSourceFile(rng, 2000);
+  const Manifest serial = BuildManifest(files);
+  ASSERT_EQ(serial.size(), files.size());
+  for (const auto& [name, data] : files) {
+    const ManifestEntry want{FileFingerprint(data), data.size(), 0644};
+    EXPECT_EQ(serial.at(name), want) << name;
+  }
+  for (int n : {1, 2, 3, 8}) {
+    EXPECT_EQ(BuildManifest(files, n), serial) << n << " threads";
+  }
 }
 
 }  // namespace

@@ -81,6 +81,16 @@ TEST_F(StoreTest, RejectsUnsafePaths) {
   EXPECT_FALSE(StoreTree(root_, evil2, false).ok());
 }
 
+TEST_F(StoreTest, NewlineInANameIsRefusedBeforeAnyWrite) {
+  // The text manifest is one line per file: a name with a newline would
+  // commit a manifest that VerifyTree cannot read back.
+  Collection files = SampleCollection(3);
+  files["b\nc"] = ToBytes("split");
+  Status s = StoreTree(root_, files, false, /*write_manifest=*/true);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_FALSE(fs::exists(root_));
+}
+
 TEST(SafePathTest, AcceptsOrdinaryRelativePaths) {
   for (const char* good :
        {"a", "a.txt", "dir/b.txt", "dir/deep/c.bin", "with space/f",
@@ -94,7 +104,7 @@ TEST(SafePathTest, RejectsEscapesAndMalformedPaths) {
   for (const char* evil :
        {"", "/", "/etc/passwd", "../escape", "..", ".",
         "dir/../../escape", "dir/..", "a//b", "a/", "/a", "./a", "a/./b",
-        "a\\b", "..\\escape", "dir/../sibling"}) {
+        "a\\b", "..\\escape", "dir/../sibling", "a\nb"}) {
     EXPECT_FALSE(IsSafeRelativePath(evil)) << evil;
   }
   // Embedded NUL (can truncate a C path downstream).

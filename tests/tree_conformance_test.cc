@@ -15,7 +15,6 @@
 
 #include "fsync/obs/sync_obs.h"
 #include "fsync/reconcile/manifest.h"
-#include "fsync/store/fsstore.h"
 #include "fsync/testing/differential.h"
 #include "fsync/testing/tree_corpus.h"
 #include "fsync/testing/tree_protocols.h"
@@ -140,8 +139,8 @@ TEST(TreeConformance, AllProtocolsPassTheDifferentialSweep) {
 TEST(ManifestReconcileTest, FindsTheExactDifference) {
   const uint64_t seed = SeedFromEnv(11);
   TreeCorpusPair pair = MakeTreeCorpusPair(TreeShape::kMixedChurn, seed);
-  TreeManifest client = BuildTreeManifest(pair.old_tree);
-  TreeManifest server = BuildTreeManifest(pair.new_tree);
+  Manifest client = BuildManifest(pair.old_tree);
+  Manifest server = BuildManifest(pair.new_tree);
 
   SimulatedChannel channel;
   auto diff = ManifestReconcile(client, server, MerkleParams{}, channel);
@@ -181,7 +180,7 @@ TEST(ManifestReconcileTest, FindsTheExactDifference) {
 TEST(ManifestReconcileTest, IdenticalManifestsCostOneExchange) {
   TreeCorpusPair pair =
       MakeTreeCorpusPair(TreeShape::kIdenticalTrees, SeedFromEnv(3));
-  TreeManifest manifest = BuildTreeManifest(pair.old_tree);
+  Manifest manifest = BuildManifest(pair.old_tree);
   SimulatedChannel channel;
   auto diff = ManifestReconcile(manifest, manifest, MerkleParams{}, channel);
   ASSERT_TRUE(diff.ok()) << diff.status().ToString();
@@ -193,8 +192,8 @@ TEST(ManifestReconcileTest, IdenticalManifestsCostOneExchange) {
 
 TEST(DetectAdoptionsTest, PicksTheSmallestSourceDeterministically) {
   Bytes blob = ToBytes("shared content blob");
-  TreeManifest client;
-  TreeEntry entry{FileFingerprint(blob), blob.size(), 0644};
+  Manifest client;
+  ManifestEntry entry{FileFingerprint(blob), blob.size(), 0644};
   client["z/copy.bin"] = entry;
   client["a/copy.bin"] = entry;
   client["m/copy.bin"] = entry;
@@ -218,10 +217,10 @@ TEST(DetectAdoptionsTest, PicksTheSmallestSourceDeterministically) {
 
 TEST(DetectAdoptionsTest, RequiresMatchingModeAndSize) {
   Bytes blob = ToBytes("content whose metadata must match too");
-  TreeEntry server_entry{FileFingerprint(blob), blob.size(), 0644};
+  ManifestEntry server_entry{FileFingerprint(blob), blob.size(), 0644};
 
-  TreeManifest wrong_mode;
-  wrong_mode["exec/copy"] = {server_entry.fp, server_entry.size, 0755};
+  Manifest wrong_mode;
+  wrong_mode["exec/copy"] = {server_entry.fingerprint, server_entry.size, 0755};
   ManifestDiff diff;
   diff.stale = {"dst"};
   diff.stale_entries["dst"] = server_entry;
@@ -229,34 +228,13 @@ TEST(DetectAdoptionsTest, RequiresMatchingModeAndSize) {
   EXPECT_TRUE(diff.adopts.empty()) << "adopted across a mode change";
   EXPECT_EQ(diff.stale, std::vector<std::string>{"dst"});
 
-  TreeManifest wrong_size;
-  wrong_size["trunc/copy"] = {server_entry.fp, server_entry.size + 1, 0644};
+  Manifest wrong_size;
+  wrong_size["trunc/copy"] = {server_entry.fingerprint, server_entry.size + 1, 0644};
   ManifestDiff diff2;
   diff2.stale = {"dst"};
   diff2.stale_entries["dst"] = server_entry;
   DetectAdoptions(wrong_size, diff2);
   EXPECT_TRUE(diff2.adopts.empty()) << "adopted across a size mismatch";
-}
-
-TEST(ManifestDigestTest, EqualIffManifestsEqual) {
-  const uint64_t seed = SeedFromEnv(5);
-  TreeCorpusPair pair = MakeTreeCorpusPair(TreeShape::kMixedChurn, seed);
-  Fingerprint base = ManifestDigest(BuildManifest(pair.old_tree));
-  EXPECT_EQ(base, ManifestDigest(BuildManifest(pair.old_tree)));
-  EXPECT_NE(base, ManifestDigest(BuildManifest(pair.new_tree)));
-
-  // A rename alone — identical bytes under a new path — changes it.
-  Collection renamed = pair.old_tree;
-  auto first = renamed.begin();
-  Bytes data = first->second;
-  renamed.erase(first);
-  renamed["renamed-away.bin"] = data;
-  EXPECT_NE(base, ManifestDigest(BuildManifest(renamed)));
-
-  // A one-byte edit alone changes it.
-  Collection edited = pair.old_tree;
-  edited.begin()->second.back() ^= 0x01;
-  EXPECT_NE(base, ManifestDigest(BuildManifest(edited)));
 }
 
 // ---------------------------------------------------------------------------
