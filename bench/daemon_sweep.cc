@@ -1,6 +1,7 @@
 // Daemon fan-out sweep: N concurrent loopback clients against one real
-// SyncDaemon (epoll event loop, multiplexed per-file streams — the
-// netd/ subsystem, not SimulatedChannel). Measures what the in-process
+// SyncDaemon (epoll event loop, the tree flow on the control stream,
+// multiplexed per-file streams — the netd/ subsystem, not
+// SimulatedChannel). Measures what the in-process
 // fanout_sweep cannot: event-loop scheduling, socket I/O, backpressure,
 // and the shared server cache under true concurrency.
 //

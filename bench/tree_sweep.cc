@@ -4,17 +4,28 @@
 // trees with ~1% churn. The tree protocol's announce cost is
 // O(set difference) instead of O(n) fingerprints, which dominates when
 // almost nothing changed; the high-latency link model converts rounds
-// and bytes into wall-clock over a slow link. --files=N rescales both
-// workloads (default 20000; the headline run uses --files=100000).
+// and bytes into wall-clock over a slow link. The `daemon` row runs the
+// same tree flow over a loopback SyncDaemon and RunSyncClient: its
+// bytes are the physical ones (framing and handshake included), and it
+// has no simulated rounds or link time. --files=N rescales every
+// workload (default 20000; the headline run uses --files=100000).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "bench/bench_util.h"
+#include "fsync/netd/client.h"
+#include "fsync/netd/daemon.h"
 #include "fsync/workload/tree.h"
 
 namespace fsx {
 namespace {
+
+std::string FormatSeconds(double seconds) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.2f", seconds);
+  return buf;
+}
 
 struct Row {
   const char* protocol;
@@ -47,7 +58,7 @@ int RunWorkload(bench::JsonReport& report, const char* dataset,
 
   SyncConfig config;
 
-  for (int which = 0; which < 2; ++which) {
+  for (int which = 0; which < 3; ++which) {
     SimulatedChannel channel;
     obs::SyncObserver observer;
     bench::WallTimer timer;
@@ -67,7 +78,7 @@ int RunWorkload(bench::JsonReport& report, const char* dataset,
       }
       row.stats = r->stats;
       row.rounds = static_cast<uint64_t>(channel.stats().roundtrips);
-    } else {
+    } else if (which == 1) {
       row.protocol = "tree";
       TreeSyncParams params;
       params.config = config;
@@ -87,23 +98,57 @@ int RunWorkload(bench::JsonReport& report, const char* dataset,
       row.adopted = r->files_adopted;
       row.small = r->files_small;
       row.sessioned = r->files_sessioned;
+    } else {
+      row.protocol = "daemon";
+      netd::SyncDaemon daemon(pair.new_tree, netd::DaemonOptions{});
+      Status started = daemon.Start();
+      if (!started.ok()) {
+        std::fprintf(stderr, "daemon start failed: %s\n",
+                     started.ToString().c_str());
+        return 1;
+      }
+      netd::ClientOptions options;
+      options.port = daemon.port();
+      auto r = netd::RunSyncClient(pair.old_tree, options);
+      daemon.Drain();
+      daemon.Join();
+      if (!r.ok()) {
+        std::fprintf(stderr, "daemon sync failed: %s\n",
+                     r.status().ToString().c_str());
+        return 1;
+      }
+      if (r->reconstructed != pair.new_tree) {
+        std::fprintf(stderr, "daemon sync produced a wrong tree\n");
+        return 1;
+      }
+      row.stats.client_to_server_bytes = r->physical_bytes_sent;
+      row.stats.server_to_client_bytes = r->physical_bytes_received;
+      row.adopted = r->files_adopted;
+      row.small = r->files_small;
+      row.sessioned = r->files_sessioned;
     }
     uint64_t wall = timer.Ns();
-    double link_sec = link.TransferSeconds(row.stats);
-    std::printf("%-10s %12.1f %8llu %10.2f %9llu %8llu %10llu %10.1f\n",
+    const bool simulated = which != 2;
+    std::printf("%-10s %12.1f %8s %10s %9llu %8llu %10llu %10.1f\n",
                 row.protocol, row.stats.total_bytes() / 1024.0,
-                static_cast<unsigned long long>(row.rounds), link_sec,
+                simulated ? std::to_string(row.rounds).c_str() : "-",
+                simulated ? FormatSeconds(link.TransferSeconds(row.stats))
+                                .c_str()
+                          : "-",
                 static_cast<unsigned long long>(row.adopted),
                 static_cast<unsigned long long>(row.small),
                 static_cast<unsigned long long>(row.sessioned),
                 wall / 1e6);
     std::string name = std::string(dataset) + ", " + row.protocol;
-    report.Add(name)
-        .Config("protocol", row.protocol)
-        .Config("dataset", dataset)
-        .Observed(observer)
-        .Rounds(row.rounds)
-        .WallNs(wall);
+    bench::BenchResult& result = report.Add(name)
+                                     .Config("protocol", row.protocol)
+                                     .Config("dataset", dataset);
+    if (simulated) {
+      result.Observed(observer).Rounds(row.rounds);
+    } else {
+      result.Traffic(row.stats);
+    }
+    result.WallNs(wall);
   }
   return 0;
 }

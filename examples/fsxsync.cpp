@@ -789,10 +789,12 @@ int Connect(int argc, char** argv) {
     return ExitCodeFor(stored);
   }
   std::printf(
-      "synced %s: %llu files (%llu unchanged, %llu sessioned, "
-      "%llu new, %llu resumed, %llu aborted)\n",
+      "synced %s: %llu files (%llu unchanged, %llu adopted, %llu small, "
+      "%llu sessioned, %llu new, %llu resumed, %llu aborted)\n",
       dir.c_str(), static_cast<unsigned long long>(result->files_total),
       static_cast<unsigned long long>(result->files_unchanged),
+      static_cast<unsigned long long>(result->files_adopted),
+      static_cast<unsigned long long>(result->files_small),
       static_cast<unsigned long long>(result->files_sessioned),
       static_cast<unsigned long long>(result->files_new),
       static_cast<unsigned long long>(result->files_resumed),

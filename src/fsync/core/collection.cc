@@ -9,6 +9,7 @@
 #include "fsync/core/endpoint.h"
 #include "fsync/core/file_session.h"
 #include "fsync/core/server_cache.h"
+#include "fsync/core/tree_session.h"
 #include "fsync/hash/fingerprint.h"
 #include "fsync/par/thread_pool.h"
 #include "fsync/util/bit_io.h"
@@ -282,29 +283,6 @@ StatusOr<MultiplexTotals> RunMultiplexedSessions(
   return totals;
 }
 
-// Stream-compresses `data`, memoized under its content fingerprint (the
-// compressed payload is a pure function of the bytes, so the key needs
-// nothing else). Serves the tree driver's small-file bundles: in a
-// fan-out every client's bundle re-compresses the same files.
-Bytes CachedCompress(cache::SyncCache* cache, const Fingerprint& fp,
-                     ByteSpan data, obs::SyncObserver* obs) {
-  if (cache == nullptr) {
-    return Compress(data);
-  }
-  const cache::CacheKey key = cache::ContentKey(fp, /*tag=*/0);
-  if (std::optional<cache::SyncCache::Hit> hit = cache->Get(key, obs)) {
-    return std::move(hit->payload);
-  }
-  const auto start = std::chrono::steady_clock::now();
-  Bytes comp = Compress(data);
-  const uint64_t ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  cache->Put(key, comp, {}, ns, obs);
-  return comp;
-}
-
 }  // namespace
 
 StatusOr<CollectionSyncResult> SyncCollection(const Collection& client,
@@ -557,7 +535,9 @@ StatusOr<CollectionSyncResult> SyncCollectionBatchedImpl(
   return result;
 }
 
-// SyncCollectionTree; `fingerprint_hints` as in BuildFileSessions.
+// SyncCollectionTree; `fingerprint_hints` as in BuildFileSessions. The
+// tree-level decisions are the halves' (core/tree_session.h); this loop
+// moves their messages and runs the large files' sessions.
 StatusOr<TreeSyncResult> SyncCollectionTreeImpl(const Collection& client,
                                                 const Collection& server,
                                                 const TreeSyncParams& params,
@@ -566,139 +546,47 @@ StatusOr<TreeSyncResult> SyncCollectionTreeImpl(const Collection& client,
                                                 bool fingerprint_hints) {
   using Dir = SimulatedChannel::Direction;
   FSYNC_RETURN_IF_ERROR(ValidateSyncConfig(params.config));
+  FSYNC_RETURN_IF_ERROR(ValidateMerkleParams(params.merkle));
   ObservedSession scope(channel, obs, "session-tree");
-  TreeSyncResult result;
-  result.files_total = server.size();
+  TreeSyncClient tree_client(client, params, obs);
+  const TreeSnapshot snapshot(server, params);
+  TreeSyncServer tree_server(snapshot, obs);
 
   // --- 1. Manifest reconciliation (trie walk, Phase::kManifest). ---
-  const Manifest client_manifest =
-      BuildManifest(client, params.config.num_threads);
-  const Manifest server_manifest =
-      BuildManifest(server, params.config.num_threads);
-  FSYNC_ASSIGN_OR_RETURN(
-      ManifestDiff diff,
-      ManifestReconcile(client_manifest, server_manifest, params.merkle,
-                        channel, obs));
-  if (obs != nullptr) {
-    obs->set_protocol("session-tree");  // the nested scope renamed it
-  }
-  result.manifest_rounds = diff.rounds;
-  result.manifest_bytes = diff.stats.total_bytes();
+  const TrafficStats before = channel.stats();
+  FSYNC_RETURN_IF_ERROR(reconcile_internal::PumpWalk(
+      tree_client, tree_server, channel, obs, obs::Phase::kManifest,
+      obs::Phase::kManifest));
+  TreeSyncResult& result = tree_client.result();
+  result.manifest_bytes = TrafficSince(before, channel.stats()).total_bytes();
 
-  // Mirror semantics, applied locally: start from the client snapshot,
-  // drop client-only files, adopt content the client already holds under
-  // another path (zero wire bytes past the walk).
-  result.reconstructed = client;
-  for (const std::string& path : diff.extra) {
-    result.reconstructed.erase(path);
-  }
-  for (const AdoptOp& op : diff.adopts) {
-    result.reconstructed[op.path] = client.at(op.from);
-    obs::AddEvent(obs, obs::Event::kRenameAdopted);
-  }
-  result.files_adopted = diff.adopts.size();
-  result.files_unchanged =
-      server.size() - diff.adopts.size() - diff.stale.size();
-  for (const std::string& path : diff.stale) {
-    if (!client.contains(path)) {
-      ++result.files_new;
-    }
-  }
-  for (const AdoptOp& op : diff.adopts) {
-    if (!client.contains(op.path)) {
-      ++result.files_new;
-    }
-  }
-
-  if (!diff.stale.empty()) {
-    // Both sides partition the residual stale set by the server-side
-    // size, which the walk already delivered to the client.
-    std::vector<std::string> small, large;
-    for (const std::string& path : diff.stale) {
-      (diff.stale_entries.at(path).size <= params.small_file_threshold
-           ? small
-           : large)
-          .push_back(path);
-    }
-    result.files_small = small.size();
-    result.files_sessioned = large.size();
-
+  if (std::optional<Bytes> plan = tree_client.Plan()) {
     // --- 2. Sync plan: the client requests every residual stale path,
     //         then pipelines the large files' initial session requests
     //         behind it (consecutive same-direction sends share one
     //         roundtrip with the server's replies below). ---
     obs::SetPhase(obs, obs::Phase::kManifest);
-    {
-      BitWriter plan;
-      plan.WriteVarint(diff.stale.size());
-      for (const std::string& path : diff.stale) {
-        plan.WriteVarint(path.size());
-        plan.WriteBytes(ToBytes(path));
-      }
-      channel.Send(Dir::kClientToServer, plan.Finish());
-    }
-    std::vector<FileSession> sessions =
-        BuildFileSessions(large, client, server, params.config,
-                          params.cache, obs, client_manifest, server_manifest,
-                          fingerprint_hints);
+    channel.Send(Dir::kClientToServer, *plan);
+    std::vector<FileSession> sessions = BuildFileSessions(
+        tree_client.large(), client, server, params.config, params.cache,
+        obs, tree_client.manifest(), snapshot.manifest, fingerprint_hints);
     if (!sessions.empty()) {
       obs::SetPhase(obs, obs::Phase::kCandidates);
-      channel.Send(Dir::kClientToServer,
-                   BuildInitialRequestBatch(sessions));
+      channel.Send(Dir::kClientToServer, BuildInitialRequestBatch(sessions));
     }
 
-    // Server: parse the plan; answer the small files with one compressed
-    // bundle in plan order.
+    // Server: answer the small files with one compressed bundle.
     FSYNC_ASSIGN_OR_RETURN(Bytes plan_msg,
                            channel.Receive(Dir::kClientToServer));
-    {
-      BitReader pin(plan_msg);
-      FSYNC_ASSIGN_OR_RETURN(uint64_t n_want, pin.ReadVarint());
-      if (n_want > plan_msg.size()) {
-        return Status::DataLoss("tree sync: implausible plan size");
-      }
-      BitWriter bundle;
-      uint64_t n_small = 0;
-      for (uint64_t i = 0; i < n_want; ++i) {
-        FSYNC_ASSIGN_OR_RETURN(uint64_t len, pin.ReadVarint());
-        FSYNC_ASSIGN_OR_RETURN(Bytes name_bytes, pin.ReadBytes(len));
-        std::string want = ToString(name_bytes);
-        auto it = server.find(want);
-        if (it == server.end()) {
-          return Status::DataLoss("tree sync: unknown path in plan");
-        }
-        if (it->second.size() <= params.small_file_threshold) {
-          Bytes comp = CachedCompress(params.cache,
-                                      server_manifest.at(want).fingerprint,
-                                      it->second, obs);
-          bundle.WriteVarint(comp.size());
-          bundle.WriteBytes(comp);
-          ++n_small;
-        }
-      }
-      if (n_small > 0) {
-        obs::SetPhase(obs, obs::Phase::kLiterals);
-        channel.Send(Dir::kServerToClient, bundle.Finish());
-      }
+    FSYNC_ASSIGN_OR_RETURN(Bytes bundle, tree_server.OnPlan(plan_msg));
+    if (!bundle.empty()) {
+      obs::SetPhase(obs, obs::Phase::kLiterals);
+      channel.Send(Dir::kServerToClient, bundle);
     }
-
-    // Client: unpack the small batch; the manifest fingerprint verifies
-    // each file without any extra wire traffic.
-    if (!small.empty()) {
+    if (tree_client.awaits_bundle()) {
       FSYNC_ASSIGN_OR_RETURN(Bytes bundle_msg,
                              channel.Receive(Dir::kServerToClient));
-      BitReader bin(bundle_msg);
-      for (const std::string& path : small) {
-        FSYNC_ASSIGN_OR_RETURN(uint64_t len, bin.ReadVarint());
-        FSYNC_ASSIGN_OR_RETURN(Bytes comp, bin.ReadBytes(len));
-        FSYNC_ASSIGN_OR_RETURN(Bytes data, Decompress(comp));
-        if (FileFingerprint(data) !=
-            diff.stale_entries.at(path).fingerprint) {
-          return Status::DataLoss("tree sync: small-file batch mismatch");
-        }
-        result.reconstructed[path] = std::move(data);
-        obs::AddEvent(obs, obs::Event::kSmallFileBatched);
-      }
+      FSYNC_RETURN_IF_ERROR(tree_client.OnBundle(bundle_msg));
     }
 
     // --- 3. Multiplexed per-file sessions for the large files. ---
@@ -717,7 +605,7 @@ StatusOr<TreeSyncResult> SyncCollectionTreeImpl(const Collection& client,
   }
 
   result.stats = channel.stats();
-  return result;
+  return std::move(result);
 }
 
 }  // namespace

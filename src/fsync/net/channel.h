@@ -29,6 +29,15 @@ struct TrafficStats {
   }
 };
 
+/// The traffic a channel carried between two of its stats() snapshots,
+/// so one protocol run reports its own share of a shared channel.
+inline TrafficStats TrafficSince(const TrafficStats& before,
+                                 const TrafficStats& after) {
+  return {after.client_to_server_bytes - before.client_to_server_bytes,
+          after.server_to_client_bytes - before.server_to_client_bytes,
+          after.roundtrips - before.roundtrips};
+}
+
 /// Wire cost of one channel message carrying `payload_size` bytes: the
 /// payload plus its varint length-prefix framing. Exposed so transport
 /// decorators can account their per-record overhead exactly (the reliable

@@ -5,14 +5,15 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <poll.h>
 #include <thread>
 
 #include "fsync/core/checkpoint.h"
 #include "fsync/core/config_io.h"
 #include "fsync/core/file_session.h"
+#include "fsync/core/tree_session.h"
 #include "fsync/hash/md5.h"
-#include "fsync/hash/md5_batch.h"
 #include "fsync/netd/frame.h"
 #include "fsync/netd/protocol.h"
 #include "fsync/netd/sockets.h"
@@ -217,77 +218,50 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
   }
   const SyncConfig& config = result.config;
 
-  // Manifest.
-  Manifest manifest;
-  {
-    FSYNC_RETURN_IF_ERROR(conn.SendMsg(Msg::kManifestRequest, 0, ByteSpan()));
+  // The tree flow on stream 0: the walk, then the plan and its bundle.
+  auto recv_tree_msg = [&](Msg kind) -> StatusOr<Bytes> {
     FSYNC_ASSIGN_OR_RETURN(DaemonMsg msg, conn.RecvMsg());
     if (msg.msg == Msg::kDraining) {
       return Status::Unavailable("client: server is draining");
     }
-    if (msg.msg != Msg::kManifest || msg.stream != 0) {
-      return Status::DataLoss("client: expected manifest");
+    if (msg.msg != kind || msg.stream != 0) {
+      return Status::DataLoss("client: expected a tree-flow reply");
     }
-    FSYNC_ASSIGN_OR_RETURN(
-        manifest, ParseManifest(ByteSpan(msg.body.data(), msg.body.size())));
+    return std::move(msg.body);
+  };
+  TreeSyncClient tree(local, TreeSyncParams{.config = config});
+  std::optional<Bytes> ask = tree.Start();
+  while (ask.has_value()) {
+    FSYNC_RETURN_IF_ERROR(
+        conn.SendMsg(Msg::kWalk, 0, ByteSpan(ask->data(), ask->size())));
+    FSYNC_ASSIGN_OR_RETURN(Bytes reply, recv_tree_msg(Msg::kWalk));
+    FSYNC_ASSIGN_OR_RETURN(ask, tree.OnWalkReply(reply));
   }
   // Security boundary: wire paths become filesystem paths downstream;
   // refuse the whole sync if the server names anything unsafe.
-  for (const auto& [path, entry] : manifest) {
+  for (const auto& [path, entry] : tree.diff().stale_entries) {
     if (!IsSafeRelativePath(path)) {
-      return Status::InvalidArgument("client: unsafe path in manifest: " +
+      return Status::InvalidArgument("client: unsafe path from the server: " +
                                      path);
     }
   }
-
-  // Plan: unchanged files copy locally; everything else runs a session.
-  // Every size-matched local file is hashed up front in one batched
-  // pass; its fingerprint is also its session's hint, so no local file
-  // is hashed twice.
-  struct Pending {
-    std::string path;
-    std::optional<Fingerprint> fp_old;
-  };
-  std::vector<const Bytes*> old_files;  // per manifest entry; null = new
-  old_files.reserve(manifest.size());
-  std::vector<ByteSpan> matched;  // size-matched local files, in order
-  for (const auto& [path, entry] : manifest) {
-    auto it = local.find(path);
-    old_files.push_back(it != local.end() ? &it->second : nullptr);
-    if (it != local.end() && it->second.size() == entry.size) {
-      matched.push_back(it->second);
+  if (std::optional<Bytes> plan = tree.Plan()) {
+    FSYNC_RETURN_IF_ERROR(
+        conn.SendMsg(Msg::kPlan, 0, ByteSpan(plan->data(), plan->size())));
+    if (tree.awaits_bundle()) {
+      FSYNC_ASSIGN_OR_RETURN(Bytes bundle, recv_tree_msg(Msg::kPlan));
+      FSYNC_RETURN_IF_ERROR(tree.OnBundle(bundle));
     }
   }
-  std::vector<Fingerprint> matched_fps(matched.size());
-  Md5Batch(matched.data(), matched.size(), matched_fps.data());
-
-  std::deque<Pending> pending;
-  result.files_total = manifest.size();
-  size_t index = 0;
-  size_t next_fp = 0;
-  for (const auto& [path, entry] : manifest) {
-    const Bytes* old_file = old_files[index++];
-    if (old_file == nullptr) {
-      ++result.files_new;
-      pending.push_back({path, std::nullopt});
-      continue;
-    }
-    std::optional<Fingerprint> fp;
-    if (old_file->size() == entry.size) {
-      fp = matched_fps[next_fp++];
-      if (*fp == entry.fingerprint) {
-        result.reconstructed[path] = *old_file;
-        ++result.files_unchanged;
-        continue;
-      }
-    }
-    pending.push_back({path, fp});
-  }
-  for (const auto& [path, data] : local) {
-    if (manifest.find(path) == manifest.end()) {
-      ++result.files_deleted;  // mirror semantics: not in reconstructed
-    }
-  }
+  TreeSyncResult& tree_result = tree.result();
+  result.reconstructed = std::move(tree_result.reconstructed);
+  result.files_total = tree_result.files_total;
+  result.files_unchanged = tree_result.files_unchanged;
+  result.files_new = tree_result.files_new;
+  result.files_adopted = tree_result.files_adopted;
+  result.files_small = tree_result.files_small;
+  result.files_deleted = tree.diff().extra.size();
+  std::deque<std::string> pending(tree.large().begin(), tree.large().end());
 
   // Multiplexed sessions: each stream carries one ClientFileSession's
   // messages, each client message tagged with its SessionMsg kind.
@@ -296,19 +270,20 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
   bool draining = false;
 
   auto open_next = [&]() -> Status {
-    static const Bytes kEmpty;
     while (!draining && !pending.empty() &&
            sessions.size() < static_cast<size_t>(options.max_streams)) {
-      Pending p = std::move(pending.front());
-      pending.pop_front();
-      auto it = local.find(p.path);
-      const Bytes& f_old = it != local.end() ? it->second : kEmpty;
       FileSession s;
-      s.path = p.path;
+      s.path = std::move(pending.front());
+      pending.pop_front();
+      // The local manifest holds the fingerprint of every local file, so
+      // no session hashes its old file again.
+      auto it = local.find(s.path);
+      auto hint = tree.manifest().find(s.path);
       s.session = std::make_unique<ClientFileSession>(
-          ByteSpan(f_old.data(), f_old.size()), config,
-          p.fp_old.has_value() ? &*p.fp_old : nullptr);
-      s.ckpt_path = CheckpointPathFor(options.checkpoint_dir, p.path);
+          it != local.end() ? ByteSpan(it->second) : ByteSpan(), config,
+          hint != tree.manifest().end() ? &hint->second.fingerprint
+                                        : nullptr);
+      s.ckpt_path = CheckpointPathFor(options.checkpoint_dir, s.path);
       std::optional<SessionCheckpoint> cp;
       if (!s.ckpt_path.empty()) {
         s.session->set_checkpoint_fn(
@@ -322,7 +297,7 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
       SessionSend first = s.session->Start(cp.has_value() ? &*cp : nullptr);
       OpenFile open;
       open.kind = first.kind;
-      open.path = p.path;
+      open.path = s.path;
       open.first_msg = std::move(first.bytes);
       const uint64_t stream = next_stream++;
       Bytes body = EncodeOpenFile(open);

@@ -1,16 +1,18 @@
 // SyncClient: the connecting side of the daemon protocol. One blocking
 // connection drives the whole-tree sync: handshake (adopting the
-// server's negotiated config), manifest fetch, then up to
-// `max_streams` concurrent per-file sessions multiplexed over the
-// socket, each a ClientFileSession (core/file_session.h) — the same
-// per-file flow every in-process driver runs, including checkpoint
-// persistence after every completed round, transparent resume on
-// reconnect, and the full degradation ladder (region repair, compressed
-// fallback).
+// server's negotiated config), then the tree flow's client half
+// (core/tree_session.h) on stream 0 — the manifest walk, mirror
+// deletes, rename adoption and the small-file bundle, exactly as
+// SyncCollectionTree runs them — then up to `max_streams` concurrent
+// per-file sessions for the large files, multiplexed over the socket,
+// each a ClientFileSession (core/file_session.h) — the same per-file
+// flow every in-process driver runs, including checkpoint persistence
+// after every completed round, transparent resume on reconnect, and the
+// full degradation ladder (region repair, compressed fallback).
 //
-// Every manifest path is validated with IsSafeRelativePath before it is
-// used for anything: a hostile or corrupted server cannot name files
-// outside the client's tree.
+// Every path the walk delivers is validated with IsSafeRelativePath
+// before it is used for anything: a hostile or corrupted server cannot
+// name files outside the client's tree.
 #ifndef FSYNC_NETD_CLIENT_H_
 #define FSYNC_NETD_CLIENT_H_
 
@@ -52,8 +54,10 @@ struct ClientResult {
   /// The config negotiated in the handshake (the server's).
   SyncConfig config;
 
-  uint64_t files_total = 0;      // files in the server manifest
-  uint64_t files_unchanged = 0;  // matched by fingerprint, no session
+  uint64_t files_total = 0;      // files in the server's tree
+  uint64_t files_unchanged = 0;  // matched by the walk, no transfer
+  uint64_t files_adopted = 0;    // copied from another local path
+  uint64_t files_small = 0;      // shipped in the small-file bundle
   uint64_t files_sessioned = 0;  // ran a per-file sync stream
   uint64_t files_new = 0;        // absent locally before the sync
   uint64_t files_deleted = 0;    // local-only files dropped (mirror)

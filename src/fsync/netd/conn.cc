@@ -20,6 +20,7 @@ Connection::Connection(Fd fd, uint64_t id, const ServerContext* ctx,
       limits_(limits),
       global_bucket_(global_bucket),
       conn_bucket_(limits.per_conn_bytes_per_sec),
+      tree_(*ctx->snapshot),
       created_us_(now_us),
       last_activity_us_(now_us) {
   if (fault_plan.any()) {
@@ -147,11 +148,22 @@ bool Connection::HandleMsg(const DaemonMsg& msg, uint64_t now_us) {
   }
 
   switch (msg.msg) {
-    case Msg::kManifestRequest:
-      SendMsg(Msg::kManifest, 0,
-              ByteSpan(ctx_->manifest_wire.data(),
-                       ctx_->manifest_wire.size()));
+    case Msg::kWalk:
+    case Msg::kPlan: {
+      // A tree message the server half refuses (outside the walk it
+      // offered, a second or unordered plan) or one off stream 0 means a
+      // broken or hostile client: the connection cannot continue.
+      StatusOr<Bytes> reply =
+          msg.msg == Msg::kWalk ? tree_.OnWalk(body) : tree_.OnPlan(body);
+      if (msg.stream != 0 || !reply.ok()) {
+        FailConnection(CloseReason::kProtocol);
+        return false;
+      }
+      if (!reply->empty()) {
+        SendMsg(msg.msg, 0, ByteSpan(reply->data(), reply->size()));
+      }
       return true;
+    }
     case Msg::kOpenFile:
       return HandleOpenFile(msg.stream, body);
     case Msg::kFileMsg:
@@ -188,20 +200,17 @@ bool Connection::HandleOpenFile(uint64_t stream, ByteSpan body) {
     SendError(stream, Status::FailedPrecondition("stream id in use"));
     return true;
   }
-  auto file = ctx_->tree->find(open->path);
-  if (file == ctx_->tree->end()) {
+  const Collection& tree = ctx_->snapshot->tree;
+  auto file = tree.find(open->path);
+  if (file == tree.end()) {
     SendError(stream, Status::NotFound("no such file: " + open->path));
     return true;
-  }
-  const Fingerprint* fp_hint = nullptr;
-  auto manifest_it = ctx_->manifest->find(open->path);
-  if (manifest_it != ctx_->manifest->end()) {
-    fp_hint = &manifest_it->second.fingerprint;
   }
   Stream s;
   s.server = std::make_unique<CachedServerEndpoint>(
       ByteSpan(file->second.data(), file->second.size()), *ctx_->config,
-      ctx_->cache, nullptr, fp_hint);
+      ctx_->cache, nullptr,
+      &ctx_->snapshot->manifest.at(open->path).fingerprint);
   StatusOr<Bytes> reply = s.server->Handle(
       open->kind, ByteSpan(open->first_msg.data(), open->first_msg.size()));
   if (!reply.ok()) {

@@ -1,7 +1,8 @@
 // One daemon connection: a nonblocking fd plus the session state machine
 // driving it. The connection owns a FrameReader for incoming bytes, a
-// bounded write queue for outgoing frames, a table of in-flight file
-// streams (each one a CachedServerEndpoint), and the robustness
+// bounded write queue for outgoing frames, the tree flow's server half
+// (a TreeSyncServer over the daemon's snapshot), a table of in-flight
+// file streams (each one a CachedServerEndpoint), and the robustness
 // machinery: handshake/idle/session deadlines, write-queue backpressure
 // (stop reading a client whose output is backed up), token-bucket rate
 // limits, and the drain protocol.
@@ -17,24 +18,21 @@
 #include <string>
 
 #include "fsync/cache/sync_cache.h"
-#include "fsync/core/collection.h"
 #include "fsync/core/config.h"
 #include "fsync/core/server_cache.h"
+#include "fsync/core/tree_session.h"
 #include "fsync/netd/fault.h"
 #include "fsync/netd/frame.h"
 #include "fsync/netd/protocol.h"
 #include "fsync/netd/rate.h"
 #include "fsync/netd/sockets.h"
-#include "fsync/store/fsstore.h"
 
 namespace fsx::netd {
 
 /// Server-side state shared by every connection (owned by the daemon,
 /// immutable while the loop runs).
 struct ServerContext {
-  const Collection* tree = nullptr;
-  const Manifest* manifest = nullptr;
-  Bytes manifest_wire;       // SerializeManifest(manifest), precomputed
+  const TreeSnapshot* snapshot = nullptr;  // the tree, manifest, walk side
   const SyncConfig* config = nullptr;
   uint64_t config_digest = 0;
   std::string config_text;   // SerializeSyncConfig(*config)
@@ -170,6 +168,7 @@ class Connection {
   size_t write_queue_bytes_ = 0;
   size_t write_offset_ = 0;  // into write_queue_.front()
   uint32_t next_seq_ = 0;
+  TreeSyncServer tree_;
   std::map<uint64_t, Stream> streams_;
 
   const uint64_t created_us_;

@@ -6,23 +6,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "fsync/core/checkpoint.h"
 #include "fsync/core/config_io.h"
-#include "fsync/store/fsstore.h"
 
 namespace fsx::netd {
 
 SyncDaemon::SyncDaemon(Collection tree, DaemonOptions options)
     : tree_(std::move(tree)),
       options_(std::move(options)),
+      cache_(options_.cache_bytes != 0
+                 ? std::make_unique<cache::SyncCache>(options_.cache_bytes)
+                 : nullptr),
+      snapshot_(tree_, TreeSyncParams{.config = options_.config,
+                                      .cache = cache_.get()}),
       global_bucket_(options_.global_bytes_per_sec) {
-  manifest_ = BuildManifest(tree_);
-  if (options_.cache_bytes != 0) {
-    cache_ = std::make_unique<cache::SyncCache>(options_.cache_bytes);
-  }
-  ctx_.tree = &tree_;
-  ctx_.manifest = &manifest_;
-  ctx_.manifest_wire = SerializeManifest(manifest_);
+  ctx_.snapshot = &snapshot_;
   ctx_.config = &options_.config;
   ctx_.config_digest = ConfigWireDigest(options_.config);
   ctx_.config_text = SerializeSyncConfig(options_.config);

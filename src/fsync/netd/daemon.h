@@ -14,9 +14,12 @@
 //   - optional socket-level fault injection for the chaos suite.
 //
 // The server tree is an in-memory Collection (the daemon serves
-// snapshots, it does not mutate them); client sessions run through
-// CachedServerEndpoint, so a shared SyncCache turns an N-client fan-out
-// into one computation of each signature/delta.
+// snapshots, it does not mutate them). Its manifest and the trie walk's
+// server side are built once at construction (a TreeSnapshot); each
+// connection runs the tree flow's server half over it, and file
+// sessions run through CachedServerEndpoint, so a shared SyncCache turns
+// an N-client fan-out into one computation of each signature, delta and
+// bundled file.
 #ifndef FSYNC_NETD_DAEMON_H_
 #define FSYNC_NETD_DAEMON_H_
 
@@ -30,6 +33,7 @@
 #include "fsync/cache/sync_cache.h"
 #include "fsync/core/collection.h"
 #include "fsync/core/config.h"
+#include "fsync/core/tree_session.h"
 #include "fsync/netd/conn.h"
 #include "fsync/netd/event_loop.h"
 #include "fsync/netd/fault.h"
@@ -119,9 +123,9 @@ class SyncDaemon {
 
   Collection tree_;
   DaemonOptions options_;
-  Manifest manifest_;
-  ServerContext ctx_;
   std::unique_ptr<cache::SyncCache> cache_;
+  TreeSnapshot snapshot_;  // built once, shared by every connection
+  ServerContext ctx_;
   TokenBucket global_bucket_;
 
   Fd listener_;

@@ -1,25 +1,39 @@
-// Daemon session protocol: the control vocabulary multiplexing many
-// file-sync streams over one framed connection.
+// Daemon session protocol (v2): the control vocabulary carrying one
+// whole-tree sync over one framed connection.
 //
 // Every daemon message travels in one record of type kRecordTypeDaemon
 // (frame.h) whose payload is
 //
 //   [msg u8][stream varint][body...]
 //
-// Stream 0 is the connection control stream (hello, manifest, drain,
-// goodbye); streams >= 1 are client-chosen ids, one per file session.
-// The file-session bodies are the *unmodified* session messages of
-// core/file_session.h, each client message tagged with its SessionMsg
-// byte — the daemon adds routing, never protocol content, so a daemon
-// sync is wire-compatible with an in-process session.
+// Stream 0 is the connection control stream (hello, the tree flow,
+// drain, goodbye); streams >= 1 are client-chosen ids, one per file
+// session. The daemon adds routing, never protocol content:
+//
+//   - kWalk and kPlan bodies are the unmodified messages of the tree
+//     flow's halves (core/tree_session.h): walk asks and replies, then
+//     the plan and, when it names a small file, the bundle. A daemon
+//     sync's tree messages are byte-identical to SyncCollectionTree's.
+//   - File-session bodies are the unmodified session messages of
+//     core/file_session.h, each client message tagged with its
+//     SessionMsg byte, so a stream is wire-compatible with an
+//     in-process session.
 //
 //   client -> server                      server -> client
 //   kHello      magic,version             kHelloAck  verdict,digest,config
-//   kManifestRequest                      kManifest  serialized manifest
+//   kWalk       walk ask                  kWalk      walk reply
+//   kPlan       plan                      kPlan      bundle (if any small)
 //   kOpenFile   kind,path,first msg       kFileMsg   server message
 //   kFileMsg    kind,payload              kFileMsg   server message
 //   kCloseStream                          kError     code,detail
 //   kGoodbye                              kDraining  (stream 0)
+//
+// Both sides run the tree flow with TreeSyncParams' defaults (descent 4,
+// 16 KiB small-file threshold): they are v2 protocol constants, and only
+// the session config (negotiated in the handshake) and the server's
+// cache come from the daemon. A tree message the server half refuses
+// (an ask outside the offered walk, a second plan, ...) fails the
+// connection: see docs/PROTOCOL.md, "Daemon protocol v2".
 #ifndef FSYNC_NETD_PROTOCOL_H_
 #define FSYNC_NETD_PROTOCOL_H_
 
@@ -36,13 +50,13 @@ namespace fsx::netd {
 /// server refuses mismatched magic outright and answers a higher client
 /// version with its own (the client decides whether it can speak it).
 inline constexpr uint32_t kDaemonMagic = 0x46535844;  // "FSXD"
-inline constexpr uint8_t kDaemonVersion = 1;
+inline constexpr uint8_t kDaemonVersion = 2;
 
 enum class Msg : uint8_t {
   kHello = 1,
   kHelloAck = 2,
-  kManifestRequest = 3,
-  kManifest = 4,
+  kWalk = 3,
+  kPlan = 4,
   kOpenFile = 5,
   kFileMsg = 6,
   kCloseStream = 7,
@@ -62,8 +76,8 @@ struct DaemonMsg {
 Bytes EncodeDaemonMsg(Msg msg, uint64_t stream, ByteSpan body);
 StatusOr<DaemonMsg> ParseDaemonMsg(ByteSpan payload);
 
-// Body builders/parsers for the structured control messages. File-session
-// bodies are opaque endpoint payloads and need none.
+// Body builders/parsers for the structured control messages. Tree-flow
+// and file-session bodies are opaque half/endpoint payloads and need none.
 
 Bytes EncodeHello();
 Status ParseHello(ByteSpan body, uint8_t* version);

@@ -4,49 +4,18 @@
 #include <utility>
 
 #include "fsync/reconcile/trie.h"
-#include "fsync/util/bit_io.h"
 
 namespace fsx {
 
-namespace {
-
-// Codec for the manifest protocol. Leaf entry wire form: varint name
-// length, name bytes, raw 16-byte fingerprint, varint size, varint mode
-// (see docs/PROTOCOL.md, "Manifest reconciliation"). The node hash covers the
-// same fields in fixed-width little-endian form.
-struct ManifestEntryCodec {
-  static void AppendMeta(Bytes& out, const ManifestEntry& e) {
-    Append(out, e.fingerprint);
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<uint8_t>(e.size >> (8 * i)));
-    }
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<uint8_t>(e.mode >> (8 * i)));
-    }
+Status ValidateMerkleParams(const MerkleParams& params) {
+  if (params.node_hash_bytes == 0 || params.node_hash_bytes > 8) {
+    return Status::InvalidArgument("merkle: node_hash_bytes in [1,8]");
   }
-  static void WriteMeta(BitWriter& w, const ManifestEntry& e) {
-    w.WriteBytes(ByteSpan(e.fingerprint.data(), e.fingerprint.size()));
-    w.WriteVarint(e.size);
-    w.WriteVarint(e.mode);
+  if (params.descend_levels == 0 || params.descend_levels > 8) {
+    return Status::InvalidArgument("merkle: descend_levels in [1,8]");
   }
-  static StatusOr<ManifestEntry> ReadMeta(BitReader& r) {
-    ManifestEntry e;
-    FSYNC_ASSIGN_OR_RETURN(Bytes fp_bytes, r.ReadBytes(16));
-    std::copy(fp_bytes.begin(), fp_bytes.end(), e.fingerprint.begin());
-    FSYNC_ASSIGN_OR_RETURN(e.size, r.ReadVarint());
-    FSYNC_ASSIGN_OR_RETURN(uint64_t mode, r.ReadVarint());
-    if (mode > 0777) {
-      return Status::DataLoss("manifest: implausible mode bits");
-    }
-    e.mode = static_cast<uint32_t>(mode);
-    return e;
-  }
-  static bool Same(const ManifestEntry& a, const ManifestEntry& b) {
-    return a == b;
-  }
-};
-
-}  // namespace
+  return Status::Ok();
+}
 
 Manifest BuildManifest(const std::map<std::string, Bytes>& files,
                        int num_threads) {
@@ -99,17 +68,10 @@ StatusOr<ManifestDiff> ManifestReconcile(const Manifest& client,
                                          obs::SyncObserver* obs) {
   ObservedSession scope(channel, obs, "manifest");
   FSYNC_ASSIGN_OR_RETURN(
-      auto walk,
-      reconcile_internal::TrieReconcile<ManifestEntryCodec>(
-          client, server, params.node_hash_bytes, params.leaf_batch,
-          params.descend_levels, channel, obs, obs::Phase::kManifest,
+      ManifestDiff diff,
+      reconcile_internal::RunTrieWalk<reconcile_internal::ManifestEntryCodec>(
+          client, server, params, channel, obs, obs::Phase::kManifest,
           obs::Phase::kManifest));
-  ManifestDiff diff;
-  diff.stale = std::move(walk.stale);
-  diff.stale_entries = std::move(walk.stale_entries);
-  diff.extra = std::move(walk.extra);
-  diff.stats = walk.stats;
-  diff.rounds = walk.rounds;
   DetectAdoptions(client, diff);
   return diff;
 }

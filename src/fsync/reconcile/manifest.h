@@ -64,6 +64,10 @@ struct MerkleParams {
   uint32_t descend_levels = 1;
 };
 
+/// InvalidArgument unless node_hash_bytes and descend_levels are in
+/// [1, 8].
+Status ValidateMerkleParams(const MerkleParams& params);
+
 /// A zero-literal ledger op: `path` must take the content the client
 /// already holds at `from` (a rename/move/copy detected by content hash).
 /// Adoption reads from the client's *pre-sync* tree, so sources must be
@@ -75,6 +79,8 @@ struct AdoptOp {
 };
 
 /// What the manifest round discovered (from the client's perspective).
+/// The trie walk's client half (reconcile/trie.h) produces it; adoption
+/// detection then fills `adopts`.
 struct ManifestDiff {
   /// Paths the client must fetch/update by per-file sync (differs or
   /// server-only), minus those satisfied locally by `adopts`.

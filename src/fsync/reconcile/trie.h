@@ -1,12 +1,13 @@
-// Internal shared core of the hash-trie reconciliation protocols. Both
-// the fingerprint-only MerkleReconcile (merkle.h) and the richer
-// ManifestReconcile (manifest.h) run the same top-down walk: each side
-// builds a binary trie keyed by H(name); the client probes nodes, the
-// server answers with either two child hashes or the subtree's leaf
-// entries, and the walk descends only where the hashes disagree. Both
-// walk a Manifest; they differ only in which fields of a ManifestEntry
-// an entry carries (the fingerprint alone, or all of it), so the walk
-// is a template over a small codec:
+// The hash-trie walk shared by every reconciliation protocol, as two
+// message-in/message-out halves. Each side builds a binary trie keyed by
+// H(name); the client half probes nodes, the server half answers each
+// with either its descendant subtrees' hashes or the subtree's leaf
+// entries, and the walk descends only where the hashes disagree.
+// MerkleReconcile (merkle.h), ManifestReconcile (manifest.h) and the
+// tree driver's halves (core/tree_session.h) all walk a Manifest; they
+// differ only in which fields of a ManifestEntry an entry carries (the
+// fingerprint alone, or all of it), so the halves are templates over a
+// small codec:
 //
 //   struct Codec {
 //     static void AppendMeta(Bytes&, const ManifestEntry&);     // node hash
@@ -15,14 +16,14 @@
 //     static bool Same(const ManifestEntry&, const ManifestEntry&);
 //   };
 //
-// This header is an implementation detail of fsync/reconcile — include
-// merkle.h or manifest.h instead.
+// The halves carry no transport: PumpWalk moves their messages over a
+// SimulatedChannel, and the daemon moves the same bytes over frames.
 #ifndef FSYNC_RECONCILE_TRIE_H_
 #define FSYNC_RECONCILE_TRIE_H_
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +47,7 @@ inline constexpr uint64_t kNameKeySalt = 0x791E0;
 struct NodeId {
   int depth = 0;
   uint64_t prefix = 0;  // high `depth` bits meaningful
+  friend bool operator==(const NodeId&, const NodeId&) = default;
 };
 
 inline void WriteNodeId(BitWriter& w, NodeId node) {
@@ -69,19 +71,8 @@ inline StatusOr<NodeId> ReadNodeId(BitReader& r) {
   return node;
 }
 
-inline NodeId Child(NodeId node, int bit) {
-  NodeId c;
-  c.depth = node.depth + 1;
-  c.prefix = node.prefix;
-  if (bit) {
-    c.prefix |= uint64_t{1} << (64 - c.depth);
-  }
-  return c;
-}
-
 /// The `idx`-th descendant of `node` exactly `levels` below it (idx runs
-/// over the 2^levels subtrees in key order). Descendant(n, 1, b) ==
-/// Child(n, b).
+/// over the 2^levels subtrees in key order).
 inline NodeId Descendant(NodeId node, int levels, uint64_t idx) {
   NodeId d;
   d.depth = node.depth + levels;
@@ -198,144 +189,203 @@ inline std::vector<uint64_t> DescendantHashes(const TrieSide& side,
   return out;
 }
 
-template <typename Codec>
-void WriteEntryList(BitWriter& w, const std::vector<Entry>& entries,
-                    size_t lo, size_t hi) {
-  w.WriteVarint(hi - lo);
-  for (size_t i = lo; i < hi; ++i) {
-    w.WriteVarint(entries[i].name->size());
-    w.WriteBytes(AsBytes(*entries[i].name));
-    Codec::WriteMeta(w, *entries[i].meta);
-  }
+// Levels a mismatching node at `depth` descends. Both sides derive it
+// from the node's depth, so no level count rides the wire.
+inline int DescentLevels(const MerkleParams& params, int depth) {
+  return std::min<int>(static_cast<int>(params.descend_levels),
+                       kMaxDepth - depth);
 }
 
-/// What the trie walk discovered (from the client's perspective).
-struct TrieDiff {
-  /// Paths whose metadata differs or that only the server has, with the
-  /// server-side metadata the walk delivered for them.
-  std::vector<std::string> stale;
-  Manifest stale_entries;
-  /// Paths only the client has (deleted under mirror semantics).
-  std::vector<std::string> extra;
-  TrafficStats stats;  // this walk's traffic only (channel deltas)
-  int rounds = 0;
+// Codec of the fingerprint-only walk (MerkleReconcile). The wire format
+// (leaf entry = varint name length, name bytes, raw 16-byte fingerprint)
+// and the node hash preimage are byte-identical to the original
+// monolithic implementation, so transcripts pinned before the trie core
+// was factored out stay valid.
+struct FingerprintCodec {
+  static void AppendMeta(Bytes& out, const ManifestEntry& e) {
+    Append(out, e.fingerprint);
+  }
+  static void WriteMeta(BitWriter& w, const ManifestEntry& e) {
+    w.WriteBytes(ByteSpan(e.fingerprint.data(), e.fingerprint.size()));
+  }
+  static StatusOr<ManifestEntry> ReadMeta(BitReader& r) {
+    FSYNC_ASSIGN_OR_RETURN(Bytes fp_bytes, r.ReadBytes(16));
+    ManifestEntry e;
+    std::copy(fp_bytes.begin(), fp_bytes.end(), e.fingerprint.begin());
+    return e;
+  }
+  static bool Same(const ManifestEntry& a, const ManifestEntry& b) {
+    return a.fingerprint == b.fingerprint;
+  }
 };
 
-/// Runs the walk between a client holding `client_files` and a server
-/// holding `server_files` over `channel`. Exact: the returned sets always
-/// equal the true difference. Wire traffic is attributed to `probe_phase`
-/// (node ids and child hashes) and `leaves_phase` (replies that ship leaf
-/// entry lists); the legacy fingerprint protocol uses candidate/literal
-/// phases, the manifest protocol charges everything to Phase::kManifest.
+// Codec of the manifest walk. Leaf entry wire form: varint name length,
+// name bytes, raw 16-byte fingerprint, varint size, varint mode (see
+// docs/PROTOCOL.md, "Manifest reconciliation"). The node hash covers the
+// same fields in fixed-width little-endian form.
+struct ManifestEntryCodec {
+  static void AppendMeta(Bytes& out, const ManifestEntry& e) {
+    Append(out, e.fingerprint);
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<uint8_t>(e.size >> (8 * i)));
+    }
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<uint8_t>(e.mode >> (8 * i)));
+    }
+  }
+  static void WriteMeta(BitWriter& w, const ManifestEntry& e) {
+    w.WriteBytes(ByteSpan(e.fingerprint.data(), e.fingerprint.size()));
+    w.WriteVarint(e.size);
+    w.WriteVarint(e.mode);
+  }
+  static StatusOr<ManifestEntry> ReadMeta(BitReader& r) {
+    ManifestEntry e;
+    FSYNC_ASSIGN_OR_RETURN(Bytes fp_bytes, r.ReadBytes(16));
+    std::copy(fp_bytes.begin(), fp_bytes.end(), e.fingerprint.begin());
+    FSYNC_ASSIGN_OR_RETURN(e.size, r.ReadVarint());
+    FSYNC_ASSIGN_OR_RETURN(uint64_t mode, r.ReadVarint());
+    if (mode > 0777) {
+      return Status::DataLoss("manifest: implausible mode bits");
+    }
+    e.mode = static_cast<uint32_t>(mode);
+    return e;
+  }
+  static bool Same(const ManifestEntry& a, const ManifestEntry& b) {
+    return a == b;
+  }
+};
+
+/// The server half: answers one client's asks from a side built once
+/// (BuildSide), which any number of concurrent server halves can share.
+///
+/// It answers only the walk it offered. The first ask must be exactly
+/// the root with the client's root hash; every later ask must name a
+/// subsequence of the nodes the previous reply offered (so each at most
+/// once). Anything else is DataLoss. So a client can make the server
+/// hash no more than the walk the server itself handed out, however
+/// often it asks.
 template <typename Codec>
-StatusOr<TrieDiff> TrieReconcile(
-    const Manifest& client_files, const Manifest& server_files,
-    uint32_t node_hash_bytes, uint32_t leaf_batch, uint32_t descend_levels,
-    SimulatedChannel& channel, obs::SyncObserver* obs,
-    obs::Phase probe_phase, obs::Phase leaves_phase) {
-  using Dir = SimulatedChannel::Direction;
-  if (node_hash_bytes == 0 || node_hash_bytes > 8) {
-    return Status::InvalidArgument("merkle: node_hash_bytes in [1,8]");
+class TrieServer {
+ public:
+  /// `side` must be BuildSide<Codec>'s and outlive the server.
+  TrieServer(const TrieSide& side, const MerkleParams& params)
+      : side_(side), params_(params) {}
+
+  static TrieSide BuildSide(const Manifest& files) {
+    return reconcile_internal::BuildSide<Codec>(files);
   }
-  if (descend_levels == 0 || descend_levels > 8) {
-    return Status::InvalidArgument("merkle: descend_levels in [1,8]");
-  }
-  TrieDiff result;
-  const TrafficStats before = channel.stats();
-  const TrieSide client = BuildSide<Codec>(client_files);
-  const TrieSide server = BuildSide<Codec>(server_files);
 
-  // Tracks which client entries were covered by a mismatching subtree the
-  // server enumerated; anything it has that the server's list lacks is
-  // extra, anything the server lists that it lacks (or differs) is stale.
-  std::vector<NodeId> pending = {NodeId{}};
-  bool first_round = true;
-
-  while (!pending.empty()) {
-    ++result.rounds;
-    obs::SetRound(obs, static_cast<uint32_t>(result.rounds));
-    const auto round_start = obs != nullptr
-                                 ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point();
-    // Client -> server: the nodes it wants resolved (+ root hash once).
-    obs::SetPhase(obs, probe_phase);
-    BitWriter ask;
-    ask.WriteVarint(pending.size());
-    for (NodeId n : pending) {
-      WriteNodeId(ask, n);
-    }
-    if (first_round) {
-      ask.WriteBits(NodeHash(client, NodeId{}, node_hash_bytes),
-                    8 * node_hash_bytes);
-    }
-    channel.Send(Dir::kClientToServer, ask.Finish());
-    FSYNC_ASSIGN_OR_RETURN(Bytes ask_msg,
-                           channel.Receive(Dir::kClientToServer));
-
-    // Server: answer each node.
-    BitReader ain(ask_msg);
-    FSYNC_ASSIGN_OR_RETURN(uint64_t count, ain.ReadVarint());
-    if (count > ask_msg.size() * 8) {
-      return Status::DataLoss("merkle: implausible node count");
-    }
-    std::vector<NodeId> asked;
-    asked.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      FSYNC_ASSIGN_OR_RETURN(NodeId n, ReadNodeId(ain));
-      asked.push_back(n);
+  /// Answers one ask. `has_leaves` (optional) reports whether the reply
+  /// ships leaf entries.
+  StatusOr<Bytes> OnWalk(ByteSpan ask, bool* has_leaves = nullptr) {
+    const uint32_t hash_bytes = params_.node_hash_bytes;
+    BitReader in(ask);
+    FSYNC_ASSIGN_OR_RETURN(uint64_t count, in.ReadVarint());
+    if (count == 0 || count > (started_ ? offered_.size() : 1)) {
+      return Status::DataLoss("merkle: ask names nodes never offered");
     }
     BitWriter reply;
-    bool reply_has_leaves = false;
-    for (size_t i = 0; i < asked.size(); ++i) {
-      NodeId n = asked[i];
-      if (first_round && i == 0) {
+    std::vector<NodeId> offered;
+    size_t next_offer = 0;  // asks follow the offer order
+    bool leaves = false;
+    for (uint64_t i = 0; i < count; ++i) {
+      FSYNC_ASSIGN_OR_RETURN(NodeId n, ReadNodeId(in));
+      if (!started_) {
+        if (n.depth != 0) {
+          return Status::DataLoss("merkle: the first ask must be the root");
+        }
         FSYNC_ASSIGN_OR_RETURN(uint64_t client_root,
-                               ain.ReadBits(8 * node_hash_bytes));
-        if (client_root == NodeHash(server, NodeId{}, node_hash_bytes)) {
+                               in.ReadBits(8 * hash_bytes));
+        if (client_root == NodeHash(side_, n, hash_bytes)) {
           reply.WriteBits(kReplySame, 2);
           continue;
         }
-      }
-      auto [lo, hi] = NodeRange(server.entries, n);
-      if (hi - lo <= leaf_batch || n.depth >= kMaxDepth) {
-        reply.WriteBits(kReplyLeaves, 2);
-        WriteEntryList<Codec>(reply, server.entries, lo, hi);
-        reply_has_leaves = true;
       } else {
-        // Both sides derive the effective descent from the node's depth,
-        // so no level count rides the wire.
-        const int levels = std::min<int>(
-            static_cast<int>(descend_levels), kMaxDepth - n.depth);
+        while (next_offer < offered_.size() && offered_[next_offer] != n) {
+          ++next_offer;
+        }
+        if (next_offer == offered_.size()) {
+          return Status::DataLoss("merkle: ask names a node never offered");
+        }
+        ++next_offer;
+      }
+      auto [lo, hi] = NodeRange(side_.entries, n);
+      if (hi - lo <= params_.leaf_batch || n.depth >= kMaxDepth) {
+        reply.WriteBits(kReplyLeaves, 2);
+        reply.WriteVarint(hi - lo);
+        for (size_t k = lo; k < hi; ++k) {
+          reply.WriteVarint(side_.entries[k].name->size());
+          reply.WriteBytes(AsBytes(*side_.entries[k].name));
+          Codec::WriteMeta(reply, *side_.entries[k].meta);
+        }
+        leaves = true;
+      } else {
+        const int levels = DescentLevels(params_, n.depth);
         reply.WriteBits(kReplyChildren, 2);
-        for (uint64_t h :
-             DescendantHashes(server, n, levels, node_hash_bytes)) {
-          reply.WriteBits(h, 8 * node_hash_bytes);
+        const std::vector<uint64_t> hashes =
+            DescendantHashes(side_, n, levels, hash_bytes);
+        for (uint64_t idx = 0; idx < hashes.size(); ++idx) {
+          reply.WriteBits(hashes[idx], 8 * hash_bytes);
+          offered.push_back(Descendant(n, levels, idx));
         }
       }
     }
-    // Replies carrying entry lists are dominated by the shipped leaves;
-    // pure child-hash replies stay in the probe phase.
-    obs::SetPhase(obs, reply_has_leaves ? leaves_phase : probe_phase);
-    channel.Send(Dir::kServerToClient, reply.Finish());
-    FSYNC_ASSIGN_OR_RETURN(Bytes reply_msg,
-                           channel.Receive(Dir::kServerToClient));
+    if (in.bits_remaining() >= 8) {
+      return Status::DataLoss("merkle: trailing bytes after an ask");
+    }
+    started_ = true;
+    offered_ = std::move(offered);
+    if (has_leaves != nullptr) {
+      *has_leaves = leaves;
+    }
+    return reply.Finish();
+  }
 
-    // Client: process replies; build next round's pending set.
-    BitReader rin(reply_msg);
+ private:
+  const TrieSide& side_;
+  const MerkleParams params_;
+  bool started_ = false;
+  std::vector<NodeId> offered_;  // by the last reply, in key order
+};
+
+/// The client half: asks for the nodes whose hashes disagree and ends
+/// with the exact difference from the client's point of view.
+template <typename Codec>
+class TrieClient {
+ public:
+  /// `files` must outlive the client.
+  TrieClient(const Manifest& files, const MerkleParams& params)
+      : params_(params), side_(BuildSide<Codec>(files)) {}
+
+  /// The first ask: the root, with this side's root hash.
+  Bytes Start() {
+    diff_.rounds = 1;
+    BitWriter ask;
+    ask.WriteVarint(1);
+    WriteNodeId(ask, NodeId{});
+    ask.WriteBits(NodeHash(side_, NodeId{}, params_.node_hash_bytes),
+                  8 * params_.node_hash_bytes);
+    return ask.Finish();
+  }
+
+  /// Consumes the reply to the last ask. Returns the next ask, or
+  /// nullopt once the walk is done and diff() holds its result.
+  StatusOr<std::optional<Bytes>> OnWalkReply(ByteSpan reply) {
+    const uint32_t hash_bytes = params_.node_hash_bytes;
+    BitReader rin(reply);
     std::vector<NodeId> next;
-    for (NodeId n : pending) {
+    for (NodeId n : pending_) {
       FSYNC_ASSIGN_OR_RETURN(uint64_t code, rin.ReadBits(2));
       if (code == kReplySame) {
         continue;
       }
       if (code == kReplyChildren) {
-        const int levels = std::min<int>(
-            static_cast<int>(descend_levels), kMaxDepth - n.depth);
+        const int levels = DescentLevels(params_, n.depth);
         const std::vector<uint64_t> mine =
-            DescendantHashes(client, n, levels, node_hash_bytes);
+            DescendantHashes(side_, n, levels, hash_bytes);
         for (uint64_t idx = 0; idx < mine.size(); ++idx) {
           FSYNC_ASSIGN_OR_RETURN(uint64_t server_hash,
-                                 rin.ReadBits(8 * node_hash_bytes));
+                                 rin.ReadBits(8 * hash_bytes));
           if (mine[idx] != server_hash) {
             next.push_back(Descendant(n, levels, idx));
           }
@@ -345,63 +395,145 @@ StatusOr<TrieDiff> TrieReconcile(
       if (code != kReplyLeaves) {
         return Status::DataLoss("merkle: bad reply code");
       }
-      FSYNC_ASSIGN_OR_RETURN(uint64_t n_entries, rin.ReadVarint());
-      if (n_entries > reply_msg.size()) {
-        return Status::DataLoss("merkle: implausible entry count");
-      }
-      Manifest server_side;
-      for (uint64_t e = 0; e < n_entries; ++e) {
-        FSYNC_ASSIGN_OR_RETURN(uint64_t len, rin.ReadVarint());
-        if (len > 4096) {
-          return Status::DataLoss("merkle: implausible name length");
-        }
-        FSYNC_ASSIGN_OR_RETURN(Bytes name_bytes, rin.ReadBytes(len));
-        FSYNC_ASSIGN_OR_RETURN(ManifestEntry meta, Codec::ReadMeta(rin));
-        server_side[ToString(name_bytes)] = meta;
-      }
-      // Compare against the client's entries in this subtree.
-      auto [clo, chi] = NodeRange(client.entries, n);
-      for (size_t k = clo; k < chi; ++k) {
-        const std::string& name = *client.entries[k].name;
-        auto it = server_side.find(name);
-        if (it == server_side.end()) {
-          result.extra.push_back(name);
-        } else {
-          if (!Codec::Same(it->second, *client.entries[k].meta)) {
-            result.stale.push_back(name);
-            result.stale_entries[name] = it->second;
-          }
-          server_side.erase(it);
-        }
-      }
-      for (const auto& [name, meta] : server_side) {
-        result.stale.push_back(name);  // server-only files
-        result.stale_entries[name] = meta;
-      }
+      FSYNC_RETURN_IF_ERROR(ReadLeaves(rin, reply.size(), n));
     }
-    pending = std::move(next);
-    first_round = false;
+    pending_ = std::move(next);
+    if (pending_.empty()) {
+      // stale_entries' keys: ascending, and once each even if a broken
+      // server lists a path under two nodes.
+      for (const auto& kv : diff_.stale_entries) {
+        diff_.stale.push_back(kv.first);
+      }
+      std::sort(diff_.extra.begin(), diff_.extra.end());
+      return std::optional<Bytes>();
+    }
+    ++diff_.rounds;
+    BitWriter ask;
+    ask.WriteVarint(pending_.size());
+    for (NodeId n : pending_) {
+      WriteNodeId(ask, n);
+    }
+    return std::optional<Bytes>(ask.Finish());
+  }
+
+  /// The walk's result once OnWalkReply returned nullopt: stale, extra,
+  /// stale_entries and rounds (stats belong to whoever moved the bytes).
+  ManifestDiff& diff() { return diff_; }
+  const ManifestDiff& diff() const { return diff_; }
+
+ private:
+  // Compares the server's leaf list for `n` against this side's
+  // entries under `n`: what only this side has is extra, what the
+  // server lists differently or alone is stale (stale_entries).
+  Status ReadLeaves(BitReader& rin, size_t reply_size, NodeId n) {
+    FSYNC_ASSIGN_OR_RETURN(uint64_t n_entries, rin.ReadVarint());
+    if (n_entries > reply_size) {
+      return Status::DataLoss("merkle: implausible entry count");
+    }
+    Manifest server_side;
+    for (uint64_t e = 0; e < n_entries; ++e) {
+      FSYNC_ASSIGN_OR_RETURN(uint64_t len, rin.ReadVarint());
+      if (len > 4096) {
+        return Status::DataLoss("merkle: implausible name length");
+      }
+      FSYNC_ASSIGN_OR_RETURN(Bytes name_bytes, rin.ReadBytes(len));
+      FSYNC_ASSIGN_OR_RETURN(ManifestEntry meta, Codec::ReadMeta(rin));
+      server_side[ToString(name_bytes)] = meta;
+    }
+    auto [lo, hi] = NodeRange(side_.entries, n);
+    for (size_t k = lo; k < hi; ++k) {
+      const std::string& name = *side_.entries[k].name;
+      auto it = server_side.find(name);
+      if (it == server_side.end()) {
+        diff_.extra.push_back(name);
+        continue;
+      }
+      if (!Codec::Same(it->second, *side_.entries[k].meta)) {
+        diff_.stale_entries[name] = it->second;
+      }
+      server_side.erase(it);
+    }
+    diff_.stale_entries.merge(server_side);  // server-only files
+    return Status::Ok();
+  }
+
+  const MerkleParams params_;
+  const TrieSide side_;
+  std::vector<NodeId> pending_ = {NodeId{}};
+  ManifestDiff diff_;
+};
+
+/// Moves one walk's messages between a client half (Start, OnWalkReply)
+/// and a server half (OnWalk) over `channel`, one roundtrip per round.
+/// Asks and pure hash replies are charged to `probe_phase`, replies that
+/// ship leaf entries to `leaves_phase`.
+template <typename Client, typename Server>
+Status PumpWalk(Client& client, Server& server, SimulatedChannel& channel,
+                obs::SyncObserver* obs, obs::Phase probe_phase,
+                obs::Phase leaves_phase) {
+  using Dir = SimulatedChannel::Direction;
+  std::optional<Bytes> ask = client.Start();
+  for (uint32_t round = 1; ask.has_value(); ++round) {
+    obs::SetRound(obs, round);
+    const auto round_start = obs != nullptr
+                                 ? std::chrono::steady_clock::now()
+                                 : std::chrono::steady_clock::time_point();
+    obs::SetPhase(obs, probe_phase);
+    channel.Send(Dir::kClientToServer, *ask);
+    FSYNC_ASSIGN_OR_RETURN(Bytes ask_msg,
+                           channel.Receive(Dir::kClientToServer));
+    bool has_leaves = false;
+    FSYNC_ASSIGN_OR_RETURN(Bytes reply, server.OnWalk(ask_msg, &has_leaves));
+    obs::SetPhase(obs, has_leaves ? leaves_phase : probe_phase);
+    channel.Send(Dir::kServerToClient, reply);
+    FSYNC_ASSIGN_OR_RETURN(Bytes reply_msg,
+                           channel.Receive(Dir::kServerToClient));
+    FSYNC_ASSIGN_OR_RETURN(ask, client.OnWalkReply(reply_msg));
     if (obs != nullptr) {
       auto elapsed = std::chrono::steady_clock::now() - round_start;
       obs->RecordRound(
-          static_cast<uint32_t>(result.rounds),
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                  .count()));
+          round, static_cast<uint64_t>(
+                     std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         elapsed)
+                         .count()));
     }
   }
+  return Status::Ok();
+}
 
-  std::sort(result.stale.begin(), result.stale.end());
-  std::sort(result.extra.begin(), result.extra.end());
-  const TrafficStats& after = channel.stats();
-  result.stats.client_to_server_bytes =
-      after.client_to_server_bytes - before.client_to_server_bytes;
-  result.stats.server_to_client_bytes =
-      after.server_to_client_bytes - before.server_to_client_bytes;
-  result.stats.roundtrips = after.roundtrips - before.roundtrips;
-  return result;
+/// One whole walk between `client_files` and `server_files` over
+/// `channel`: MerkleReconcile and ManifestReconcile are this with their
+/// codec. Exact: the result always equals the true difference.
+template <typename Codec>
+StatusOr<ManifestDiff> RunTrieWalk(const Manifest& client_files,
+                                   const Manifest& server_files,
+                                   const MerkleParams& params,
+                                   SimulatedChannel& channel,
+                                   obs::SyncObserver* obs,
+                                   obs::Phase probe_phase,
+                                   obs::Phase leaves_phase) {
+  FSYNC_RETURN_IF_ERROR(ValidateMerkleParams(params));
+  const TrafficStats before = channel.stats();
+  TrieClient<Codec> client(client_files, params);
+  const TrieSide side = BuildSide<Codec>(server_files);
+  TrieServer<Codec> server(side, params);
+  FSYNC_RETURN_IF_ERROR(
+      PumpWalk(client, server, channel, obs, probe_phase, leaves_phase));
+  ManifestDiff diff = std::move(client.diff());
+  diff.stats = TrafficSince(before, channel.stats());
+  return diff;
 }
 
 }  // namespace fsx::reconcile_internal
+
+namespace fsx {
+
+/// The manifest walk's halves: every ManifestEntry field rides the wire.
+using ManifestWalkClient =
+    reconcile_internal::TrieClient<reconcile_internal::ManifestEntryCodec>;
+using ManifestWalkServer =
+    reconcile_internal::TrieServer<reconcile_internal::ManifestEntryCodec>;
+
+}  // namespace fsx
 
 #endif  // FSYNC_RECONCILE_TRIE_H_

@@ -33,6 +33,14 @@ enum class TreeShape {
   kEditHeavy,             // most files edited in place (walk worst case)
 };
 
+/// The shapes and seed the tree transcript pins run over (golden_test,
+/// netd_test): churn with edits, adoption-only moves, and a swarm of
+/// tiny files.
+inline constexpr TreeShape kPinnedShapes[] = {TreeShape::kMixedChurn,
+                                              TreeShape::kPureRename,
+                                              TreeShape::kSmallFileSwarm};
+inline constexpr uint64_t kPinnedSeed = 12345;
+
 /// All shapes, in declaration order.
 const std::vector<TreeShape>& AllTreeShapes();
 

@@ -26,13 +26,6 @@ namespace {
 
 const char kPangram[] = "The quick brown fox jumps over the lazy dog";
 
-// The tree shapes the transcript pins run over: churn with edits,
-// adoption-only moves, and a swarm of tiny files.
-const TreeShape kPinnedShapes[] = {TreeShape::kMixedChurn,
-                                   TreeShape::kPureRename,
-                                   TreeShape::kSmallFileSwarm};
-constexpr uint64_t kPinnedSeed = 12345;
-
 // MD5 over every transcript entry as (direction byte, 8-byte
 // little-endian length, payload), in send order.
 void HashTranscript(const SimulatedChannel& channel, Md5& h) {

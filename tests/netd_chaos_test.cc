@@ -21,23 +21,45 @@
 #include "fsync/store/vfs.h"
 #include "fsync/store/vfs_fault.h"
 #include "fsync/util/random.h"
+#include "fsync/workload/edits.h"
+#include "fsync/workload/text_synth.h"
 #include "fsync/workload/tree.h"
 
 namespace fsx::netd {
 namespace {
 
+// Adds two files above the 16 KiB small-file threshold, edited in the
+// server's version, so faults hit the per-file sessions as well as the
+// small-file bundle.
+void AddLargeFiles(Collection& tree, uint64_t seed, bool edited) {
+  for (uint64_t i = 0; i < 2; ++i) {
+    Rng rng(seed * 31 + i);
+    Bytes data = SynthSourceFile(rng, 48 * 1024);
+    if (edited) {
+      EditProfile edits;
+      edits.num_edits = 6;
+      data = ApplyEdits(data, edits, rng);
+    }
+    tree["large/part-" + std::to_string(i) + ".c"] = std::move(data);
+  }
+}
+
 Collection ServerTree(uint64_t seed) {
   TreeChurnProfile profile = ReleaseTreeProfile(30);
   profile.seed = seed;
   profile.max_file_bytes = 16 * 1024;  // enough rounds to interrupt
-  return MakeTreeWorkload(profile).new_tree;
+  Collection tree = MakeTreeWorkload(profile).new_tree;
+  AddLargeFiles(tree, seed, /*edited=*/true);
+  return tree;
 }
 
 Collection StaleTree(uint64_t seed) {
   TreeChurnProfile profile = ReleaseTreeProfile(30);
   profile.seed = seed;
   profile.max_file_bytes = 16 * 1024;
-  return MakeTreeWorkload(profile).old_tree;
+  Collection tree = MakeTreeWorkload(profile).old_tree;
+  AddLargeFiles(tree, seed, /*edited=*/false);
+  return tree;
 }
 
 // Runs one faulty client followed by one clean retry and asserts the

@@ -1,12 +1,17 @@
 // netd suite: frame/protocol codec units, pollers, rate limiting, the
-// daemon transcript pin — a ClientFileSession speaking raw frames to a
+// daemon transcript pins — a ClientFileSession speaking raw frames to a
 // real SyncDaemon must put exactly SynchronizeFile's SimulatedChannel
-// transcript on each stream, for every corpus shape — and SyncDaemon
-// end-to-end: handshake, manifest, multiplexed sessions, concurrency
-// fan-out, eviction, deadlines, backpressure, and graceful drain.
-// Labeled `net` in CTest.
+// transcript on each stream, for every corpus shape, and a
+// TreeSyncClient's kWalk/kPlan bodies must be SyncCollectionTree's — the
+// tree server half's bounds (a client may ask only for the walk it was
+// offered, and plan once), and SyncDaemon end-to-end: handshake, the
+// tree flow, multiplexed sessions, concurrency fan-out, eviction,
+// deadlines, backpressure, and graceful drain. Labeled `net` in CTest.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <functional>
 #include <poll.h>
 #include <sys/socket.h>
 #include <thread>
@@ -17,6 +22,7 @@
 #include "fsync/core/endpoint.h"
 #include "fsync/core/file_session.h"
 #include "fsync/core/session.h"
+#include "fsync/core/tree_session.h"
 #include "fsync/netd/client.h"
 #include "fsync/netd/daemon.h"
 #include "fsync/netd/event_loop.h"
@@ -26,7 +32,11 @@
 #include "fsync/netd/sockets.h"
 #include "fsync/store/fsstore.h"
 #include "fsync/testing/corpus.h"
+#include "fsync/testing/tree_corpus.h"
+#include "fsync/util/bit_io.h"
 #include "fsync/util/random.h"
+#include "fsync/workload/edits.h"
+#include "fsync/workload/text_synth.h"
 #include "fsync/workload/tree.h"
 
 namespace fsx::netd {
@@ -262,16 +272,35 @@ TEST(Poller, EpollBackend) {
 
 // --------------------------------------------------------------- daemon
 
+// Adds three files above the 16 KiB small-file threshold, edited in the
+// server's version, so a sync runs per-file sessions next to the bundle.
+void AddLargeFiles(Collection& tree, bool edited) {
+  for (int i = 0; i < 3; ++i) {
+    Rng rng(0xB16 + i);
+    Bytes data = SynthSourceFile(rng, 40 * 1024);
+    if (edited) {
+      EditProfile edits;
+      edits.num_edits = 5;
+      data = ApplyEdits(data, edits, rng);
+    }
+    tree["large/file-" + std::to_string(i) + ".c"] = std::move(data);
+  }
+}
+
 Collection SmallServerTree() {
   TreeChurnProfile profile = ReleaseTreeProfile(40);
   profile.seed = 0x5EED;
-  return MakeTreeWorkload(profile).new_tree;
+  Collection tree = MakeTreeWorkload(profile).new_tree;
+  AddLargeFiles(tree, /*edited=*/true);
+  return tree;
 }
 
 Collection StaleLocalTree() {
   TreeChurnProfile profile = ReleaseTreeProfile(40);
   profile.seed = 0x5EED;
-  return MakeTreeWorkload(profile).old_tree;
+  Collection tree = MakeTreeWorkload(profile).old_tree;
+  AddLargeFiles(tree, /*edited=*/false);
+  return tree;
 }
 
 TEST(Daemon, SingleClientFullSync) {
@@ -287,6 +316,7 @@ TEST(Daemon, SingleClientFullSync) {
   EXPECT_EQ(result->reconstructed, server_tree);
   EXPECT_EQ(result->files_total, server_tree.size());
   EXPECT_GT(result->files_unchanged, 0u);
+  EXPECT_GT(result->files_small, 0u);
   EXPECT_GT(result->files_sessioned, 0u);
   EXPECT_EQ(result->files_aborted, 0u);
 
@@ -429,6 +459,32 @@ class RawClient {
       }
       reader_.Feed(buf, static_cast<size_t>(n));
     }
+  }
+
+  /// Sends `body` as `msg` on stream 0 and returns the body of the
+  /// reply, which must be the same kind on stream 0.
+  StatusOr<Bytes> Exchange(Msg msg, ByteSpan body) {
+    FSYNC_RETURN_IF_ERROR(Send(msg, 0, body));
+    FSYNC_ASSIGN_OR_RETURN(DaemonMsg reply, Recv());
+    if (reply.msg != msg || reply.stream != 0) {
+      return Status::DataLoss("unexpected reply kind");
+    }
+    return std::move(reply.body);
+  }
+
+  /// Runs `client`'s whole walk against the daemon; `bodies` (optional)
+  /// receives every ask and reply, in order.
+  Status Walk(TreeSyncClient& client, std::vector<Bytes>* bodies = nullptr) {
+    std::optional<Bytes> ask = client.Start();
+    while (ask.has_value()) {
+      FSYNC_ASSIGN_OR_RETURN(Bytes reply, Exchange(Msg::kWalk, *ask));
+      if (bodies != nullptr) {
+        bodies->push_back(*ask);
+        bodies->push_back(reply);
+      }
+      FSYNC_ASSIGN_OR_RETURN(ask, client.OnWalkReply(reply));
+    }
+    return Status::Ok();
   }
 
   Status Handshake() {
@@ -598,6 +654,190 @@ TEST(DaemonTranscript, LadderRungsMatchSimulatedSession) {
   }
 }
 
+TEST(DaemonTranscript, TreeMatchesSimulatedTree) {
+  // The daemon moves the tree flow's messages unmodified: a
+  // TreeSyncClient's kWalk and kPlan bodies are, in order,
+  // SyncCollectionTree's walk, plan and bundle messages.
+  for (TreeShape shape : kPinnedShapes) {
+    TreeCorpusPair pair = MakeTreeCorpusPair(shape, kPinnedSeed);
+    const std::string label = pair.Label();
+    SimulatedChannel sim;
+    sim.EnableTranscript();
+    auto expected = SyncCollectionTree(pair.old_tree, pair.new_tree,
+                                       TreeSyncParams{}, sim);
+    ASSERT_TRUE(expected.ok()) << label;
+    // In the simulated transcript: two messages per walk round, then the
+    // plan (when a file needs content), and the bundle is the server's
+    // first message after it (when a planned file is small).
+    const auto& transcript = sim.transcript();
+    std::vector<Bytes> want;
+    size_t i = 0;
+    for (; i < 2 * static_cast<size_t>(expected->manifest_rounds); ++i) {
+      want.push_back(transcript[i].payload);
+    }
+    if (expected->files_small + expected->files_sessioned > 0) {
+      want.push_back(transcript[i].payload);
+      if (expected->files_small > 0) {
+        while (transcript[i].dir !=
+               SimulatedChannel::Direction::kServerToClient) {
+          ++i;
+        }
+        want.push_back(transcript[i].payload);
+      }
+    }
+
+    SyncDaemon daemon(pair.new_tree, DaemonOptions{});
+    ASSERT_TRUE(daemon.Start().ok()) << label;
+    auto raw = RawClient::Connect(daemon.port());
+    ASSERT_TRUE(raw.ok()) << label;
+    ASSERT_TRUE(raw->Handshake().ok()) << label;
+    TreeSyncClient client(pair.old_tree, TreeSyncParams{});
+    std::vector<Bytes> got;
+    ASSERT_TRUE(raw->Walk(client, &got).ok()) << label;
+    if (std::optional<Bytes> plan = client.Plan()) {
+      got.push_back(*plan);
+      if (client.awaits_bundle()) {
+        auto bundle = raw->Exchange(Msg::kPlan, *plan);
+        ASSERT_TRUE(bundle.ok()) << label << ": "
+                                 << bundle.status().ToString();
+        got.push_back(*bundle);
+      } else {
+        ASSERT_TRUE(raw->Send(Msg::kPlan, 0, *plan).ok()) << label;
+      }
+    }
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t m = 0; m < got.size(); ++m) {
+      EXPECT_EQ(got[m], want[m]) << label << " message " << m;
+    }
+    ASSERT_TRUE(raw->Send(Msg::kGoodbye, 0, ByteSpan()).ok());
+    EXPECT_TRUE(raw->WaitForEof(5000)) << label;
+
+    // A real client over the same daemon ends with the served tree,
+    // classified file by file as the simulated run classified it.
+    ClientOptions opts;
+    opts.port = daemon.port();
+    auto result = RunSyncClient(pair.old_tree, opts);
+    ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+    EXPECT_EQ(result->reconstructed, pair.new_tree) << label;
+    EXPECT_EQ(result->files_total, expected->files_total) << label;
+    EXPECT_EQ(result->files_unchanged, expected->files_unchanged) << label;
+    EXPECT_EQ(result->files_new, expected->files_new) << label;
+    EXPECT_EQ(result->files_adopted, expected->files_adopted) << label;
+    EXPECT_EQ(result->files_small, expected->files_small) << label;
+    EXPECT_EQ(result->files_sessioned, expected->files_sessioned) << label;
+    daemon.Drain();
+    daemon.Join();
+  }
+}
+
+TEST(Daemon, RefusesAV1Hello) {
+  SyncDaemon daemon(SmallServerTree(), DaemonOptions{});
+  ASSERT_TRUE(daemon.Start().ok());
+  auto raw = RawClient::Connect(daemon.port());
+  ASSERT_TRUE(raw.ok());
+  BitWriter hello;
+  hello.WriteBits(kDaemonMagic, 32);
+  hello.WriteBits(1, 8);  // the full-manifest protocol's version
+  const Bytes body = hello.Finish();
+  ASSERT_TRUE(raw->Send(Msg::kHello, 0, body).ok());
+  auto msg = raw->Recv();
+  ASSERT_TRUE(msg.ok()) << msg.status().ToString();
+  ASSERT_EQ(msg->msg, Msg::kHelloAck);
+  auto ack = ParseHelloAck(msg->body);
+  ASSERT_TRUE(ack.ok());
+  EXPECT_FALSE(ack->accepted);
+  EXPECT_EQ(ack->version, 2);
+  EXPECT_TRUE(raw->WaitForEof(5000));
+  daemon.Stop();
+  daemon.Join();
+}
+
+// Plays `abuse` on a fresh handshaken connection, then requires the
+// daemon to close it as a protocol failure and to serve a full sync
+// right afterwards.
+void ExpectTreeAbuseFailsTheConnection(
+    const std::function<void(RawClient&)>& abuse) {
+  Collection server_tree = SmallServerTree();
+  SyncDaemon daemon(server_tree, DaemonOptions{});
+  ASSERT_TRUE(daemon.Start().ok());
+  auto raw = RawClient::Connect(daemon.port());
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(raw->Handshake().ok());
+  abuse(*raw);
+  EXPECT_TRUE(raw->WaitForEof(5000));
+
+  ClientOptions opts;
+  opts.port = daemon.port();
+  auto result = RunSyncClient(StaleLocalTree(), opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->reconstructed, server_tree);
+  daemon.Drain();
+  daemon.Join();
+  EXPECT_EQ(daemon.stats().connections_failed, 1u);
+  EXPECT_EQ(daemon.stats().open_connections, 0u);
+}
+
+TEST(DaemonTreeBounds, RepeatedRootFailsTheConnection) {
+  // Each bare 7-bit root probe would make the server re-hash the whole
+  // tree's preimage; the walk offers the root exactly once.
+  ExpectTreeAbuseFailsTheConnection([](RawClient& raw) {
+    const Collection empty;
+    TreeSyncClient client(empty, TreeSyncParams{});
+    ASSERT_TRUE(raw.Exchange(Msg::kWalk, client.Start()).ok());
+    BitWriter ask;
+    ask.WriteVarint(1);
+    ask.WriteBits(0, 7);  // depth 0: the root
+    const Bytes body = ask.Finish();
+    ASSERT_TRUE(raw.Send(Msg::kWalk, 0, body).ok());
+  });
+}
+
+TEST(DaemonTreeBounds, UnofferedNodeFailsTheConnection) {
+  ExpectTreeAbuseFailsTheConnection([](RawClient& raw) {
+    const Collection empty;
+    TreeSyncClient client(empty, TreeSyncParams{});
+    ASSERT_TRUE(raw.Exchange(Msg::kWalk, client.Start()).ok());
+    // The root's reply offered its depth-4 descendants; ask for a
+    // depth-1 node instead.
+    BitWriter ask;
+    ask.WriteVarint(1);
+    ask.WriteBits(1, 7);  // depth
+    ask.WriteBits(0, 1);  // prefix
+    const Bytes body = ask.Finish();
+    ASSERT_TRUE(raw.Send(Msg::kWalk, 0, body).ok());
+  });
+}
+
+TEST(DaemonTreeBounds, DuplicatePlanPathFailsTheConnection) {
+  ExpectTreeAbuseFailsTheConnection([](RawClient& raw) {
+    const Collection empty;
+    TreeSyncClient client(empty, TreeSyncParams{});
+    ASSERT_TRUE(raw.Walk(client).ok());
+    const std::string path = SmallServerTree().begin()->first;
+    BitWriter plan;
+    plan.WriteVarint(2);
+    for (int i = 0; i < 2; ++i) {
+      plan.WriteVarint(path.size());
+      plan.WriteBytes(AsBytes(path));
+    }
+    const Bytes body = plan.Finish();
+    ASSERT_TRUE(raw.Send(Msg::kPlan, 0, body).ok());
+  });
+}
+
+TEST(DaemonTreeBounds, SecondPlanFailsTheConnection) {
+  ExpectTreeAbuseFailsTheConnection([](RawClient& raw) {
+    const Collection empty;
+    TreeSyncClient client(empty, TreeSyncParams{});
+    ASSERT_TRUE(raw.Walk(client).ok());
+    std::optional<Bytes> plan = client.Plan();
+    ASSERT_TRUE(plan.has_value());
+    ASSERT_TRUE(client.awaits_bundle());
+    ASSERT_TRUE(raw.Exchange(Msg::kPlan, *plan).ok());
+    ASSERT_TRUE(raw.Send(Msg::kPlan, 0, *plan).ok());
+  });
+}
+
 TEST(Daemon, StartRefusesAnInvalidConfig) {
   DaemonOptions options;
   options.config.start_block_size = 0;
@@ -646,13 +886,14 @@ TEST(Daemon, ConnectionCapEvictsOldestIdle) {
 TEST(Daemon, BackpressureStallsSlowReaders) {
   // A client that requests a large reply and stops reading must trip
   // the write-queue high watermark: the daemon registers a backpressure
-  // stall and pauses reads instead of buffering unboundedly. A big
-  // manifest (thousands of entries) queued against a tiny watermark
-  // crosses it deterministically.
+  // stall and pauses reads instead of buffering unboundedly. The bundle
+  // of thousands of incompressible small files, queued against a tiny
+  // watermark, crosses it deterministically.
   Collection tree;
+  Rng rng(0xBAC);
   for (int i = 0; i < 3000; ++i) {
     tree["dir" + std::to_string(i % 10) + "/file-" + std::to_string(i)] =
-        ToBytes("contents " + std::to_string(i));
+        rng.RandomBytes(64);
   }
   DaemonOptions options;
   options.limits.write_queue_high_bytes = 64 * 1024;
@@ -663,7 +904,12 @@ TEST(Daemon, BackpressureStallsSlowReaders) {
   auto raw = RawClient::Connect(daemon.port());
   ASSERT_TRUE(raw.ok());
   ASSERT_TRUE(raw->Handshake().ok());
-  ASSERT_TRUE(raw->Send(Msg::kManifestRequest, 0, ByteSpan()).ok());
+  const Collection empty;
+  TreeSyncClient client(empty, TreeSyncParams{});
+  ASSERT_TRUE(raw->Walk(client).ok());
+  std::optional<Bytes> plan = client.Plan();
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_TRUE(raw->Send(Msg::kPlan, 0, *plan).ok());
 
   // Read nothing until the stall registers.
   bool stalled = false;
@@ -674,11 +920,12 @@ TEST(Daemon, BackpressureStallsSlowReaders) {
   EXPECT_TRUE(stalled);
 
   // Once the slow reader catches up, the connection must be perfectly
-  // usable again: the manifest arrives intact and goodbye closes clean.
-  auto manifest = raw->Recv();
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  EXPECT_EQ(manifest->msg, Msg::kManifest);
-  EXPECT_GT(manifest->body.size(), 64u * 1024);
+  // usable again: the bundle arrives intact and goodbye closes clean.
+  auto bundle = raw->Recv();
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  EXPECT_EQ(bundle->msg, Msg::kPlan);
+  EXPECT_GT(bundle->body.size(), 64u * 1024);
+  EXPECT_TRUE(client.OnBundle(bundle->body).ok());
   ASSERT_TRUE(raw->Send(Msg::kGoodbye, 0, ByteSpan()).ok());
   EXPECT_TRUE(raw->WaitForEof(5000));
   daemon.Stop();
@@ -733,15 +980,18 @@ TEST(Daemon, DrainWithNoConnectionsExitsImmediately) {
 }
 
 // A hostile server must not be able to smuggle unsafe paths into the
-// client: the manifest is validated with IsSafeRelativePath before any
-// session (or any checkpoint file name) is derived from it.
+// client: every path the walk delivers is validated with
+// IsSafeRelativePath before any session (or any checkpoint file name) is
+// derived from it.
 TEST(Daemon, ClientRejectsHostileManifest) {
   uint16_t port = 0;
   auto listener_or = ListenTcp("127.0.0.1", 0, &port);
   ASSERT_TRUE(listener_or.ok());
   Fd listener = std::move(*listener_or);
 
-  std::thread evil_server([fd = listener.get()] {
+  // Set by the evil server if the client ever goes past the walk.
+  std::atomic<bool> went_past_walk{false};
+  std::thread evil_server([fd = listener.get(), &went_past_walk] {
     pollfd lp{fd, POLLIN, 0};
     if (::poll(&lp, 1, 5000) <= 0) {
       return;
@@ -768,8 +1018,7 @@ TEST(Daemon, ClientRejectsHostileManifest) {
       }
     };
     uint8_t buf[4096];
-    int replies = 0;
-    while (replies < 2) {
+    for (;;) {
       auto rec = reader.Next();
       if (rec.ok()) {
         auto msg =
@@ -786,13 +1035,22 @@ TEST(Daemon, ClientRejectsHostileManifest) {
           ack.config_text = SerializeSyncConfig(config);
           Bytes body = EncodeHelloAck(ack);
           send_msg(Msg::kHelloAck, ByteSpan(body.data(), body.size()));
-          ++replies;
-        } else if (msg->msg == Msg::kManifestRequest) {
-          Manifest evil;
-          evil["../../etc/passwd"] = ManifestEntry{};
-          Bytes body = SerializeManifest(evil);
-          send_msg(Msg::kManifest, ByteSpan(body.data(), body.size()));
-          ++replies;
+        } else if (msg->msg == Msg::kWalk) {
+          // Answer the root ask with one leaf naming a path outside the
+          // client's tree: [kReplyLeaves:2][count][name][fp][size][mode].
+          const std::string evil = "../../etc/passwd";
+          BitWriter reply;
+          reply.WriteBits(0, 2);
+          reply.WriteVarint(1);
+          reply.WriteVarint(evil.size());
+          reply.WriteBytes(AsBytes(evil));
+          reply.WriteBytes(Bytes(16, 0));
+          reply.WriteVarint(0);
+          reply.WriteVarint(0644);
+          const Bytes body = reply.Finish();
+          send_msg(Msg::kWalk, body);
+        } else if (msg->msg != Msg::kGoodbye) {
+          went_past_walk = true;
         }
         continue;
       }
@@ -802,22 +1060,26 @@ TEST(Daemon, ClientRejectsHostileManifest) {
       }
       ssize_t n = ::recv(c.get(), buf, sizeof(buf), 0);
       if (n <= 0) {
-        return;
+        return;  // the client hung up
       }
       reader.Feed(buf, static_cast<size_t>(n));
     }
-    // Hold the socket open until the client has reacted.
-    pollfd p{c.get(), POLLIN, 0};
-    ::poll(&p, 1, 5000);
   });
 
+  const std::string ckpt_dir = ::testing::TempDir() + "/fsx-netd-hostile";
+  std::filesystem::remove_all(ckpt_dir);
+  std::filesystem::create_directories(ckpt_dir);
   ClientOptions opts;
   opts.port = port;
   opts.io_timeout_ms = 5000;
+  opts.checkpoint_dir = ckpt_dir;
   auto result = RunSyncClient(Collection{}, opts);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   evil_server.join();
+  EXPECT_FALSE(went_past_walk);
+  EXPECT_TRUE(std::filesystem::is_empty(ckpt_dir));
+  std::filesystem::remove_all(ckpt_dir);
 }
 
 }  // namespace
