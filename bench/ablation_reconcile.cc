@@ -2,12 +2,13 @@
 // per-file fingerprint exchange ("efficient enough for our data sets")
 // and defers smarter schemes to the changed-file-identification
 // literature it surveys; this bench quantifies that tradeoff with the
-// Merkle-trie reconciler: hash-tree probing wins when few files changed,
-// the flat exchange wins under heavy churn.
+// manifest walk every tree driver and the daemon run (ManifestReconcile):
+// hash-trie probing wins when few files changed, the flat exchange wins
+// under heavy churn.
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "fsync/reconcile/merkle.h"
+#include "fsync/reconcile/manifest.h"
 #include "fsync/util/random.h"
 
 namespace fsx {
@@ -29,7 +30,7 @@ int Run(bench::JsonReport& report) {
   std::printf("collection: %d files; flat fingerprint exchange = %.1f KB\n\n",
               kFiles, flat / 1024.0);
   std::printf("%-18s %14s %10s %14s\n", "changed fraction",
-              "merkle KB", "rounds", "vs flat");
+              "walk KB", "rounds", "vs flat");
 
   for (double frac : {0.0, 0.001, 0.01, 0.05, 0.2, 0.5}) {
     Manifest server = client;
@@ -43,17 +44,16 @@ int Run(bench::JsonReport& report) {
       it->second.fingerprint[rng.Uniform(16)] ^= 0x5A;
     }
     SimulatedChannel channel;
-    MerkleParams params;
     obs::SyncObserver observer;
     bench::WallTimer timer;
-    auto r = MerkleReconcile(client, server, params, channel, &observer);
+    auto r = ManifestReconcile(client, server, channel, &observer);
     if (!r.ok()) {
       std::fprintf(stderr, "reconcile failed: %s\n",
                    r.status().ToString().c_str());
       return 1;
     }
     char label[48];
-    std::snprintf(label, sizeof(label), "merkle, %.1f%% changed",
+    std::snprintf(label, sizeof(label), "manifest walk, %.1f%% changed",
                   100 * frac);
     report.Add(label)
         .Config("changed_fraction", std::to_string(frac))
@@ -64,7 +64,7 @@ int Run(bench::JsonReport& report) {
                 r->stats.total_bytes() / 1024.0, r->rounds,
                 static_cast<double>(flat) / r->stats.total_bytes());
   }
-  std::printf("\n(ratios > 1 favour the Merkle trie; the flat exchange\n"
+  std::printf("\n(ratios > 1 favour the manifest walk; the flat exchange\n"
               " needs no extra roundtrips, which the trie pays in rounds)\n");
   return 0;
 }
@@ -75,11 +75,11 @@ int Run(bench::JsonReport& report) {
 int main(int argc, char** argv) {
   fsx::bench::JsonReport report(
       "ablation_reconcile",
-      "changed-file identification: flat fingerprints vs Merkle trie");
+      "changed-file identification: flat fingerprints vs manifest walk");
   report.ParseArgs(argc, argv);
   fsx::bench::PrintHeader(
       "Ablation (reconcile)",
-      "changed-file identification: flat fingerprints vs Merkle trie");
+      "changed-file identification: flat fingerprints vs manifest walk");
   int rc = fsx::Run(report);
   return rc != 0 ? rc : report.Write();
 }

@@ -506,7 +506,6 @@ int RunSync(const std::string& src_dir, const std::string& dst_dir,
     // scan is skipped and reported, not clobbered.
     fsx::store::ApplyOptions options;
     options.delete_extra = !keep_extra;
-    options.write_manifest = true;
     auto report = fsx::store::ApplyTree(dst_dir, result->reconstructed,
                                         fsx::BuildManifest(*client_tree),
                                         options, obs);

@@ -18,16 +18,6 @@ namespace fsx {
 
 namespace {
 
-// Fingerprint-exchange cost: the client announces (name, fingerprint) per
-// file; we charge 16 bytes plus the name for each file in the client set.
-uint64_t FingerprintExchangeBytes(const Collection& client) {
-  uint64_t total = 0;
-  for (const auto& [name, data] : client) {
-    total += 16 + name.size() + 1;
-  }
-  return total;
-}
-
 // Per-file fan-out: runs `run_file(name, current)` for every server file
 // across the worker pool and materializes the outcomes in collection
 // iteration order. The caller's fold loop then consumes them in that same
@@ -291,11 +281,11 @@ StatusOr<CollectionSyncResult> SyncCollection(const Collection& client,
                                               obs::SyncObserver* obs,
                                               cache::SyncCache* cache) {
   CollectionSyncResult result;
-  result.stats.client_to_server_bytes += FingerprintExchangeBytes(client);
+  result.stats.client_to_server_bytes += FullExchangeBytes(client);
   // The fingerprint exchange is charged out-of-band (no channel carries
   // it); mirror it into the observer so phase sums match the stats.
   obs::AddBytes(obs, obs::Phase::kHandshake, obs::Flow::kUp,
-                FingerprintExchangeBytes(client));
+                FullExchangeBytes(client));
   result.files_total = server.size();
 
   uint64_t max_roundtrips = 0;
@@ -546,7 +536,6 @@ StatusOr<TreeSyncResult> SyncCollectionTreeImpl(const Collection& client,
                                                 bool fingerprint_hints) {
   using Dir = SimulatedChannel::Direction;
   FSYNC_RETURN_IF_ERROR(ValidateSyncConfig(params.config));
-  FSYNC_RETURN_IF_ERROR(ValidateMerkleParams(params.merkle));
   ObservedSession scope(channel, obs, "session-tree");
   TreeSyncClient tree_client(client, params, obs);
   const TreeSnapshot snapshot(server, params);
@@ -554,9 +543,8 @@ StatusOr<TreeSyncResult> SyncCollectionTreeImpl(const Collection& client,
 
   // --- 1. Manifest reconciliation (trie walk, Phase::kManifest). ---
   const TrafficStats before = channel.stats();
-  FSYNC_RETURN_IF_ERROR(reconcile_internal::PumpWalk(
-      tree_client, tree_server, channel, obs, obs::Phase::kManifest,
-      obs::Phase::kManifest));
+  FSYNC_RETURN_IF_ERROR(
+      reconcile_internal::PumpWalk(tree_client, tree_server, channel, obs));
   TreeSyncResult& result = tree_client.result();
   result.manifest_bytes = TrafficSince(before, channel.stats()).total_bytes();
 
@@ -658,9 +646,9 @@ StatusOr<CollectionSyncResult> SyncCollectionPerFile(
     const Collection& client, const Collection& server, int num_threads,
     obs::SyncObserver* obs, const char* mismatch, const Sync& sync) {
   CollectionSyncResult result;
-  result.stats.client_to_server_bytes += FingerprintExchangeBytes(client);
+  result.stats.client_to_server_bytes += FullExchangeBytes(client);
   obs::AddBytes(obs, obs::Phase::kHandshake, obs::Flow::kUp,
-                FingerprintExchangeBytes(client));
+                FullExchangeBytes(client));
   result.files_total = server.size();
 
   auto run_one = [&](const std::string& name, const Bytes& current)
@@ -744,7 +732,7 @@ StatusOr<CollectionSyncResult> SyncCollectionMultiround(
 
 uint64_t CollectionFullTransferBytes(const Collection& client,
                                      const Collection& server) {
-  uint64_t total = FingerprintExchangeBytes(client);
+  uint64_t total = FullExchangeBytes(client);
   for (const auto& [name, current] : server) {
     auto it = client.find(name);
     if (it != client.end() && it->second == current) {
@@ -757,7 +745,7 @@ uint64_t CollectionFullTransferBytes(const Collection& client,
 
 uint64_t CollectionCompressedTransferBytes(const Collection& client,
                                            const Collection& server) {
-  uint64_t total = FingerprintExchangeBytes(client);
+  uint64_t total = FullExchangeBytes(client);
   for (const auto& [name, current] : server) {
     auto it = client.find(name);
     if (it != client.end() && it->second == current) {
@@ -771,7 +759,7 @@ uint64_t CollectionCompressedTransferBytes(const Collection& client,
 StatusOr<uint64_t> CollectionDeltaBytes(const Collection& client,
                                         const Collection& server,
                                         DeltaCodec codec) {
-  uint64_t total = FingerprintExchangeBytes(client);
+  uint64_t total = FullExchangeBytes(client);
   static const Bytes kEmpty;
   for (const auto& [name, current] : server) {
     auto it = client.find(name);

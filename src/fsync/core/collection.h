@@ -74,10 +74,6 @@ struct TreeSyncParams {
   /// num_threads also parallelizes manifest hashing; thread count never
   /// changes a wire byte).
   SyncConfig config;
-  /// Manifest trie-walk tuning. The wider default descent keeps the
-  /// whole manifest round to a handful of roundtrips even at 100k files.
-  MerkleParams merkle{.node_hash_bytes = 8, .leaf_batch = 4,
-                      .descend_levels = 4};
   /// Stale files at or below this server-side size skip per-file
   /// sessions and ship together in one compressed batch message. The
   /// default is tuned for high-latency links: below ~16 KB a delta

@@ -41,19 +41,19 @@ TreeSnapshot::TreeSnapshot(const Collection& tree,
     : tree(tree),
       params(params),
       manifest(BuildManifest(tree, params.config.num_threads)),
-      side(ManifestWalkServer::BuildSide(manifest)) {}
+      side(reconcile_internal::BuildSide(manifest)) {}
 
 TreeSyncServer::TreeSyncServer(const TreeSnapshot& snapshot,
                                obs::SyncObserver* obs)
     : snapshot_(snapshot),
       obs_(obs),
-      walk_(snapshot.side, snapshot.params.merkle) {}
+      walk_(snapshot.side) {}
 
-StatusOr<Bytes> TreeSyncServer::OnWalk(ByteSpan ask, bool* has_leaves) {
+StatusOr<Bytes> TreeSyncServer::OnWalk(ByteSpan ask) {
   if (planned_) {
     return Status::DataLoss("tree sync: walk ask after the plan");
   }
-  FSYNC_ASSIGN_OR_RETURN(Bytes reply, walk_.OnWalk(ask, has_leaves));
+  FSYNC_ASSIGN_OR_RETURN(Bytes reply, walk_.OnWalk(ask));
   walked_ = true;
   return reply;
 }
@@ -100,7 +100,7 @@ TreeSyncClient::TreeSyncClient(const Collection& local,
       small_file_threshold_(params.small_file_threshold),
       obs_(obs),
       manifest_(BuildManifest(local, params.config.num_threads)),
-      walk_(manifest_, params.merkle) {}
+      walk_(manifest_) {}
 
 StatusOr<std::optional<Bytes>> TreeSyncClient::OnWalkReply(ByteSpan reply) {
   FSYNC_ASSIGN_OR_RETURN(std::optional<Bytes> ask, walk_.OnWalkReply(reply));

@@ -40,8 +40,8 @@ namespace fsx {
 /// walk's server side. Immutable, so one snapshot serves any number of
 /// concurrent TreeSyncServers (the daemon builds one at start-up).
 struct TreeSnapshot {
-  /// `tree` must outlive the snapshot. `params.merkle`,
-  /// `small_file_threshold` and `cache` shape every server over it.
+  /// `tree` must outlive the snapshot. `small_file_threshold` and
+  /// `cache` shape every server over it.
   TreeSnapshot(const Collection& tree, const TreeSyncParams& params);
   TreeSnapshot(Collection&&, const TreeSyncParams&) = delete;
   // `side` points into `manifest`.
@@ -66,8 +66,8 @@ class TreeSyncServer {
   explicit TreeSyncServer(const TreeSnapshot& snapshot,
                           obs::SyncObserver* obs = nullptr);
 
-  /// Answers one walk ask; `has_leaves` as in TrieServer::OnWalk.
-  StatusOr<Bytes> OnWalk(ByteSpan ask, bool* has_leaves = nullptr);
+  /// Answers one walk ask.
+  StatusOr<Bytes> OnWalk(ByteSpan ask);
 
   /// Answers the plan with the bundle: the compressed small files in
   /// plan order. Empty when the plan names none, and then nothing is

@@ -18,6 +18,7 @@
 #include "fsync/netd/protocol.h"
 #include "fsync/netd/sockets.h"
 #include "fsync/store/fsstore.h"
+#include "fsync/store/journal.h"
 #include "fsync/util/hex.h"
 
 namespace fsx::netd {
@@ -238,9 +239,12 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
     FSYNC_ASSIGN_OR_RETURN(ask, tree.OnWalkReply(reply));
   }
   // Security boundary: wire paths become filesystem paths downstream;
-  // refuse the whole sync if the server names anything unsafe.
+  // refuse the whole sync if the server names anything the apply would
+  // refuse: a path outside the tree, or one of the store's own files (a
+  // served `*.fsx-journal` would be read as an undo journal by the next
+  // recovery).
   for (const auto& [path, entry] : tree.diff().stale_entries) {
-    if (!IsSafeRelativePath(path)) {
+    if (!IsSafeRelativePath(path) || store::IsInternalArtifact(path)) {
       return Status::InvalidArgument("client: unsafe path from the server: " +
                                      path);
     }

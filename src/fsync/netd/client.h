@@ -10,9 +10,11 @@
 // after every completed round, transparent resume on reconnect, and the
 // full degradation ladder (region repair, compressed fallback).
 //
-// Every path the walk delivers is validated with IsSafeRelativePath
-// before it is used for anything: a hostile or corrupted server cannot
-// name files outside the client's tree.
+// Every path the walk delivers is checked before it is used for
+// anything, with the rules the apply enforces (IsSafeRelativePath and
+// store::IsInternalArtifact): a hostile or corrupted server cannot name
+// files outside the client's tree, nor the store's own manifest, temps
+// or journals.
 #ifndef FSYNC_NETD_CLIENT_H_
 #define FSYNC_NETD_CLIENT_H_
 

@@ -28,10 +28,11 @@
 //   kCloseStream                          kError     code,detail
 //   kGoodbye                              kDraining  (stream 0)
 //
-// Both sides run the tree flow with TreeSyncParams' defaults (descent 4,
-// 16 KiB small-file threshold): they are v2 protocol constants, and only
-// the session config (negotiated in the handshake) and the server's
-// cache come from the daemon. A tree message the server half refuses
+// Both sides run the tree flow with the walk's fixed shape
+// (reconcile/trie.h) and TreeSyncParams' default 16 KiB small-file
+// threshold: they are v2 protocol constants, and only the session config
+// (negotiated in the handshake) and the server's cache come from the
+// daemon. A tree message the server half refuses
 // (an ask outside the offered walk, a second plan, ...) fails the
 // connection: see docs/PROTOCOL.md, "Daemon protocol v2".
 #ifndef FSYNC_NETD_PROTOCOL_H_

@@ -7,16 +7,6 @@
 
 namespace fsx {
 
-Status ValidateMerkleParams(const MerkleParams& params) {
-  if (params.node_hash_bytes == 0 || params.node_hash_bytes > 8) {
-    return Status::InvalidArgument("merkle: node_hash_bytes in [1,8]");
-  }
-  if (params.descend_levels == 0 || params.descend_levels > 8) {
-    return Status::InvalidArgument("merkle: descend_levels in [1,8]");
-  }
-  return Status::Ok();
-}
-
 Manifest BuildManifest(const std::map<std::string, Bytes>& files,
                        int num_threads) {
   const std::vector<Fingerprint> fps = FileFingerprints(files, num_threads);
@@ -63,15 +53,18 @@ void DetectAdoptions(const Manifest& client, ManifestDiff& diff) {
 
 StatusOr<ManifestDiff> ManifestReconcile(const Manifest& client,
                                          const Manifest& server,
-                                         const MerkleParams& params,
                                          SimulatedChannel& channel,
                                          obs::SyncObserver* obs) {
   ObservedSession scope(channel, obs, "manifest");
-  FSYNC_ASSIGN_OR_RETURN(
-      ManifestDiff diff,
-      reconcile_internal::RunTrieWalk<reconcile_internal::ManifestEntryCodec>(
-          client, server, params, channel, obs, obs::Phase::kManifest,
-          obs::Phase::kManifest));
+  const TrafficStats before = channel.stats();
+  reconcile_internal::TrieClient walk_client(client);
+  const reconcile_internal::TrieSide side =
+      reconcile_internal::BuildSide(server);
+  reconcile_internal::TrieServer walk_server(side);
+  FSYNC_RETURN_IF_ERROR(
+      reconcile_internal::PumpWalk(walk_client, walk_server, channel, obs));
+  ManifestDiff diff = std::move(walk_client.diff());
+  diff.stats = TrafficSince(before, channel.stats());
   DetectAdoptions(client, diff);
   return diff;
 }

@@ -1,10 +1,12 @@
 // Tree-level manifest reconciliation: the Directory Reconciliation step
 // that runs *before* any per-file sync. Both replicas summarize their
 // tree as a (path -> content-hash, size, mode) manifest, the same type
-// the store commits and the daemon ships; a hash-trie walk (shared with
-// merkle.h) narrows the exchange to the differing subset, so
-// an unchanged file costs nothing and the whole round trip is
-// O(set difference), not O(n) fingerprints.
+// the store commits and the daemon ships; a hash-trie walk (trie.h)
+// narrows the exchange to the differing subset, so an unchanged file
+// costs nothing and the whole round trip is O(set difference), not O(n)
+// fingerprints. The changed-file-identification literature the paper
+// surveys [1,4,27-30,36,42] is the source of the approach; the paper
+// itself uses a flat per-file fingerprint exchange (FullExchangeBytes).
 //
 // On top of the raw set difference, the client runs content-hash rename
 // detection: a stale path whose server-side (fingerprint, size) matches a
@@ -48,25 +50,17 @@ using Manifest = std::map<std::string, ManifestEntry>;
 Manifest BuildManifest(const std::map<std::string, Bytes>& files,
                        int num_threads = 1);
 
-/// Trie-walk tuning, shared by ManifestReconcile and MerkleReconcile.
-struct MerkleParams {
-  /// Trie node hashes are truncated to this many bytes on the wire.
-  uint32_t node_hash_bytes = 8;
-  /// Subtrees with at most this many leaves are shipped outright instead
-  /// of probed further (cuts roundtrips on small differences).
-  uint32_t leaf_batch = 4;
-  /// Trie levels descended per round: a mismatching node is answered with
-  /// the hashes of its 2^descend_levels descendant subtrees, trading
-  /// per-round hash bytes for proportionally fewer roundtrips. 1
-  /// reproduces the classic binary walk (and its exact wire format);
-  /// the tree-sync driver uses wider descents so the whole manifest
-  /// round finishes in a handful of roundtrips even at 100k files.
-  uint32_t descend_levels = 1;
-};
-
-/// InvalidArgument unless node_hash_bytes and descend_levels are in
-/// [1, 8].
-Status ValidateMerkleParams(const MerkleParams& params);
+/// Cost of the flat exchange the walk replaces, the paper's own: the
+/// client announces (name, fingerprint) per file, charged as 16 bytes
+/// plus the name and a separator. `files` is any map keyed by name.
+template <typename Files>
+uint64_t FullExchangeBytes(const Files& files) {
+  uint64_t total = 0;
+  for (const auto& kv : files) {
+    total += 16 + kv.first.size() + 1;
+  }
+  return total;
+}
 
 /// A zero-literal ledger op: `path` must take the content the client
 /// already holds at `from` (a rename/move/copy detected by content hash).
@@ -106,7 +100,6 @@ struct ManifestDiff {
 /// difference. All traffic is charged to obs::Phase::kManifest.
 StatusOr<ManifestDiff> ManifestReconcile(const Manifest& client,
                                          const Manifest& server,
-                                         const MerkleParams& params,
                                          SimulatedChannel& channel,
                                          obs::SyncObserver* obs = nullptr);
 

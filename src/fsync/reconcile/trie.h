@@ -1,20 +1,9 @@
-// The hash-trie walk shared by every reconciliation protocol, as two
-// message-in/message-out halves. Each side builds a binary trie keyed by
-// H(name); the client half probes nodes, the server half answers each
-// with either its descendant subtrees' hashes or the subtree's leaf
-// entries, and the walk descends only where the hashes disagree.
-// MerkleReconcile (merkle.h), ManifestReconcile (manifest.h) and the
-// tree driver's halves (core/tree_session.h) all walk a Manifest; they
-// differ only in which fields of a ManifestEntry an entry carries (the
-// fingerprint alone, or all of it), so the halves are templates over a
-// small codec:
-//
-//   struct Codec {
-//     static void AppendMeta(Bytes&, const ManifestEntry&);     // node hash
-//     static void WriteMeta(BitWriter&, const ManifestEntry&);  // leaf wire
-//     static StatusOr<ManifestEntry> ReadMeta(BitReader&);
-//     static bool Same(const ManifestEntry&, const ManifestEntry&);
-//   };
+// The manifest walk as two message-in/message-out halves. Each side
+// builds a trie keyed by H(name) over its Manifest; the client half
+// probes nodes, the server half answers each with either its descendant
+// subtrees' hashes or the subtree's leaf entries, and the walk descends
+// only where the hashes disagree. ManifestReconcile (manifest.h) and the
+// tree driver's halves (core/tree_session.h) both run it.
 //
 // The halves carry no transport: PumpWalk moves their messages over a
 // SimulatedChannel, and the daemon moves the same bytes over frames.
@@ -39,6 +28,15 @@ namespace fsx::reconcile_internal {
 
 inline constexpr int kMaxDepth = 64;
 
+// The walk's shape, the same for every caller (docs/PROTOCOL.md,
+// "Manifest reconciliation"): node hashes ride the wire truncated to
+// kNodeHashBytes; a node holding at most kLeafBatch entries is answered
+// with its entries; a mismatching node descends kDescentLevels levels per
+// round, so even 100k files reconcile in a handful of roundtrips.
+inline constexpr int kNodeHashBytes = 8;
+inline constexpr size_t kLeafBatch = 4;
+inline constexpr int kDescentLevels = 4;
+
 // Salt of the trie key H(name) = Md5::HashBits(name, 64, kNameKeySalt).
 inline constexpr uint64_t kNameKeySalt = 0x791E0;
 
@@ -61,7 +59,7 @@ inline StatusOr<NodeId> ReadNodeId(BitReader& r) {
   NodeId node;
   FSYNC_ASSIGN_OR_RETURN(uint64_t depth, r.ReadBits(7));
   if (depth > kMaxDepth) {
-    return Status::DataLoss("merkle: bad node depth");
+    return Status::DataLoss("manifest walk: bad node depth");
   }
   node.depth = static_cast<int>(depth);
   if (node.depth > 0) {
@@ -82,8 +80,41 @@ inline NodeId Descendant(NodeId node, int levels, uint64_t idx) {
 
 // Server reply codes per queried node.
 inline constexpr uint64_t kReplyLeaves = 0;    // entry list follows
-inline constexpr uint64_t kReplyChildren = 1;  // two child hashes follow
+inline constexpr uint64_t kReplyChildren = 1;  // descendant hashes follow
 inline constexpr uint64_t kReplySame = 2;      // root only: hashes matched
+
+// A leaf entry's fields past its name. Wire form: raw 16-byte
+// fingerprint, varint size, varint mode (docs/PROTOCOL.md, "Manifest
+// reconciliation"). The node hash covers the same fields in fixed-width
+// little-endian form.
+inline void AppendEntryHashForm(Bytes& out, const ManifestEntry& e) {
+  Append(out, e.fingerprint);
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<uint8_t>(e.size >> (8 * i)));
+  }
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<uint8_t>(e.mode >> (8 * i)));
+  }
+}
+
+inline void WriteEntry(BitWriter& w, const ManifestEntry& e) {
+  w.WriteBytes(ByteSpan(e.fingerprint.data(), e.fingerprint.size()));
+  w.WriteVarint(e.size);
+  w.WriteVarint(e.mode);
+}
+
+inline StatusOr<ManifestEntry> ReadEntry(BitReader& r) {
+  ManifestEntry e;
+  FSYNC_ASSIGN_OR_RETURN(Bytes fp_bytes, r.ReadBytes(16));
+  std::copy(fp_bytes.begin(), fp_bytes.end(), e.fingerprint.begin());
+  FSYNC_ASSIGN_OR_RETURN(e.size, r.ReadVarint());
+  FSYNC_ASSIGN_OR_RETURN(uint64_t mode, r.ReadVarint());
+  if (mode > 0777) {
+    return Status::DataLoss("manifest: implausible mode bits");
+  }
+  e.mode = static_cast<uint32_t>(mode);
+  return e;
+}
 
 // One replica entry under its 64-bit trie key H(name). `name` and
 // `meta` point into the caller's manifest, which outlives the walk.
@@ -94,17 +125,17 @@ struct Entry {
 };
 
 // One replica's side of the walk: its entries sorted by (key, name), and
-// each entry's node-hash preimage (name, 0, AppendMeta) written once, in
-// that order, into one buffer. The entries under a node are a contiguous
-// run, so the node's hash is the MD5 of one slice of `preimage`.
+// each entry's node-hash preimage (name, 0, AppendEntryHashForm) written
+// once, in that order, into one buffer. The entries under a node are a
+// contiguous run, so the node's hash is the MD5 of one slice of
+// `preimage`.
 struct TrieSide {
   std::vector<Entry> entries;
   Bytes preimage;
   std::vector<size_t> offsets;  // entry i is [offsets[i], offsets[i + 1])
 };
 
-template <typename Codec>
-TrieSide BuildSide(const Manifest& files) {
+inline TrieSide BuildSide(const Manifest& files) {
   TrieSide side;
   std::vector<ByteSpan> names;
   names.reserve(files.size());
@@ -133,7 +164,7 @@ TrieSide BuildSide(const Manifest& files) {
   for (const Entry& e : side.entries) {
     Append(side.preimage, AsBytes(*e.name));
     side.preimage.push_back(0);
-    Codec::AppendMeta(side.preimage, *e.meta);
+    AppendEntryHashForm(side.preimage, *e.meta);
     side.offsets.push_back(side.preimage.size());
   }
   return side;
@@ -167,93 +198,32 @@ inline ByteSpan NodePreimage(const TrieSide& side, NodeId node) {
       .subspan(side.offsets[lo], side.offsets[hi] - side.offsets[lo]);
 }
 
-// A node hash: the low 8 * hash_bytes bits of the MD5 of its preimage.
-inline uint64_t NodeHash(const TrieSide& side, NodeId node,
-                         uint32_t hash_bytes) {
-  return Md5::HashBits(NodePreimage(side, node), 8 * hash_bytes);
+// A node hash: the low 8 * kNodeHashBytes bits of the MD5 of its
+// preimage.
+inline uint64_t NodeHash(const TrieSide& side, NodeId node) {
+  return Md5::HashBits(NodePreimage(side, node), 8 * kNodeHashBytes);
 }
 
 // NodeHash of each of the 2^levels descendants of `node`, in key order,
 // hashed in one batched call.
 inline std::vector<uint64_t> DescendantHashes(const TrieSide& side,
-                                              NodeId node, int levels,
-                                              uint32_t hash_bytes) {
+                                              NodeId node, int levels) {
   const size_t count = size_t{1} << levels;
   std::vector<ByteSpan> slices(count);
   for (size_t idx = 0; idx < count; ++idx) {
     slices[idx] = NodePreimage(side, Descendant(node, levels, idx));
   }
   std::vector<uint64_t> out(count);
-  Md5HashBitsBatch(slices.data(), count, 8 * static_cast<int>(hash_bytes),
+  Md5HashBitsBatch(slices.data(), count, 8 * kNodeHashBytes,
                    /*salt=*/0, out.data());
   return out;
 }
 
 // Levels a mismatching node at `depth` descends. Both sides derive it
 // from the node's depth, so no level count rides the wire.
-inline int DescentLevels(const MerkleParams& params, int depth) {
-  return std::min<int>(static_cast<int>(params.descend_levels),
-                       kMaxDepth - depth);
+inline int DescentLevels(int depth) {
+  return std::min(kDescentLevels, kMaxDepth - depth);
 }
-
-// Codec of the fingerprint-only walk (MerkleReconcile). The wire format
-// (leaf entry = varint name length, name bytes, raw 16-byte fingerprint)
-// and the node hash preimage are byte-identical to the original
-// monolithic implementation, so transcripts pinned before the trie core
-// was factored out stay valid.
-struct FingerprintCodec {
-  static void AppendMeta(Bytes& out, const ManifestEntry& e) {
-    Append(out, e.fingerprint);
-  }
-  static void WriteMeta(BitWriter& w, const ManifestEntry& e) {
-    w.WriteBytes(ByteSpan(e.fingerprint.data(), e.fingerprint.size()));
-  }
-  static StatusOr<ManifestEntry> ReadMeta(BitReader& r) {
-    FSYNC_ASSIGN_OR_RETURN(Bytes fp_bytes, r.ReadBytes(16));
-    ManifestEntry e;
-    std::copy(fp_bytes.begin(), fp_bytes.end(), e.fingerprint.begin());
-    return e;
-  }
-  static bool Same(const ManifestEntry& a, const ManifestEntry& b) {
-    return a.fingerprint == b.fingerprint;
-  }
-};
-
-// Codec of the manifest walk. Leaf entry wire form: varint name length,
-// name bytes, raw 16-byte fingerprint, varint size, varint mode (see
-// docs/PROTOCOL.md, "Manifest reconciliation"). The node hash covers the
-// same fields in fixed-width little-endian form.
-struct ManifestEntryCodec {
-  static void AppendMeta(Bytes& out, const ManifestEntry& e) {
-    Append(out, e.fingerprint);
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<uint8_t>(e.size >> (8 * i)));
-    }
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<uint8_t>(e.mode >> (8 * i)));
-    }
-  }
-  static void WriteMeta(BitWriter& w, const ManifestEntry& e) {
-    w.WriteBytes(ByteSpan(e.fingerprint.data(), e.fingerprint.size()));
-    w.WriteVarint(e.size);
-    w.WriteVarint(e.mode);
-  }
-  static StatusOr<ManifestEntry> ReadMeta(BitReader& r) {
-    ManifestEntry e;
-    FSYNC_ASSIGN_OR_RETURN(Bytes fp_bytes, r.ReadBytes(16));
-    std::copy(fp_bytes.begin(), fp_bytes.end(), e.fingerprint.begin());
-    FSYNC_ASSIGN_OR_RETURN(e.size, r.ReadVarint());
-    FSYNC_ASSIGN_OR_RETURN(uint64_t mode, r.ReadVarint());
-    if (mode > 0777) {
-      return Status::DataLoss("manifest: implausible mode bits");
-    }
-    e.mode = static_cast<uint32_t>(mode);
-    return e;
-  }
-  static bool Same(const ManifestEntry& a, const ManifestEntry& b) {
-    return a == b;
-  }
-};
 
 /// The server half: answers one client's asks from a side built once
 /// (BuildSide), which any number of concurrent server halves can share.
@@ -264,39 +234,31 @@ struct ManifestEntryCodec {
 /// once). Anything else is DataLoss. So a client can make the server
 /// hash no more than the walk the server itself handed out, however
 /// often it asks.
-template <typename Codec>
 class TrieServer {
  public:
-  /// `side` must be BuildSide<Codec>'s and outlive the server.
-  TrieServer(const TrieSide& side, const MerkleParams& params)
-      : side_(side), params_(params) {}
+  /// `side` must outlive the server.
+  explicit TrieServer(const TrieSide& side) : side_(side) {}
 
-  static TrieSide BuildSide(const Manifest& files) {
-    return reconcile_internal::BuildSide<Codec>(files);
-  }
-
-  /// Answers one ask. `has_leaves` (optional) reports whether the reply
-  /// ships leaf entries.
-  StatusOr<Bytes> OnWalk(ByteSpan ask, bool* has_leaves = nullptr) {
-    const uint32_t hash_bytes = params_.node_hash_bytes;
+  /// Answers one ask.
+  StatusOr<Bytes> OnWalk(ByteSpan ask) {
     BitReader in(ask);
     FSYNC_ASSIGN_OR_RETURN(uint64_t count, in.ReadVarint());
     if (count == 0 || count > (started_ ? offered_.size() : 1)) {
-      return Status::DataLoss("merkle: ask names nodes never offered");
+      return Status::DataLoss("manifest walk: ask names nodes never offered");
     }
     BitWriter reply;
     std::vector<NodeId> offered;
     size_t next_offer = 0;  // asks follow the offer order
-    bool leaves = false;
     for (uint64_t i = 0; i < count; ++i) {
       FSYNC_ASSIGN_OR_RETURN(NodeId n, ReadNodeId(in));
       if (!started_) {
         if (n.depth != 0) {
-          return Status::DataLoss("merkle: the first ask must be the root");
+          return Status::DataLoss(
+              "manifest walk: the first ask must be the root");
         }
         FSYNC_ASSIGN_OR_RETURN(uint64_t client_root,
-                               in.ReadBits(8 * hash_bytes));
-        if (client_root == NodeHash(side_, n, hash_bytes)) {
+                               in.ReadBits(8 * kNodeHashBytes));
+        if (client_root == NodeHash(side_, n)) {
           reply.WriteBits(kReplySame, 2);
           continue;
         }
@@ -305,57 +267,51 @@ class TrieServer {
           ++next_offer;
         }
         if (next_offer == offered_.size()) {
-          return Status::DataLoss("merkle: ask names a node never offered");
+          return Status::DataLoss(
+              "manifest walk: ask names a node never offered");
         }
         ++next_offer;
       }
       auto [lo, hi] = NodeRange(side_.entries, n);
-      if (hi - lo <= params_.leaf_batch || n.depth >= kMaxDepth) {
+      if (hi - lo <= kLeafBatch || n.depth >= kMaxDepth) {
         reply.WriteBits(kReplyLeaves, 2);
         reply.WriteVarint(hi - lo);
         for (size_t k = lo; k < hi; ++k) {
           reply.WriteVarint(side_.entries[k].name->size());
           reply.WriteBytes(AsBytes(*side_.entries[k].name));
-          Codec::WriteMeta(reply, *side_.entries[k].meta);
+          WriteEntry(reply, *side_.entries[k].meta);
         }
-        leaves = true;
       } else {
-        const int levels = DescentLevels(params_, n.depth);
+        const int levels = DescentLevels(n.depth);
         reply.WriteBits(kReplyChildren, 2);
         const std::vector<uint64_t> hashes =
-            DescendantHashes(side_, n, levels, hash_bytes);
+            DescendantHashes(side_, n, levels);
         for (uint64_t idx = 0; idx < hashes.size(); ++idx) {
-          reply.WriteBits(hashes[idx], 8 * hash_bytes);
+          reply.WriteBits(hashes[idx], 8 * kNodeHashBytes);
           offered.push_back(Descendant(n, levels, idx));
         }
       }
     }
     if (in.bits_remaining() >= 8) {
-      return Status::DataLoss("merkle: trailing bytes after an ask");
+      return Status::DataLoss("manifest walk: trailing bytes after an ask");
     }
     started_ = true;
     offered_ = std::move(offered);
-    if (has_leaves != nullptr) {
-      *has_leaves = leaves;
-    }
     return reply.Finish();
   }
 
  private:
   const TrieSide& side_;
-  const MerkleParams params_;
   bool started_ = false;
   std::vector<NodeId> offered_;  // by the last reply, in key order
 };
 
 /// The client half: asks for the nodes whose hashes disagree and ends
 /// with the exact difference from the client's point of view.
-template <typename Codec>
 class TrieClient {
  public:
   /// `files` must outlive the client.
-  TrieClient(const Manifest& files, const MerkleParams& params)
-      : params_(params), side_(BuildSide<Codec>(files)) {}
+  explicit TrieClient(const Manifest& files) : side_(BuildSide(files)) {}
 
   /// The first ask: the root, with this side's root hash.
   Bytes Start() {
@@ -363,15 +319,13 @@ class TrieClient {
     BitWriter ask;
     ask.WriteVarint(1);
     WriteNodeId(ask, NodeId{});
-    ask.WriteBits(NodeHash(side_, NodeId{}, params_.node_hash_bytes),
-                  8 * params_.node_hash_bytes);
+    ask.WriteBits(NodeHash(side_, NodeId{}), 8 * kNodeHashBytes);
     return ask.Finish();
   }
 
   /// Consumes the reply to the last ask. Returns the next ask, or
   /// nullopt once the walk is done and diff() holds its result.
   StatusOr<std::optional<Bytes>> OnWalkReply(ByteSpan reply) {
-    const uint32_t hash_bytes = params_.node_hash_bytes;
     BitReader rin(reply);
     std::vector<NodeId> next;
     for (NodeId n : pending_) {
@@ -380,12 +334,12 @@ class TrieClient {
         continue;
       }
       if (code == kReplyChildren) {
-        const int levels = DescentLevels(params_, n.depth);
+        const int levels = DescentLevels(n.depth);
         const std::vector<uint64_t> mine =
-            DescendantHashes(side_, n, levels, hash_bytes);
+            DescendantHashes(side_, n, levels);
         for (uint64_t idx = 0; idx < mine.size(); ++idx) {
           FSYNC_ASSIGN_OR_RETURN(uint64_t server_hash,
-                                 rin.ReadBits(8 * hash_bytes));
+                                 rin.ReadBits(8 * kNodeHashBytes));
           if (mine[idx] != server_hash) {
             next.push_back(Descendant(n, levels, idx));
           }
@@ -393,7 +347,7 @@ class TrieClient {
         continue;
       }
       if (code != kReplyLeaves) {
-        return Status::DataLoss("merkle: bad reply code");
+        return Status::DataLoss("manifest walk: bad reply code");
       }
       FSYNC_RETURN_IF_ERROR(ReadLeaves(rin, reply.size(), n));
     }
@@ -428,16 +382,16 @@ class TrieClient {
   Status ReadLeaves(BitReader& rin, size_t reply_size, NodeId n) {
     FSYNC_ASSIGN_OR_RETURN(uint64_t n_entries, rin.ReadVarint());
     if (n_entries > reply_size) {
-      return Status::DataLoss("merkle: implausible entry count");
+      return Status::DataLoss("manifest walk: implausible entry count");
     }
     Manifest server_side;
     for (uint64_t e = 0; e < n_entries; ++e) {
       FSYNC_ASSIGN_OR_RETURN(uint64_t len, rin.ReadVarint());
       if (len > 4096) {
-        return Status::DataLoss("merkle: implausible name length");
+        return Status::DataLoss("manifest walk: implausible name length");
       }
       FSYNC_ASSIGN_OR_RETURN(Bytes name_bytes, rin.ReadBytes(len));
-      FSYNC_ASSIGN_OR_RETURN(ManifestEntry meta, Codec::ReadMeta(rin));
+      FSYNC_ASSIGN_OR_RETURN(ManifestEntry meta, ReadEntry(rin));
       server_side[ToString(name_bytes)] = meta;
     }
     auto [lo, hi] = NodeRange(side_.entries, n);
@@ -448,7 +402,7 @@ class TrieClient {
         diff_.extra.push_back(name);
         continue;
       }
-      if (!Codec::Same(it->second, *side_.entries[k].meta)) {
+      if (it->second != *side_.entries[k].meta) {
         diff_.stale_entries[name] = it->second;
       }
       server_side.erase(it);
@@ -457,20 +411,17 @@ class TrieClient {
     return Status::Ok();
   }
 
-  const MerkleParams params_;
   const TrieSide side_;
   std::vector<NodeId> pending_ = {NodeId{}};
   ManifestDiff diff_;
 };
 
 /// Moves one walk's messages between a client half (Start, OnWalkReply)
-/// and a server half (OnWalk) over `channel`, one roundtrip per round.
-/// Asks and pure hash replies are charged to `probe_phase`, replies that
-/// ship leaf entries to `leaves_phase`.
+/// and a server half (OnWalk) over `channel`, one roundtrip per round,
+/// all charged to obs::Phase::kManifest.
 template <typename Client, typename Server>
 Status PumpWalk(Client& client, Server& server, SimulatedChannel& channel,
-                obs::SyncObserver* obs, obs::Phase probe_phase,
-                obs::Phase leaves_phase) {
+                obs::SyncObserver* obs) {
   using Dir = SimulatedChannel::Direction;
   std::optional<Bytes> ask = client.Start();
   for (uint32_t round = 1; ask.has_value(); ++round) {
@@ -478,13 +429,11 @@ Status PumpWalk(Client& client, Server& server, SimulatedChannel& channel,
     const auto round_start = obs != nullptr
                                  ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point();
-    obs::SetPhase(obs, probe_phase);
+    obs::SetPhase(obs, obs::Phase::kManifest);
     channel.Send(Dir::kClientToServer, *ask);
     FSYNC_ASSIGN_OR_RETURN(Bytes ask_msg,
                            channel.Receive(Dir::kClientToServer));
-    bool has_leaves = false;
-    FSYNC_ASSIGN_OR_RETURN(Bytes reply, server.OnWalk(ask_msg, &has_leaves));
-    obs::SetPhase(obs, has_leaves ? leaves_phase : probe_phase);
+    FSYNC_ASSIGN_OR_RETURN(Bytes reply, server.OnWalk(ask_msg));
     channel.Send(Dir::kServerToClient, reply);
     FSYNC_ASSIGN_OR_RETURN(Bytes reply_msg,
                            channel.Receive(Dir::kServerToClient));
@@ -501,38 +450,13 @@ Status PumpWalk(Client& client, Server& server, SimulatedChannel& channel,
   return Status::Ok();
 }
 
-/// One whole walk between `client_files` and `server_files` over
-/// `channel`: MerkleReconcile and ManifestReconcile are this with their
-/// codec. Exact: the result always equals the true difference.
-template <typename Codec>
-StatusOr<ManifestDiff> RunTrieWalk(const Manifest& client_files,
-                                   const Manifest& server_files,
-                                   const MerkleParams& params,
-                                   SimulatedChannel& channel,
-                                   obs::SyncObserver* obs,
-                                   obs::Phase probe_phase,
-                                   obs::Phase leaves_phase) {
-  FSYNC_RETURN_IF_ERROR(ValidateMerkleParams(params));
-  const TrafficStats before = channel.stats();
-  TrieClient<Codec> client(client_files, params);
-  const TrieSide side = BuildSide<Codec>(server_files);
-  TrieServer<Codec> server(side, params);
-  FSYNC_RETURN_IF_ERROR(
-      PumpWalk(client, server, channel, obs, probe_phase, leaves_phase));
-  ManifestDiff diff = std::move(client.diff());
-  diff.stats = TrafficSince(before, channel.stats());
-  return diff;
-}
-
 }  // namespace fsx::reconcile_internal
 
 namespace fsx {
 
-/// The manifest walk's halves: every ManifestEntry field rides the wire.
-using ManifestWalkClient =
-    reconcile_internal::TrieClient<reconcile_internal::ManifestEntryCodec>;
-using ManifestWalkServer =
-    reconcile_internal::TrieServer<reconcile_internal::ManifestEntryCodec>;
+/// The manifest walk's halves.
+using ManifestWalkClient = reconcile_internal::TrieClient;
+using ManifestWalkServer = reconcile_internal::TrieServer;
 
 }  // namespace fsx
 

@@ -237,14 +237,12 @@ Status ApplyTransaction::Begin() {
   report_.recovered =
       rec.had_journal || rec.cleaned_temps > 0 || rec.inplace_recovered > 0;
   report_.rolled_back_files = rec.rolled_back_files;
-  if (options_.journal) {
-    FSYNC_ASSIGN_OR_RETURN(journal_,
-                           JournalWriter::Create(root_ / kJournalName));
-    JournalRecord begin;
-    begin.type = JournalRecordType::kBegin;
-    begin.mode = ApplyMode::kTree;
-    FSYNC_RETURN_IF_ERROR(journal_.Append(begin));
-  }
+  FSYNC_ASSIGN_OR_RETURN(journal_,
+                         JournalWriter::Create(root_ / kJournalName));
+  JournalRecord begin;
+  begin.type = JournalRecordType::kBegin;
+  begin.mode = ApplyMode::kTree;
+  FSYNC_RETURN_IF_ERROR(journal_.Append(begin));
   begun_ = true;
   return Status::Ok();
 }
@@ -296,16 +294,14 @@ Status ApplyTransaction::StageFile(const std::string& path, ByteSpan content,
   fs::path tmp = target;
   tmp += kTempSuffix;
   FSYNC_RETURN_IF_ERROR(StageTempDurable(tmp, content, next, obs_));
-  if (options_.journal) {
-    JournalRecord intent;
-    intent.type = JournalRecordType::kFileIntent;
-    intent.op = op;
-    intent.path = path;
-    intent.size = next.size;
-    intent.fingerprint = next.fingerprint;
-    intent.from_path = from_path;
-    FSYNC_RETURN_IF_ERROR(journal_.Append(intent));
-  }
+  JournalRecord intent;
+  intent.type = JournalRecordType::kFileIntent;
+  intent.op = op;
+  intent.path = path;
+  intent.size = next.size;
+  intent.fingerprint = next.fingerprint;
+  intent.from_path = from_path;
+  FSYNC_RETURN_IF_ERROR(journal_.Append(intent));
   FSYNC_RETURN_IF_ERROR(RenameDurable(tmp, target));
 
   manifest_[path] = next;
@@ -389,13 +385,11 @@ Status ApplyTransaction::DeleteFile(const std::string& path,
                            "; delete skipped");
   }
 
-  if (options_.journal) {
-    JournalRecord intent;
-    intent.type = JournalRecordType::kFileIntent;
-    intent.op = FileOp::kDelete;
-    intent.path = path;
-    FSYNC_RETURN_IF_ERROR(journal_.Append(intent));
-  }
+  JournalRecord intent;
+  intent.type = JournalRecordType::kFileIntent;
+  intent.op = FileOp::kDelete;
+  intent.path = path;
+  FSYNC_RETURN_IF_ERROR(journal_.Append(intent));
   FSYNC_RETURN_IF_ERROR(RemoveDurable(target));
 
   manifest_.erase(path);
@@ -406,17 +400,13 @@ Status ApplyTransaction::DeleteFile(const std::string& path,
 
 Status ApplyTransaction::Commit() {
   FSYNC_RETURN_IF_ERROR(CheckBegun());
-  if (options_.write_manifest) {
-    FSYNC_RETURN_IF_ERROR(WriteManifestDurable(root_, manifest_));
-  }
-  if (options_.journal) {
-    JournalRecord commit;
-    commit.type = JournalRecordType::kCommit;
-    FSYNC_RETURN_IF_ERROR(journal_.Append(commit));
-    journal_.Close();
-    FSYNC_RETURN_IF_ERROR(RemoveJournal(root_ / kJournalName));
-    obs::AddEvent(obs_, obs::Event::kJournalCommit);
-  }
+  FSYNC_RETURN_IF_ERROR(WriteManifestDurable(root_, manifest_));
+  JournalRecord commit;
+  commit.type = JournalRecordType::kCommit;
+  FSYNC_RETURN_IF_ERROR(journal_.Append(commit));
+  journal_.Close();
+  FSYNC_RETURN_IF_ERROR(RemoveJournal(root_ / kJournalName));
+  obs::AddEvent(obs_, obs::Event::kJournalCommit);
   committed_ = true;
   return Status::Ok();
 }
@@ -424,7 +414,7 @@ Status ApplyTransaction::Commit() {
 Status ApplyTransaction::Abort() {
   FSYNC_RETURN_IF_ERROR(CheckBegun());
   committed_ = true;  // the transaction is finished; further staging refused
-  if (options_.journal && journal_.open()) {
+  if (journal_.open()) {
     // Best-effort: the ABORT record makes the rollback explicit in the
     // journal, but the disk that forced the abort may refuse this
     // append too — recovery rolls back an uncommitted journal either

@@ -35,11 +35,7 @@
 namespace fsx::store {
 
 struct ApplyOptions {
-  bool delete_extra = true;    // mirror semantics for extra disk files
-  bool write_manifest = true;  // refresh <root>/.fsx-manifest on commit
-  bool journal = true;  // write-ahead journal + fsync barriers; without
-                        // it files are still staged via temp+rename, but
-                        // recovery cannot name what was in flight
+  bool delete_extra = true;  // mirror semantics for extra disk files
 };
 
 /// What happened to one path during a transaction.

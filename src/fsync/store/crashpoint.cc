@@ -3,9 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#endif
 
 namespace fsx::store {
 
@@ -39,11 +37,7 @@ bool ArmCrashFromEnv() {
   }
   SetCrashHook([n](const char*, uint64_t index) {
     if (index == n) {
-#if defined(__unix__) || defined(__APPLE__)
       _exit(kCrashExitCode);
-#else
-      std::_Exit(kCrashExitCode);
-#endif
     }
   });
   return true;

@@ -192,9 +192,16 @@ Status StoreTree(const std::string& root, const Collection& files,
           }
           return Status::Ok();
         }));
+    // Through the process-current Vfs, so the disk-fault harness reaches
+    // it; every extra is tried, and the first failure is returned.
+    Status removed = Status::Ok();
     for (const fs::path& p : doomed) {
-      fs::remove(p, ec);
+      StatusOr<bool> r = store::CurrentVfs().Unlink(p);
+      if (!r.ok() && removed.ok()) {
+        removed = r.status();
+      }
     }
+    FSYNC_RETURN_IF_ERROR(removed);
   }
   if (write_manifest) {
     FSYNC_RETURN_IF_ERROR(WriteFileAtomic(

@@ -17,11 +17,7 @@ Status WalkTree(const fs::path& root, const TreeVisitor& visit) {
         full.compare(0, prefix.size(), prefix) != 0) {
       rel.clear();
     } else {
-#if defined(_WIN32)
-      rel = fs::path(full.substr(prefix.size())).generic_string();
-#else
       rel.assign(full, prefix.size());  // the native form is the generic one
-#endif
     }
     FSYNC_RETURN_IF_ERROR(visit(rel, *it));
   }

@@ -5,14 +5,9 @@
 #include <utility>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define FSYNC_POSIX_IO 1
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#include <fstream>
-#endif
 
 namespace fsx::store {
 
@@ -52,8 +47,6 @@ VfsCounters& GlobalVfsCounters() {
 }
 
 namespace {
-
-#ifdef FSYNC_POSIX_IO
 
 class RealVfsFile : public VfsFile {
  public:
@@ -231,129 +224,6 @@ class RealVfs : public Vfs {
     return Status::Ok();
   }
 };
-
-#else  // !FSYNC_POSIX_IO
-
-// Portable fallback: seekable fstream, fsync degrades to flush (the
-// write/rename ordering is preserved; the fault harness is POSIX-only).
-class RealVfsFile : public VfsFile {
- public:
-  RealVfsFile(fs::path path, std::fstream stream)
-      : VfsFile(std::move(path)), stream_(std::move(stream)) {}
-  ~RealVfsFile() override { (void)Close(); }
-
-  StatusOr<size_t> Read(void* buf, size_t n) override {
-    stream_.clear();
-    stream_.read(static_cast<char*>(buf),
-                 static_cast<std::streamsize>(n));
-    size_t got = static_cast<size_t>(stream_.gcount());
-    stream_.clear();
-    return got;
-  }
-  StatusOr<size_t> Pread(uint64_t offset, void* buf, size_t n) override {
-    stream_.clear();
-    stream_.seekg(static_cast<std::streamoff>(offset));
-    return Read(buf, n);
-  }
-  StatusOr<size_t> Write(const void* buf, size_t n) override {
-    stream_.clear();
-    stream_.write(static_cast<const char*>(buf),
-                  static_cast<std::streamsize>(n));
-    stream_.flush();
-    if (!stream_.good()) {
-      return Status::Internal("write failed on " + path_.string());
-    }
-    return n;
-  }
-  StatusOr<size_t> Pwrite(uint64_t offset, const void* buf,
-                          size_t n) override {
-    stream_.clear();
-    stream_.seekp(static_cast<std::streamoff>(offset));
-    return Write(buf, n);
-  }
-  Status Fsync() override {
-    stream_.flush();
-    return Status::Ok();
-  }
-  Status Truncate(uint64_t size) override {
-    stream_.flush();
-    std::error_code ec;
-    fs::resize_file(path_, size, ec);
-    if (ec) {
-      return Status::Internal("resize failed on " + path_.string() + ": " +
-                              ec.message());
-    }
-    return Status::Ok();
-  }
-  Status Close() override {
-    if (stream_.is_open()) {
-      stream_.close();
-    }
-    return Status::Ok();
-  }
-
- private:
-  std::fstream stream_;
-};
-
-class RealVfs : public Vfs {
- public:
-  StatusOr<std::unique_ptr<VfsFile>> Open(const fs::path& path,
-                                          OpenMode mode) override {
-    std::error_code ec;
-    if (fs::is_directory(path, ec)) {
-      return Status::FailedPrecondition("open " + path.string() +
-                                        ": is a directory");
-    }
-    std::ios::openmode om = std::ios::binary;
-    switch (mode) {
-      case OpenMode::kRead:
-        om |= std::ios::in;
-        break;
-      case OpenMode::kTruncate:
-        om |= std::ios::out | std::ios::trunc;
-        break;
-      case OpenMode::kReadWrite:
-        om |= std::ios::in | std::ios::out;
-        break;
-    }
-    std::fstream stream(path, om);
-    if (!stream) {
-      return Status::NotFound("cannot open " + path.string());
-    }
-    return std::unique_ptr<VfsFile>(
-        new RealVfsFile(path, std::move(stream)));
-  }
-  Status Rename(const fs::path& from, const fs::path& to) override {
-    std::error_code ec;
-    fs::rename(from, to, ec);
-    if (ec) {
-      return Status::Internal("cannot rename " + from.string() + " -> " +
-                              to.string() + ": " + ec.message());
-    }
-    return Status::Ok();
-  }
-  StatusOr<bool> Unlink(const fs::path& path) override {
-    std::error_code ec;
-    bool removed = fs::remove(path, ec);
-    if (ec) {
-      return Status::Internal("cannot remove " + path.string() + ": " +
-                              ec.message());
-    }
-    return removed;
-  }
-  Status Mkdir(const fs::path& path) override {
-    std::error_code ec;
-    fs::create_directory(path, ec);
-    if (ec && !fs::is_directory(path, ec)) {
-      return Status::Internal("cannot create " + path.string());
-    }
-    return Status::Ok();
-  }
-  Status FsyncPath(const fs::path&) override { return Status::Ok(); }
-};
-
-#endif  // FSYNC_POSIX_IO
 
 std::atomic<Vfs*>& CurrentVfsSlot() {
   static std::atomic<Vfs*> current{nullptr};

@@ -5,15 +5,10 @@
 
 #include "fsync/store/crashpoint.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define FSYNC_POSIX_FORK 1
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace fsx::testing {
-
-#ifdef FSYNC_POSIX_FORK
 
 CrashRunResult RunWithCrashAt(int64_t crash_at,
                               const std::function<bool()>& fn) {
@@ -97,18 +92,6 @@ CrashRunResult RunWithCrashAt(int64_t crash_at,
   }
   return result;
 }
-
-#else  // !FSYNC_POSIX_FORK
-
-CrashRunResult RunWithCrashAt(int64_t /*crash_at*/,
-                              const std::function<bool()>& /*fn*/) {
-  CrashRunResult result;
-  result.outcome = CrashRunResult::Outcome::kError;
-  result.error = "crash harness requires fork()";
-  return result;
-}
-
-#endif  // FSYNC_POSIX_FORK
 
 uint64_t CountCrashPoints(const std::function<bool()>& fn) {
   CrashRunResult r = RunWithCrashAt(-1, fn);

@@ -8,8 +8,6 @@
 // fsync/rename/journal-append boundary exactly once; after each crashed
 // run the test recovers the tree and asserts every file is bit-exactly
 // old or new (tests/crash_test.cc, docs/testing.md).
-//
-// POSIX-only (fork); on other platforms the suite is compiled out.
 #ifndef FSYNC_TESTING_CRASH_H_
 #define FSYNC_TESTING_CRASH_H_
 

@@ -2,23 +2,16 @@
 
 #include <cerrno>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define FSYNC_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace fsx {
 
 namespace {
 
-#if defined(FSYNC_HAVE_MMAP)
 // RAII fd so every early return below closes it.
 struct Fd {
   int fd = -1;
@@ -48,7 +41,6 @@ Status ReadAll(int fd, uint64_t file_size, Bytes& out,
   }
   return Status::Ok();
 }
-#endif
 
 }  // namespace
 
@@ -68,11 +60,9 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
 }
 
 void MappedFile::Reset() {
-#if defined(FSYNC_HAVE_MMAP)
   if (mapped_ && data_ != nullptr) {
     ::munmap(const_cast<uint8_t*>(data_), size_);
   }
-#endif
   data_ = nullptr;
   size_ = 0;
   mapped_ = false;
@@ -80,7 +70,6 @@ void MappedFile::Reset() {
 }
 
 StatusOr<MappedFile> MappedFile::Open(const std::string& path) {
-#if defined(FSYNC_HAVE_MMAP)
   Fd f;
   f.fd = ::open(path.c_str(), O_RDONLY);
   if (f.fd < 0) {
@@ -109,17 +98,9 @@ StatusOr<MappedFile> MappedFile::Open(const std::string& path) {
   m.data_ = m.fallback_.data();
   m.size_ = m.fallback_.size();
   return m;
-#else
-  MappedFile m;
-  FSYNC_ASSIGN_OR_RETURN(m.fallback_, ReadWholeFile(path));
-  m.data_ = m.fallback_.data();
-  m.size_ = m.fallback_.size();
-  return m;
-#endif
 }
 
 StatusOr<Bytes> ReadWholeFile(const std::string& path) {
-#if defined(FSYNC_HAVE_MMAP)
   Fd f;
   // O_NONBLOCK: the fstat below is the only type check, so opening a
   // FIFO must not wait for a writer. It does not affect regular files.
@@ -135,19 +116,6 @@ StatusOr<Bytes> ReadWholeFile(const std::string& path) {
   FSYNC_RETURN_IF_ERROR(
       ReadAll(f.fd, static_cast<uint64_t>(st.st_size), out, path));
   return out;
-#else
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec)) {
-    return Status::NotFound("not a regular file: " + path);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot read " + path);
-  }
-  Bytes data{std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>()};
-  return data;
-#endif
 }
 
 }  // namespace fsx

@@ -4,8 +4,8 @@
 // exactly once or twice; mapping skips the kernel->user copy and the
 // allocator's touch of a second resident copy, and lets the scan fault
 // pages in sequentially (MADV_SEQUENTIAL) instead of blocking on one
-// up-front read. Falls back to plain read(2) into an owned buffer on
-// platforms or filesystems where mmap is unavailable — the span API is
+// up-front read. Falls back to plain read(2) into an owned buffer for
+// an empty file or where a filesystem declines mmap — the span API is
 // identical either way, callers cannot tell which path they got.
 #ifndef FSYNC_UTIL_MAPPED_FILE_H_
 #define FSYNC_UTIL_MAPPED_FILE_H_

@@ -8,11 +8,9 @@
 #include <fstream>
 #include <future>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "fsync/obs/sync_obs.h"
 #include "fsync/store/apply.h"
@@ -272,7 +270,6 @@ TEST_F(ApplyTest, DiskAlreadyHoldingTheNewBytesIsUnchangedNotAConflict) {
   EXPECT_EQ(CommittedManifest(root_), BuildManifest(next));
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST_F(ApplyTest, FifoAtATargetPathNeitherBlocksNorCounts) {
   // The re-check opens the target without a stat first. A FIFO there
   // must read as "no regular file" at once, not wait for a writer.
@@ -364,7 +361,6 @@ TEST_F(ApplyTest, EveryRootSpellingNamesTheSameFiles) {
               ToBytes("not a journal, but journal-named"));
   }
 }
-#endif  // __unix__ || __APPLE__
 
 TEST_F(ApplyTest, RecoverTreeIsANoOpOnCleanTree) {
   Collection files = SampleFiles();
@@ -397,7 +393,6 @@ TEST_F(ApplyTest, RecoverTreeSweepsStrandedTemps) {
   EXPECT_EQ((*back)["dir/b.txt"], ToBytes("bravo bravo"));
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST_F(ApplyTest, RecoverTreeToleratesSymlinksInTree) {
   Collection files = SampleFiles();
   ASSERT_TRUE(ApplyTree(root_, files, Manifest{}).ok());
@@ -426,7 +421,6 @@ TEST_F(ApplyTest, RecoverTreeToleratesSymlinksInTree) {
   auto report = ApplyTree(root_, files, BuildManifest(files));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 }
-#endif  // __unix__ || __APPLE__
 
 TEST_F(ApplyTest, RecoveryLeavesForeignJournalSuffixedFilesAlone) {
   Collection files = SampleFiles();

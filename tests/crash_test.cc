@@ -5,11 +5,7 @@
 // after RecoverTree / RecoverInPlaceFile, every file is bit-exactly its
 // old or new version, no journal or staged temp survives, and re-running
 // the apply converges to the target tree.
-//
-// POSIX-only (the harness forks); the whole suite is a no-op elsewhere.
 #include <gtest/gtest.h>
-
-#if defined(__unix__) || defined(__APPLE__)
 
 #include <filesystem>
 #include <fstream>
@@ -386,5 +382,3 @@ TEST_F(InPlaceCrashTest, CrashDuringRollbackIsIdempotent) {
 
 }  // namespace
 }  // namespace fsx::store
-
-#endif  // __unix__ || __APPLE__

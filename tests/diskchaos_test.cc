@@ -16,9 +16,7 @@
 #include <fstream>
 #include <string>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#endif
 
 #include "fsync/obs/sync_obs.h"
 #include "fsync/store/apply.h"
@@ -437,7 +435,6 @@ TEST_F(DiskChaosTest, CheckpointThatIsADirectoryIsATypedError) {
       << loaded.status().ToString();
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST_F(DiskChaosTest, UnreadableJournalIsATypedError) {
   if (::geteuid() == 0) {
     GTEST_SKIP() << "permission bits do not bind root; the EACCES path "
@@ -452,7 +449,6 @@ TEST_F(DiskChaosTest, UnreadableJournalIsATypedError) {
   EXPECT_EQ(contents.status().code(), StatusCode::kFailedPrecondition);
   fs::permissions(journal, fs::perms::owner_all);
 }
-#endif
 
 TEST_F(DiskChaosTest, InjectedEaccesAndErofsSurfaceAsFailedPrecondition) {
   for (int err : {EACCES, EROFS}) {

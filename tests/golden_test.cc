@@ -13,7 +13,7 @@
 #include "fsync/hash/karp_rabin.h"
 #include "fsync/hash/md5.h"
 #include "fsync/hash/tabled_adler.h"
-#include "fsync/reconcile/merkle.h"
+#include "fsync/reconcile/manifest.h"
 #include "fsync/store/fsstore.h"
 #include "fsync/testing/tree_corpus.h"
 #include "fsync/util/hex.h"
@@ -136,25 +136,6 @@ TEST(Golden, BatchedTrafficIsStable) {
     HashTranscript(channel, h);
   }
   EXPECT_EQ(HexEncode(h.Finish()), "9d7b8507efd2de7cc70b56b862ca5738");
-}
-
-TEST(Golden, MerkleWalkIsStable) {
-  // The classic binary walk (descend_levels = 1) that
-  // bench/ablation_reconcile measures.
-  Md5 h;
-  for (TreeShape shape : kPinnedShapes) {
-    TreeCorpusPair pair = MakeTreeCorpusPair(shape, kPinnedSeed);
-    SimulatedChannel channel;
-    channel.EnableTranscript();
-    MerkleParams params;
-    params.descend_levels = 1;
-    auto r = MerkleReconcile(BuildManifest(pair.old_tree),
-                             BuildManifest(pair.new_tree), params, channel);
-    ASSERT_TRUE(r.ok()) << pair.Label();
-    HashTranscript(channel, h);
-  }
-  EXPECT_EQ(HexEncode(h.Finish()),
-            "0d712cd331338e2e36f1b5a1fbcebb25");
 }
 
 TEST(Golden, ManifestFileIsStable) {

@@ -980,10 +980,11 @@ TEST(Daemon, DrainWithNoConnectionsExitsImmediately) {
 }
 
 // A hostile server must not be able to smuggle unsafe paths into the
-// client: every path the walk delivers is validated with
-// IsSafeRelativePath before any session (or any checkpoint file name) is
-// derived from it.
-TEST(Daemon, ClientRejectsHostileManifest) {
+// client: every path the walk delivers is checked with the apply's rules
+// (IsSafeRelativePath, store::IsInternalArtifact) before any session (or
+// any checkpoint file name) is derived from it. `evil` is the one leaf
+// the server serves.
+void ExpectClientRejectsLeaf(const std::string& evil) {
   uint16_t port = 0;
   auto listener_or = ListenTcp("127.0.0.1", 0, &port);
   ASSERT_TRUE(listener_or.ok());
@@ -991,7 +992,7 @@ TEST(Daemon, ClientRejectsHostileManifest) {
 
   // Set by the evil server if the client ever goes past the walk.
   std::atomic<bool> went_past_walk{false};
-  std::thread evil_server([fd = listener.get(), &went_past_walk] {
+  std::thread evil_server([fd = listener.get(), &evil, &went_past_walk] {
     pollfd lp{fd, POLLIN, 0};
     if (::poll(&lp, 1, 5000) <= 0) {
       return;
@@ -1036,9 +1037,8 @@ TEST(Daemon, ClientRejectsHostileManifest) {
           Bytes body = EncodeHelloAck(ack);
           send_msg(Msg::kHelloAck, ByteSpan(body.data(), body.size()));
         } else if (msg->msg == Msg::kWalk) {
-          // Answer the root ask with one leaf naming a path outside the
-          // client's tree: [kReplyLeaves:2][count][name][fp][size][mode].
-          const std::string evil = "../../etc/passwd";
+          // Answer the root ask with one leaf naming the hostile path:
+          // [kReplyLeaves:2][count][name][fp][size][mode].
           BitWriter reply;
           reply.WriteBits(0, 2);
           reply.WriteVarint(1);
@@ -1080,6 +1080,16 @@ TEST(Daemon, ClientRejectsHostileManifest) {
   EXPECT_FALSE(went_past_walk);
   EXPECT_TRUE(std::filesystem::is_empty(ckpt_dir));
   std::filesystem::remove_all(ckpt_dir);
+}
+
+TEST(Daemon, ClientRejectsHostileManifest) {
+  // A path outside the tree, a staged temp, and an in-place journal in a
+  // subdirectory (which the next recovery would replay over `sub/b`).
+  for (const char* evil :
+       {"../../etc/passwd", "a.fsx-tmp", "sub/b.fsx-journal"}) {
+    SCOPED_TRACE(evil);
+    ExpectClientRejectsLeaf(evil);
+  }
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 #include <gtest/gtest.h>
 
-#include "fsync/reconcile/merkle.h"
+#include <algorithm>
+
+#include "fsync/reconcile/manifest.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/text_synth.h"
 
 namespace fsx {
 namespace {
 
-// A manifest of `n` random fingerprints (the walk reads nothing else).
+// A manifest of `n` random fingerprints, each of size 0 and mode 0644.
 Manifest MakeDigests(uint64_t seed, int n, const std::string& prefix) {
   Rng rng(seed);
   Manifest out;
@@ -20,24 +22,22 @@ Manifest MakeDigests(uint64_t seed, int n, const std::string& prefix) {
   return out;
 }
 
-ReconcileResult MustReconcile(const Manifest& client,
-                              const Manifest& server,
-                              const MerkleParams& params = {}) {
+ManifestDiff MustReconcile(const Manifest& client, const Manifest& server) {
   SimulatedChannel channel;
-  auto r = MerkleReconcile(client, server, params, channel);
+  auto r = ManifestReconcile(client, server, channel);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(*r);
 }
 
-// Reference answer computed directly.
+// Reference answer computed directly. The walk's differing paths are
+// its stale ones plus the adopted ones.
 void ExpectExact(const Manifest& client, const Manifest& server,
-                 const ReconcileResult& r) {
+                 const ManifestDiff& r) {
   std::vector<std::string> want_stale;
   std::vector<std::string> want_extra;
   for (const auto& [name, entry] : server) {
     auto it = client.find(name);
-    if (it == client.end() ||
-        it->second.fingerprint != entry.fingerprint) {
+    if (it == client.end() || it->second != entry) {
       want_stale.push_back(name);
     }
   }
@@ -46,13 +46,18 @@ void ExpectExact(const Manifest& client, const Manifest& server,
       want_extra.push_back(name);
     }
   }
-  EXPECT_EQ(r.stale, want_stale);
+  std::vector<std::string> got_stale = r.stale;
+  for (const AdoptOp& op : r.adopts) {
+    got_stale.push_back(op.path);
+  }
+  std::sort(got_stale.begin(), got_stale.end());
+  EXPECT_EQ(got_stale, want_stale);
   EXPECT_EQ(r.extra, want_extra);
 }
 
 TEST(Merkle, IdenticalSetsCostOneRound) {
   Manifest files = MakeDigests(1, 500, "f");
-  ReconcileResult r = MustReconcile(files, files);
+  ManifestDiff r = MustReconcile(files, files);
   EXPECT_TRUE(r.stale.empty());
   EXPECT_TRUE(r.extra.empty());
   EXPECT_EQ(r.rounds, 1);
@@ -63,7 +68,7 @@ TEST(Merkle, SingleChangedFileFound) {
   Manifest client = MakeDigests(2, 1000, "f");
   Manifest server = client;
   server["f123"].fingerprint[0] ^= 0xFF;
-  ReconcileResult r = MustReconcile(client, server);
+  ManifestDiff r = MustReconcile(client, server);
   ASSERT_EQ(r.stale.size(), 1u);
   EXPECT_EQ(r.stale[0], "f123");
   EXPECT_TRUE(r.extra.empty());
@@ -77,14 +82,14 @@ TEST(Merkle, AddedAndRemovedFiles) {
   server.erase("f7");
   server.erase("f42");
   server["brand/new"] = ManifestEntry{};
-  ReconcileResult r = MustReconcile(client, server);
+  ManifestDiff r = MustReconcile(client, server);
   ExpectExact(client, server, r);
 }
 
 TEST(Merkle, DisjointSets) {
   Manifest client = MakeDigests(4, 50, "a");
   Manifest server = MakeDigests(5, 50, "b");
-  ReconcileResult r = MustReconcile(client, server);
+  ManifestDiff r = MustReconcile(client, server);
   ExpectExact(client, server, r);
   EXPECT_EQ(r.stale.size(), 50u);
   EXPECT_EQ(r.extra.size(), 50u);
@@ -92,11 +97,11 @@ TEST(Merkle, DisjointSets) {
 
 TEST(Merkle, EmptySides) {
   Manifest files = MakeDigests(6, 20, "f");
-  ReconcileResult a = MustReconcile({}, files);
+  ManifestDiff a = MustReconcile({}, files);
   EXPECT_EQ(a.stale.size(), 20u);
-  ReconcileResult b = MustReconcile(files, {});
+  ManifestDiff b = MustReconcile(files, {});
   EXPECT_EQ(b.extra.size(), 20u);
-  ReconcileResult c = MustReconcile({}, {});
+  ManifestDiff c = MustReconcile({}, {});
   EXPECT_TRUE(c.stale.empty());
   EXPECT_TRUE(c.extra.empty());
 }
@@ -108,8 +113,8 @@ TEST(Merkle, CostScalesWithChangesNotCollectionSize) {
   Manifest big_server = big_client;
   small_server["f5"].fingerprint[0] ^= 1;
   big_server["f5"].fingerprint[0] ^= 1;
-  ReconcileResult rs = MustReconcile(small_client, small_server);
-  ReconcileResult rb = MustReconcile(big_client, big_server);
+  ManifestDiff rs = MustReconcile(small_client, small_server);
+  ManifestDiff rb = MustReconcile(big_client, big_server);
   // 100x the files must cost far less than 100x the bytes (log growth).
   EXPECT_LT(rb.stats.total_bytes(), rs.stats.total_bytes() * 8);
 }
@@ -149,10 +154,7 @@ TEST_P(MerkleFuzz, AlwaysExact) {
       }
     }
   }
-  MerkleParams params;
-  params.leaf_batch = 1 + static_cast<uint32_t>(rng.Uniform(8));
-  params.node_hash_bytes = 4 + static_cast<uint32_t>(rng.Uniform(5));
-  ReconcileResult r = MustReconcile(client, server, params);
+  ManifestDiff r = MustReconcile(client, server);
   ExpectExact(client, server, r);
 }
 
@@ -164,8 +166,8 @@ TEST(Merkle, WalksOnOneChannelReportTheirOwnTraffic) {
   Manifest server = client;
   server["f17"].fingerprint[0] ^= 1;
   SimulatedChannel channel;
-  auto first = MerkleReconcile(client, server, MerkleParams{}, channel);
-  auto second = MerkleReconcile(client, server, MerkleParams{}, channel);
+  auto first = ManifestReconcile(client, server, channel);
+  auto second = ManifestReconcile(client, server, channel);
   ASSERT_TRUE(first.ok() && second.ok());
   EXPECT_GT(first->stats.total_bytes(), 0u);
   EXPECT_EQ(second->stats.client_to_server_bytes,

@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#endif
 
 #include "fsync/store/fsstore.h"
+#include "fsync/store/vfs_fault.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/text_synth.h"
 
@@ -200,7 +200,6 @@ TEST_F(StoreTest, VerifyFlagsExtraFile) {
   EXPECT_EQ(*dirty, want);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST_F(StoreTest, LoadRefusesSymlinks) {
   Collection files = SampleCollection(10);
   ASSERT_TRUE(StoreTree(root_, files, true, /*write_manifest=*/true).ok());
@@ -234,7 +233,35 @@ TEST_F(StoreTest, UnreadableSubdirectoryFailsTheWalk) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
   EXPECT_TRUE(fs::exists(locked / "extra.txt"));
 }
-#endif
+
+TEST_F(StoreTest, MirrorDeleteFailureIsReturned) {
+  // A mirror delete the disk refuses must fail the store, not report a
+  // mirror that still holds the extra. A fault rule, unlike a chmod,
+  // binds root too.
+  Collection files = SampleCollection(14);
+  ASSERT_TRUE(StoreTree(root_, files, false).ok());
+  Collection fewer = files;
+  fewer.erase("a.txt");
+  fewer.erase("dir/b.txt");
+  store::FaultVfs vfs;
+  store::DiskFaultRule rule;
+  rule.path_pattern = "dir/b.txt";
+  rule.op_mask = store::VfsOpBit(store::VfsOp::kUnlink);
+  rule.fail_at_op = 0;
+  rule.fail_errno = EACCES;
+  vfs.AddRule(rule);
+  Status stored;
+  {
+    store::ScopedVfs scoped(&vfs);
+    stored = StoreTree(root_, fewer, /*delete_extra=*/true);
+  }
+  EXPECT_EQ(vfs.faults_injected(), 1u);
+  EXPECT_EQ(stored.code(), StatusCode::kFailedPrecondition)
+      << stored.ToString();
+  EXPECT_TRUE(fs::exists(fs::path(root_) / "dir/b.txt"));
+  // The other extra is still removed: every delete is tried.
+  EXPECT_FALSE(fs::exists(fs::path(root_) / "a.txt"));
+}
 
 TEST_F(StoreTest, InternalArtifactsExcludedFromLoadAndMirroring) {
   Collection files = SampleCollection(11);

@@ -143,7 +143,7 @@ TEST(ManifestReconcileTest, FindsTheExactDifference) {
   Manifest server = BuildManifest(pair.new_tree);
 
   SimulatedChannel channel;
-  auto diff = ManifestReconcile(client, server, MerkleParams{}, channel);
+  auto diff = ManifestReconcile(client, server, channel);
   ASSERT_TRUE(diff.ok()) << diff.status().ToString();
 
   // Ground truth, computed locally.
@@ -182,7 +182,7 @@ TEST(ManifestReconcileTest, IdenticalManifestsCostOneExchange) {
       MakeTreeCorpusPair(TreeShape::kIdenticalTrees, SeedFromEnv(3));
   Manifest manifest = BuildManifest(pair.old_tree);
   SimulatedChannel channel;
-  auto diff = ManifestReconcile(manifest, manifest, MerkleParams{}, channel);
+  auto diff = ManifestReconcile(manifest, manifest, channel);
   ASSERT_TRUE(diff.ok()) << diff.status().ToString();
   EXPECT_TRUE(diff->stale.empty());
   EXPECT_TRUE(diff->extra.empty());

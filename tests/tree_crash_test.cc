@@ -109,10 +109,8 @@ TEST(TreeChaos, DeliveredStreamIsIndependentOfFaultSchedule) {
 }  // namespace fsx
 
 // ---------------------------------------------------------------------------
-// Kill-point sweep over the rename-adopt apply (POSIX: the harness forks)
+// Kill-point sweep over the rename-adopt apply (the harness forks)
 // ---------------------------------------------------------------------------
-
-#if defined(__unix__) || defined(__APPLE__)
 
 #include <filesystem>
 
@@ -328,5 +326,3 @@ TEST_F(AdoptCrashTest, ReplayingTheStaleAdoptPlanIsSafe) {
 
 }  // namespace
 }  // namespace fsx::store
-
-#endif  // __unix__ || __APPLE__
