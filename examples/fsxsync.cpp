@@ -7,7 +7,7 @@
 //           [--dry-run] [--keep-extra] [--trace]
 //           [--metrics-json[=path]] [--cache-bytes=N]
 //           [--fault-drop=P] [--fault-corrupt=P] [--retries=N]
-//           [--journal] [--recover] [--verify-after-apply]
+//           [--recover] [--verify-after-apply]
 //   fsxsync verify <dir>      # check a tree against its manifest
 //   fsxsync recover <dir>     # resolve a crashed apply's journal
 //   fsxsync serve <dir> [--port=N] [--unix=path] [--config <file>]
@@ -39,21 +39,23 @@
 // wire bytes, and surfaces the cache counters under "cache" in
 // --metrics-json.
 //
-// --journal applies the result through the crash-safe journaled commit
-// path (store/apply.h): every file lands via fsync-ordered temp+rename
-// guarded by a write-ahead intent journal, files modified concurrently
-// are detected, skipped, and reported instead of clobbered, and a crash
-// at any point is repaired by `fsxsync recover <dir>` (or the next
-// --journal run) to a state where each file is bit-exactly old or new.
-// --recover resolves any leftover journal in <dest-dir> before syncing.
-// --verify-after-apply re-checks the destination against its freshly
-// written manifest before declaring success.
+// Every apply, the local sync and `connect` alike, goes through the
+// crash-safe journaled commit path (store/apply.h): each changed file
+// lands via fsync-ordered temp+rename guarded by a write-ahead intent
+// journal, unchanged files are not rewritten, files modified
+// concurrently are detected, skipped, and reported instead of
+// clobbered, and a crash at any point is repaired by `fsxsync recover
+// <dir>` (or the next run) to a state where each file is bit-exactly
+// old or new. --recover resolves any leftover journal in <dest-dir>
+// before syncing. --verify-after-apply re-checks the destination
+// against its freshly written manifest before declaring success.
 //
-// Exit codes: 0 sync applied cleanly; 1 failure; 2 usage error;
-// 3 applied cleanly after recovering an interrupted run; 4 applied, but
-// some concurrently modified files were skipped (listed on stderr);
-// 5 the destination disk filled up (RESOURCE_EXHAUSTED) — the apply
-// aborted and rolled back, re-run after freeing space.
+// Exit codes, shared by the local sync and `connect`: 0 sync applied
+// cleanly; 1 failure; 2 usage error; 3 applied cleanly after recovering
+// an interrupted run; 4 applied, but some concurrently modified files
+// were skipped (listed on stderr), or a draining server cut `connect`
+// short; 5 the destination disk filled up (RESOURCE_EXHAUSTED) — the
+// apply aborted and rolled back, re-run after freeing space.
 // FSX_CRASH_AT=<n> arms a deterministic crash at the n-th durability
 // boundary (kill-point sweeps from the CLI; see docs/testing.md).
 // FSX_DISK_FAULT=<spec> arms deterministic disk-fault injection on the
@@ -296,7 +298,6 @@ struct FaultOptions {
 };
 
 struct ApplyCliOptions {
-  bool journal = false;       // crash-safe journaled apply path
   bool recover_first = false; // resolve leftover journals before syncing
   bool verify_after = false;  // re-verify dest against its manifest
 };
@@ -321,6 +322,30 @@ int ExitCodeFor(const fsx::Status& status) {
   return status.code() == fsx::StatusCode::kResourceExhausted
              ? kExitDiskFull
              : kExitFailed;
+}
+
+/// Prints a committed apply's summary (each conflict on stderr) and
+/// returns the exit code the local sync and `connect` both end with.
+int ReportApply(std::FILE* human, const fsx::store::ApplyReport& report,
+                bool recovered_before_sync) {
+  for (const std::string& name : report.conflicts) {
+    std::fprintf(stderr, "conflict: %s changed during sync; skipped\n",
+                 name.c_str());
+  }
+  std::fprintf(human,
+               "destination updated (journaled: %llu written, "
+               "%llu unchanged, %llu deleted, %zu conflicts)\n",
+               static_cast<unsigned long long>(report.files_committed),
+               static_cast<unsigned long long>(report.files_unchanged),
+               static_cast<unsigned long long>(report.files_deleted),
+               report.conflicts.size());
+  if (!report.conflicts.empty()) {
+    return kExitConflicts;
+  }
+  if (recovered_before_sync || report.recovered) {
+    return kExitRecovered;
+  }
+  return kExitClean;
 }
 
 int RunSync(const std::string& src_dir, const std::string& dst_dir,
@@ -498,47 +523,21 @@ int RunSync(const std::string& src_dir, const std::string& dst_dir,
     return write_metrics() ? kExitClean : kExitFailed;
   }
 
-  bool recovered = recovered_before_sync;
-  size_t conflicts = 0;
-  if (apply.journal) {
-    // Crash-safe path: journaled per-file commit, with the loaded dest
-    // tree as the conflict baseline — anything that changed since the
-    // scan is skipped and reported, not clobbered.
-    fsx::store::ApplyOptions options;
-    options.delete_extra = !keep_extra;
-    auto report = fsx::store::ApplyTree(dst_dir, result->reconstructed,
-                                        fsx::BuildManifest(*client_tree),
-                                        options, obs);
-    if (!report.ok()) {
-      std::fprintf(stderr, "apply failed: %s\n",
-                   report.status().ToString().c_str());
-      (void)write_metrics();  // surface enospc_aborts/fsync_failures
-      return ExitCodeFor(report.status());
-    }
-    recovered = recovered || report->recovered;
-    conflicts = report->conflicts.size();
-    for (const std::string& name : report->conflicts) {
-      std::fprintf(stderr, "conflict: %s changed during sync; skipped\n",
-                   name.c_str());
-    }
-    std::fprintf(human,
-                 "destination updated (journaled: %llu written, "
-                 "%llu unchanged, %llu deleted, %zu conflicts)\n",
-                 static_cast<unsigned long long>(report->files_committed),
-                 static_cast<unsigned long long>(report->files_unchanged),
-                 static_cast<unsigned long long>(report->files_deleted),
-                 conflicts);
-  } else {
-    fsx::Status st = fsx::StoreTree(dst_dir, result->reconstructed,
-                                    /*delete_extra=*/!keep_extra,
-                                    /*write_manifest=*/true);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      (void)write_metrics();
-      return ExitCodeFor(st);
-    }
-    std::fprintf(human, "destination updated (manifest written)\n");
+  // Journaled per-file commit, with the loaded dest tree as the
+  // conflict baseline — anything that changed since the scan is skipped
+  // and reported, not clobbered.
+  fsx::store::ApplyOptions options;
+  options.delete_extra = !keep_extra;
+  auto report = fsx::store::ApplyTree(dst_dir, result->reconstructed,
+                                      fsx::BuildManifest(*client_tree),
+                                      options, obs);
+  if (!report.ok()) {
+    std::fprintf(stderr, "apply failed: %s\n",
+                 report.status().ToString().c_str());
+    (void)write_metrics();  // surface enospc_aborts/fsync_failures
+    return ExitCodeFor(report.status());
   }
+  const int rc = ReportApply(human, *report, recovered_before_sync);
 
   if (apply.verify_after) {
     auto dirty = fsx::VerifyTree(dst_dir);
@@ -559,13 +558,7 @@ int RunSync(const std::string& src_dir, const std::string& dst_dir,
   if (!write_metrics()) {
     return kExitFailed;
   }
-  if (conflicts > 0) {
-    return kExitConflicts;
-  }
-  if (recovered) {
-    return kExitRecovered;
-  }
-  return kExitClean;
+  return rc;
 }
 
 int Recover(const std::string& dir) {
@@ -618,10 +611,13 @@ int Demo() {
   fsx::ReleasePair pair = fsx::MakeRelease(profile);
   std::filesystem::path base =
       std::filesystem::temp_directory_path() / "fsxsync_demo";
+  std::error_code ec;
+  std::filesystem::remove_all(base, ec);
   std::string src = (base / "server").string();
   std::string dst = (base / "client").string();
-  if (!fsx::StoreTree(src, pair.new_release, true).ok() ||
-      !fsx::StoreTree(dst, pair.old_release, true).ok()) {
+  const fsx::Manifest empty;
+  if (!fsx::store::ApplyTree(src, pair.new_release, empty).ok() ||
+      !fsx::store::ApplyTree(dst, pair.old_release, empty).ok()) {
     std::fprintf(stderr, "cannot set up demo trees\n");
     return 1;
   }
@@ -765,43 +761,33 @@ int Connect(int argc, char** argv) {
                  "[--unix=path] [--checkpoint-dir=path] [--keep-extra]\n");
     return kExitUsage;
   }
-  auto local = fsx::LoadTree(dir);
-  if (!local.ok()) {
-    std::fprintf(stderr, "connect: %s\n", local.status().ToString().c_str());
-    return kExitFailed;
-  }
-  if (!opts.checkpoint_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(opts.checkpoint_dir, ec);
-  }
-  auto result = fsx::netd::RunSyncClient(*local, opts);
-  if (!result.ok()) {
+  fsx::store::ApplyOptions apply;
+  apply.delete_extra = !keep_extra;
+  auto report = fsx::netd::ConnectTree(dir, opts, apply);
+  if (!report.ok()) {
     std::fprintf(stderr, "connect: %s\n",
-                 result.status().ToString().c_str());
-    return kExitFailed;
+                 report.status().ToString().c_str());
+    return ExitCodeFor(report.status());
   }
-  fsx::Status stored = fsx::StoreTree(dir, result->reconstructed,
-                                      /*delete_extra=*/!keep_extra,
-                                      /*write_manifest=*/true);
-  if (!stored.ok()) {
-    std::fprintf(stderr, "connect: %s\n", stored.ToString().c_str());
-    return ExitCodeFor(stored);
-  }
+  const fsx::netd::ClientResult& result = report->client;
   std::printf(
       "synced %s: %llu files (%llu unchanged, %llu adopted, %llu small, "
       "%llu sessioned, %llu new, %llu resumed, %llu aborted)\n",
-      dir.c_str(), static_cast<unsigned long long>(result->files_total),
-      static_cast<unsigned long long>(result->files_unchanged),
-      static_cast<unsigned long long>(result->files_adopted),
-      static_cast<unsigned long long>(result->files_small),
-      static_cast<unsigned long long>(result->files_sessioned),
-      static_cast<unsigned long long>(result->files_new),
-      static_cast<unsigned long long>(result->files_resumed),
-      static_cast<unsigned long long>(result->files_aborted));
-  if (result->files_aborted > 0) {
-    return result->server_draining ? kExitConflicts : kExitFailed;
+      dir.c_str(), static_cast<unsigned long long>(result.files_total),
+      static_cast<unsigned long long>(result.files_unchanged),
+      static_cast<unsigned long long>(result.files_adopted),
+      static_cast<unsigned long long>(result.files_small),
+      static_cast<unsigned long long>(result.files_sessioned),
+      static_cast<unsigned long long>(result.files_new),
+      static_cast<unsigned long long>(result.files_resumed),
+      static_cast<unsigned long long>(result.files_aborted));
+  const int rc = ReportApply(stdout, report->apply,
+                             /*recovered_before_sync=*/false);
+  if (result.files_aborted > 0) {
+    // The aborted files kept their old bytes; a rerun finishes them.
+    return result.server_draining ? kExitConflicts : kExitFailed;
   }
-  return kExitClean;
+  return rc;
 }
 
 }  // namespace
@@ -841,7 +827,7 @@ int main(int argc, char** argv) {
         "usage: %s <source-dir> <dest-dir> [--method fsx|rsync|cdc|"
         "multiround] [--dry-run] [--keep-extra] [--trace] "
         "[--metrics-json[=path]] [--cache-bytes=N] [--fault-drop=P] "
-        "[--fault-corrupt=P] [--retries=N] [--journal] [--recover] "
+        "[--fault-corrupt=P] [--retries=N] [--recover] "
         "[--verify-after-apply]\n"
         "       %s verify <dir>\n       %s recover <dir>\n"
         "       %s serve <dir> [--port=N] [--unix=path]\n"
@@ -850,14 +836,16 @@ int main(int argc, char** argv) {
         "\n"
         "serve/connect run a real multi-client daemon over TCP or unix\n"
         "sockets (SIGTERM drains gracefully; see docs/architecture.md).\n"
+        "Every apply, connect included, is journaled (store/apply.h).\n"
         "\n"
-        "exit codes:\n"
+        "exit codes (the local sync and connect alike):\n"
         "  0  sync applied cleanly\n"
         "  1  failure (I/O, protocol, or post-apply verify mismatch)\n"
         "  2  usage error (bad flag or flag/method combination)\n"
         "  3  applied cleanly after recovering an interrupted apply\n"
         "  4  applied, but concurrently modified files were skipped\n"
-        "     (each conflict listed on stderr)\n"
+        "     (each conflict listed on stderr), or a draining server\n"
+        "     cut connect short\n"
         "  5  destination disk full (apply aborted and rolled back;\n"
         "     free space and re-run)\n"
         "  (FSX_CRASH_AT kill-point runs exit 42 at the armed boundary;\n"
@@ -926,8 +914,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--retries needs a positive count\n");
         return kExitUsage;
       }
-    } else if (std::strcmp(argv[i], "--journal") == 0) {
-      apply.journal = true;
     } else if (std::strcmp(argv[i], "--recover") == 0) {
       apply.recover_first = true;
     } else if (std::strcmp(argv[i], "--verify-after-apply") == 0) {

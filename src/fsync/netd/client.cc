@@ -3,6 +3,7 @@
 #include <chrono>
 #include <ctime>
 #include <deque>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -389,6 +390,27 @@ StatusOr<ClientResult> RunSyncClient(const Collection& local,
   result.physical_bytes_sent = conn.bytes_sent();
   result.physical_bytes_received = conn.bytes_received();
   return result;
+}
+
+StatusOr<ConnectReport> ConnectTree(const std::string& dir,
+                                    const ClientOptions& options,
+                                    const store::ApplyOptions& apply_options,
+                                    obs::SyncObserver* obs) {
+  FSYNC_ASSIGN_OR_RETURN(Collection local, LoadTree(dir));
+  if (!options.checkpoint_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(options.checkpoint_dir, ec);
+  }
+  ConnectReport report;
+  FSYNC_ASSIGN_OR_RETURN(report.client, RunSyncClient(local, options));
+  store::ApplyOptions apply = apply_options;
+  if (report.client.files_aborted > 0) {
+    apply.delete_extra = false;
+  }
+  FSYNC_ASSIGN_OR_RETURN(
+      report.apply, store::ApplyTree(dir, report.client.reconstructed,
+                                     BuildManifest(local), apply, obs));
+  return report;
 }
 
 }  // namespace fsx::netd

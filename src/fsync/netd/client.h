@@ -15,6 +15,10 @@
 // store::IsInternalArtifact): a hostile or corrupted server cannot name
 // files outside the client's tree, nor the store's own manifest, temps
 // or journals.
+//
+// ConnectTree is the whole `fsxsync connect` run: load the local tree,
+// RunSyncClient, then commit through the same journaled store::ApplyTree
+// the local sync uses.
 #ifndef FSYNC_NETD_CLIENT_H_
 #define FSYNC_NETD_CLIENT_H_
 
@@ -24,6 +28,8 @@
 #include "fsync/core/collection.h"
 #include "fsync/core/config.h"
 #include "fsync/netd/fault.h"
+#include "fsync/obs/sync_obs.h"
+#include "fsync/store/apply.h"
 #include "fsync/util/status.h"
 
 namespace fsx::netd {
@@ -86,6 +92,25 @@ struct ClientResult {
 /// plus unchanged files).
 StatusOr<ClientResult> RunSyncClient(const Collection& local,
                                      const ClientOptions& options);
+
+struct ConnectReport {
+  ClientResult client;
+  store::ApplyReport apply;
+};
+
+/// `fsxsync connect` as one call: loads the tree at `dir`, syncs it
+/// against the daemon (RunSyncClient), and commits the result through
+/// the journaled store::ApplyTree, with the loaded tree's manifest as
+/// the conflict baseline — so connect gets the apply's conflict
+/// re-check, ENOSPC rollback (kResourceExhausted, tree old-or-new) and
+/// recovery of a killed predecessor. Creates `options.checkpoint_dir`
+/// when one is set. A run that aborted streams (drain, or a stream
+/// error) deletes nothing: `reconstructed` lacks the aborted files, so
+/// `delete_extra` is forced off and their old copies stay on disk.
+StatusOr<ConnectReport> ConnectTree(
+    const std::string& dir, const ClientOptions& options,
+    const store::ApplyOptions& apply_options = {},
+    obs::SyncObserver* obs = nullptr);
 
 }  // namespace fsx::netd
 

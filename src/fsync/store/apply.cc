@@ -443,6 +443,17 @@ StatusOr<ApplyReport> ApplyTreeWithAdopts(const std::string& root,
                                           const Manifest& expected,
                                           const ApplyOptions& options,
                                           obs::SyncObserver* obs) {
+  // Every name is checked before Begin() touches the disk, so a hostile
+  // name that sorts after a safe one cannot find the safe one already
+  // committed. StageFile checks each name again for callers that drive
+  // an ApplyTransaction directly.
+  for (const auto& [name, data] : files) {
+    FSYNC_RETURN_IF_ERROR(ValidateRelPath(name));
+  }
+  for (const AdoptOp& op : adopts) {
+    FSYNC_RETURN_IF_ERROR(ValidateRelPath(op.path));
+    FSYNC_RETURN_IF_ERROR(ValidateRelPath(op.from));
+  }
   ApplyTransaction txn(root, options, obs);
 
   // Disk-full mid-transaction must abort and roll back, not return with

@@ -146,10 +146,14 @@ class ApplyTransaction {
   bool committed_ = false;
 };
 
-/// Convenience wrapper: applies `files` to `root` in one transaction.
-/// `expected` is the manifest of the tree as it was loaded (conflict
-/// baseline); per-file conflicts are skipped and reported, every other
-/// error aborts the apply.
+/// Applies `files` to `root` in one transaction: the one writer of a
+/// synced tree (the local fsxsync sync and netd::ConnectTree both commit
+/// through it). `expected` is the manifest of the tree as it was loaded
+/// (conflict baseline); per-file conflicts are skipped and reported,
+/// every other error aborts the apply. A name IsSafeRelativePath
+/// rejects, or a bookkeeping artifact's name, is kInvalidArgument before
+/// anything touches the disk. Seeding an empty tree is
+/// `ApplyTree(root, files, Manifest{})`.
 StatusOr<ApplyReport> ApplyTree(const std::string& root,
                                 const Collection& files,
                                 const Manifest& expected,

@@ -26,10 +26,10 @@ StatusOr<Bytes> ReadFileBytes(const fs::path& p) {
   return ReadWholeFile(p.string());
 }
 
-// Plain (non-durable) write through the process-current Vfs, so the
-// disk-fault harness reaches it and errors carry the errno taxonomy.
-// No fsync — this protects against process death, not power loss; the
-// journaled apply path (store/apply.h) is the durable one.
+// Plain (non-durable) checkpoint write through the process-current Vfs,
+// so the disk-fault harness reaches it and errors carry the errno
+// taxonomy. No fsync — a lost checkpoint only costs resume coverage;
+// tree content is written by the journaled apply (store/apply.h).
 Status WriteFileBytes(const fs::path& p, ByteSpan data) {
   store::Vfs& vfs = store::CurrentVfs();
   if (p.has_parent_path()) {
@@ -39,20 +39,6 @@ Status WriteFileBytes(const fs::path& p, ByteSpan data) {
                          vfs.Open(p, store::OpenMode::kTruncate));
   FSYNC_RETURN_IF_ERROR(store::WriteFully(*file, data));
   return file->Close();
-}
-
-// Stage-and-rename write: a killed process leaves `p` either old or new
-// (the stranded `.fsx-tmp` is swept by store::RecoverTree).
-Status WriteFileAtomic(const fs::path& p, ByteSpan data) {
-  fs::path tmp = p;
-  tmp += store::kTempSuffix;
-  FSYNC_RETURN_IF_ERROR(WriteFileBytes(tmp, data));
-  Status renamed = store::CurrentVfs().Rename(tmp, p);
-  if (!renamed.ok()) {
-    (void)store::CurrentVfs().Unlink(tmp);
-    return renamed;
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -166,48 +152,6 @@ StatusOr<Collection> LoadTree(const std::string& root) {
         return Status::Ok();
       }));
   return out;
-}
-
-Status StoreTree(const std::string& root, const Collection& files,
-                 bool delete_extra, bool write_manifest) {
-  for (const auto& [name, data] : files) {
-    if (!IsSafeRelativePath(name)) {
-      return Status::InvalidArgument("unsafe path in collection: " + name);
-    }
-  }
-  std::error_code ec;
-  fs::path base(root);
-  fs::create_directories(base, ec);
-  for (const auto& [name, data] : files) {
-    FSYNC_RETURN_IF_ERROR(WriteFileAtomic(base / name, data));
-  }
-  if (delete_extra) {
-    std::vector<fs::path> doomed;
-    FSYNC_RETURN_IF_ERROR(store::WalkTree(
-        base, [&](const std::string& rel, const fs::directory_entry& entry) {
-          std::error_code entry_ec;
-          if (entry.is_regular_file(entry_ec) && !rel.empty() &&
-              !store::IsInternalArtifact(rel) && !files.contains(rel)) {
-            doomed.push_back(entry.path());
-          }
-          return Status::Ok();
-        }));
-    // Through the process-current Vfs, so the disk-fault harness reaches
-    // it; every extra is tried, and the first failure is returned.
-    Status removed = Status::Ok();
-    for (const fs::path& p : doomed) {
-      StatusOr<bool> r = store::CurrentVfs().Unlink(p);
-      if (!r.ok() && removed.ok()) {
-        removed = r.status();
-      }
-    }
-    FSYNC_RETURN_IF_ERROR(removed);
-  }
-  if (write_manifest) {
-    FSYNC_RETURN_IF_ERROR(WriteFileAtomic(
-        base / kManifestName, SerializeManifest(BuildManifest(files))));
-  }
-  return Status::Ok();
 }
 
 StatusOr<std::vector<std::string>> VerifyTree(const std::string& root) {

@@ -1,7 +1,9 @@
-// Filesystem snapshot store: load/save a Collection as a directory tree,
-// with a manifest (name, size, fingerprint per file) that lets tools skip
-// rehashing unchanged trees and detect tampering. The persistence layer
-// behind the fsxsync example tool.
+// Filesystem snapshot store: load a Collection from a directory tree,
+// and read back the manifest (name, size, fingerprint per file) that
+// lets tools skip rehashing unchanged trees and detect tampering. The
+// one writer of a tree and its manifest is the journaled
+// store::ApplyTree (store/apply.h); this file holds the read side, the
+// path rules the apply enforces, and session checkpoint files.
 #ifndef FSYNC_STORE_FSSTORE_H_
 #define FSYNC_STORE_FSSTORE_H_
 
@@ -19,10 +21,10 @@ namespace fsx {
 /// separated, with no empty, "." or ".." components, no leading '/',
 /// and no NUL, newline or backslash bytes (the text manifest is one
 /// line per file, so it cannot carry a newline). Everything that turns
-/// wire data into filesystem paths (apply transactions, the netd
-/// client's manifest handling) must reject anything else *before*
-/// touching the filesystem — a hostile manifest must not be able to
-/// write outside the tree.
+/// wire data into filesystem paths (store::ApplyTree, which checks every
+/// name before its transaction begins, and the netd client's manifest
+/// handling) must reject anything else *before* touching the filesystem
+/// — a hostile manifest must not be able to write outside the tree.
 bool IsSafeRelativePath(const std::string& path);
 
 /// Serializes / parses a Manifest (reconcile/manifest.h) in a stable
@@ -38,21 +40,6 @@ StatusOr<Manifest> ParseManifest(ByteSpan data);
 /// bookkeeping artifacts (manifest, journals, staged temps). A directory
 /// the walk cannot read is kInternal, never a silently partial tree.
 StatusOr<Collection> LoadTree(const std::string& root);
-
-/// Writes `files` under `root`, creating directories as needed; a name
-/// IsSafeRelativePath rejects is kInvalidArgument before anything is
-/// written. Each file is staged to `<name>.fsx-tmp` and renamed into
-/// place, so a killed process leaves every file either old or new,
-/// never torn (for durability across power loss use the journaled
-/// store::ApplyTree).
-/// With `delete_extra`, regular files not in `files` are removed
-/// (mirror semantics) — except fsstore/apply bookkeeping artifacts
-/// (manifest, journals, staged temps); a directory the mirror walk
-/// cannot read is kInternal rather than a silently partial mirror. Also
-/// writes the manifest to `<root>/.fsx-manifest` when `write_manifest`
-/// is set.
-Status StoreTree(const std::string& root, const Collection& files,
-                 bool delete_extra, bool write_manifest = false);
 
 /// Verifies a tree against its stored manifest. Returns the names whose
 /// content changed, appeared, or disappeared since the manifest was

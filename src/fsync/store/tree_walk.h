@@ -1,8 +1,8 @@
 // The one directory walk every store-layer tree scan goes through
-// (LoadTree, StoreTree's mirror delete, the apply's mirror delete, the
-// recovery sweep and its manifest refresh). It names each entry by its
-// tree-relative path lexically, from the walk's own root, instead of
-// asking std::filesystem::relative — which canonicalises both paths
+// (LoadTree, the apply's mirror delete, the recovery sweep and its
+// manifest refresh). It names each entry by its tree-relative path
+// lexically, from the walk's own root, instead of asking
+// std::filesystem::relative — which canonicalises both paths
 // (weakly_canonical: a realpath per component) for every entry and was
 // most of the cost of a 1%-churn apply on a large tree.
 #ifndef FSYNC_STORE_TREE_WALK_H_

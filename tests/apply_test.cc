@@ -82,17 +82,24 @@ TEST_F(ApplyTest, ApplyTreeWritesVerifiableTree) {
 TEST_F(ApplyTest, HostileManifestPathsAbortBeforeTouchingDisk) {
   // A manifest is wire data: a compromised or malicious server must not
   // be able to name its way out of the destination tree. The whole
-  // apply aborts (not a per-file skip) and nothing lands outside root.
+  // apply aborts (not a per-file skip) before anything is written —
+  // also when the hostile name sorts after safe ones, so the tree holds
+  // no file, no journal, no manifest.
   const std::string outside_marker = root_ + "_outside_marker";
   fs::remove(outside_marker);
   for (const std::string evil :
        {"../escape", "/etc/fsx_apply_test", "dir/../../escape", "..",
-        "a\\..\\b", "dir//double"}) {
+        "a\\..\\b", "dir//double", "b\nc", "z.fsx-journal"}) {
     Collection files = SampleFiles();
     files[evil] = ToBytes("pwned");
     auto report = ApplyTree(root_, files, Manifest{});
     EXPECT_FALSE(report.ok()) << evil;
     EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument) << evil;
+    std::error_code ec;
+    for (auto it = fs::recursive_directory_iterator(root_, ec);
+         it != fs::recursive_directory_iterator(); ++it) {
+      EXPECT_FALSE(it->is_regular_file()) << evil << " left " << it->path();
+    }
   }
   EXPECT_FALSE(fs::exists(outside_marker));
   EXPECT_FALSE(fs::exists(fs::path(root_).parent_path() / "escape"));

@@ -73,7 +73,7 @@ class TreeCrashTest : public CrashTest {
   /// world as it was before the interrupted apply.
   void ResetTree() {
     fs::remove_all(root_);
-    ASSERT_TRUE(StoreTree(root_, OldTree(), true, true).ok());
+    ASSERT_TRUE(ApplyTree(root_, OldTree(), Manifest{}).ok());
   }
 
   bool RunApply() {

@@ -78,7 +78,7 @@ class DiskChaosTest : public ::testing::Test {
 
   void ResetTree() {
     fs::remove_all(root_);
-    ASSERT_TRUE(StoreTree(root_, OldTree(), true, true).ok());
+    ASSERT_TRUE(ApplyTree(root_, OldTree(), Manifest{}).ok());
   }
 
   StatusOr<ApplyReport> RunApply(obs::SyncObserver* obs = nullptr) {

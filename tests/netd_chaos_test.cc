@@ -13,8 +13,16 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
+#include <sys/socket.h>
+
+#include "fsync/core/config_io.h"
+#include "fsync/core/tree_session.h"
 #include "fsync/netd/client.h"
 #include "fsync/netd/daemon.h"
+#include "fsync/netd/frame.h"
+#include "fsync/netd/protocol.h"
+#include "fsync/netd/sockets.h"
 #include "fsync/obs/sync_obs.h"
 #include "fsync/store/apply.h"
 #include "fsync/store/fsstore.h"
@@ -240,9 +248,11 @@ TEST(DaemonChaos, KilledClientResumesFromCheckpoints) {
 }
 
 TEST(DaemonChaos, DrainUnderLoadLeavesNoWedgedClients) {
-  // Drain while a herd of clients is mid-sync: every client must end —
-  // with a full replica or a clean drain-time abort — and the daemon's
-  // loop must exit by itself within the drain deadline.
+  // Drain while a herd of clients is mid-sync, each committing into its
+  // own replica dir through ConnectTree: every client must end — with a
+  // full replica or a clean drain-time abort — and the daemon's loop
+  // must exit by itself within the drain deadline. A partial run
+  // deletes nothing: every path both trees hold stays on disk.
   const uint64_t seed = SeedFromEnv(0xC4A4);
   Collection server_tree = ServerTree(seed);
   Collection stale = StaleTree(seed);
@@ -251,8 +261,15 @@ TEST(DaemonChaos, DrainUnderLoadLeavesNoWedgedClients) {
   SyncDaemon daemon(server_tree, options);
   ASSERT_TRUE(daemon.Start().ok());
 
+  const std::string base = ::testing::TempDir() + "/fsx-netd-drain";
+  std::filesystem::remove_all(base);
   constexpr int kClients = 8;
-  std::vector<StatusOr<ClientResult>> results(
+  std::vector<std::string> dirs;
+  for (int i = 0; i < kClients; ++i) {
+    dirs.push_back(base + "/client-" + std::to_string(i));
+    ASSERT_TRUE(store::ApplyTree(dirs[i], stale, Manifest{}).ok());
+  }
+  std::vector<StatusOr<ConnectReport>> results(
       kClients, Status::Internal("not run"));
   std::vector<std::thread> threads;
   threads.reserve(kClients);
@@ -261,7 +278,7 @@ TEST(DaemonChaos, DrainUnderLoadLeavesNoWedgedClients) {
       ClientOptions opts;
       opts.port = daemon.port();
       opts.io_timeout_ms = 10000;
-      results[i] = RunSyncClient(stale, opts);
+      results[i] = ConnectTree(dirs[i], opts);
     });
   }
   daemon.Drain();
@@ -270,27 +287,169 @@ TEST(DaemonChaos, DrainUnderLoadLeavesNoWedgedClients) {
   }
   daemon.Join();  // must return: drain bounds the shutdown
 
-  int full = 0, aborted = 0;
+  int full = 0, aborted = 0, partial = 0;
   for (int i = 0; i < kClients; ++i) {
+    auto disk = LoadTree(dirs[i]);
+    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
     if (!results[i].ok()) {
       ++aborted;  // refused at connect/handshake during drain: clean
+      EXPECT_EQ(*disk, stale) << "client " << i;
       continue;
     }
-    if (results[i]->files_aborted > 0) {
+    const ClientResult& client = results[i]->client;
+    if (client.files_aborted > 0) {
       ++aborted;
-      // Partial run: everything that did complete must be exact.
-      for (const auto& [path, data] : results[i]->reconstructed) {
+      ++partial;
+      // Partial run: everything that did complete must be exact, and
+      // every path both trees hold is still there, old or new.
+      for (const auto& [path, data] : client.reconstructed) {
         auto it = server_tree.find(path);
         ASSERT_NE(it, server_tree.end()) << path;
         EXPECT_EQ(it->second, data) << path;
       }
+      for (const auto& [path, data] : stale) {
+        auto it = server_tree.find(path);
+        if (it == server_tree.end()) {
+          continue;
+        }
+        auto on_disk = disk->find(path);
+        ASSERT_NE(on_disk, disk->end()) << "client " << i << " lost " << path;
+        EXPECT_TRUE(on_disk->second == data || on_disk->second == it->second)
+            << "client " << i << ": " << path << " is neither old nor new";
+      }
     } else {
-      EXPECT_EQ(results[i]->reconstructed, server_tree) << "client " << i;
+      EXPECT_EQ(client.reconstructed, server_tree) << "client " << i;
+      EXPECT_EQ(*disk, server_tree) << "client " << i;
       ++full;
     }
   }
   EXPECT_EQ(full + aborted, kClients);
   EXPECT_EQ(daemon.stats().open_connections, 0u);
+  ::testing::Test::RecordProperty("partial_clients", partial);
+  std::filesystem::remove_all(base);
+}
+
+// Accepts one connection on `listen_fd` and serves `tree` with the real
+// tree flow (TreeSyncServer), then refuses every file stream with a
+// stream-scoped kError: the partial run a drain or a server-side stream
+// error leaves behind, made deterministic.
+void ServeTreeRefusingStreams(int listen_fd, const Collection& tree) {
+  pollfd lp{listen_fd, POLLIN, 0};
+  if (::poll(&lp, 1, 5000) <= 0) {
+    return;
+  }
+  const int conn = ::accept(listen_fd, nullptr, nullptr);
+  if (conn < 0) {
+    return;
+  }
+  Fd c(conn);
+  const SyncConfig config;
+  const TreeSnapshot snapshot(tree, TreeSyncParams{.config = config});
+  TreeSyncServer server(snapshot);
+  FrameReader reader;
+  uint32_t seq = 0;
+  auto send_msg = [&](Msg msg, uint64_t stream, ByteSpan body) {
+    Bytes payload = EncodeDaemonMsg(msg, stream, body);
+    Bytes frame = EncodeFrame(transport::kRecordTypeDaemon, seq++, 0,
+                              ByteSpan(payload.data(), payload.size()));
+    size_t off = 0;
+    while (off < frame.size()) {
+      ssize_t n = ::send(c.get(), frame.data() + off, frame.size() - off,
+                         MSG_NOSIGNAL);
+      if (n <= 0) {
+        return;
+      }
+      off += static_cast<size_t>(n);
+    }
+  };
+  uint8_t buf[4096];
+  for (;;) {
+    auto rec = reader.Next();
+    if (!rec.ok()) {
+      pollfd p{c.get(), POLLIN, 0};
+      if (::poll(&p, 1, 5000) <= 0) {
+        return;
+      }
+      ssize_t n = ::recv(c.get(), buf, sizeof(buf), 0);
+      if (n <= 0) {
+        return;  // the client hung up
+      }
+      reader.Feed(buf, static_cast<size_t>(n));
+      continue;
+    }
+    auto msg = ParseDaemonMsg(ByteSpan(rec->payload.data(),
+                                       rec->payload.size()));
+    if (!msg.ok()) {
+      return;
+    }
+    const ByteSpan body(msg->body.data(), msg->body.size());
+    if (msg->msg == Msg::kHello) {
+      HelloAck ack;
+      ack.accepted = true;
+      ack.config_digest = ConfigWireDigest(config);
+      ack.config_text = SerializeSyncConfig(config);
+      Bytes reply = EncodeHelloAck(ack);
+      send_msg(Msg::kHelloAck, 0, reply);
+    } else if (msg->msg == Msg::kWalk || msg->msg == Msg::kPlan) {
+      StatusOr<Bytes> reply = msg->msg == Msg::kWalk ? server.OnWalk(body)
+                                                     : server.OnPlan(body);
+      if (!reply.ok()) {
+        return;
+      }
+      if (!reply->empty()) {
+        send_msg(msg->msg, 0, *reply);
+      }
+    } else if (msg->msg == Msg::kOpenFile) {
+      Bytes error = EncodeError(Status::Unavailable("stream refused"));
+      send_msg(Msg::kError, msg->stream, error);
+    } else if (msg->msg == Msg::kGoodbye) {
+      return;
+    }
+  }
+}
+
+TEST(DaemonChaos, PartialConnectDeletesNothing) {
+  // The refused streams' files are missing from the reconstruction, so
+  // the apply must not mirror-delete: every stale path stays on disk,
+  // and a path whose stream was refused keeps its old bytes.
+  const uint64_t seed = SeedFromEnv(0xC4A6);
+  const Collection server_tree = ServerTree(seed);
+  const Collection stale = StaleTree(seed);
+  const std::string dir = ::testing::TempDir() + "/fsx-netd-partial";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(store::ApplyTree(dir, stale, Manifest{}).ok());
+
+  uint16_t port = 0;
+  auto listener = ListenTcp("127.0.0.1", 0, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  std::thread server([fd = listener->get(), &server_tree] {
+    ServeTreeRefusingStreams(fd, server_tree);
+  });
+  ClientOptions opts;
+  opts.port = port;
+  opts.io_timeout_ms = 5000;
+  auto report = ConnectTree(dir, opts);
+  server.join();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const ClientResult& client = report->client;
+  ASSERT_GT(client.files_aborted, 0u);
+  EXPECT_EQ(client.files_aborted, client.files_sessioned);
+  EXPECT_FALSE(client.server_draining);
+  EXPECT_EQ(report->apply.files_deleted, 0u);
+
+  auto disk = LoadTree(dir);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  for (const auto& [path, data] : stale) {
+    auto on_disk = disk->find(path);
+    ASSERT_NE(on_disk, disk->end()) << path << " was deleted";
+    if (!client.reconstructed.contains(path)) {
+      EXPECT_EQ(on_disk->second, data) << path;
+    }
+  }
+  for (const auto& [path, data] : client.reconstructed) {
+    EXPECT_EQ(disk->at(path), server_tree.at(path)) << path;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DaemonChaos, DiskFullOnOneClientDoesNotDisturbTheOthers) {
@@ -313,11 +472,8 @@ TEST(DaemonChaos, DiskFullOnOneClientDoesNotDisturbTheOthers) {
   dirs.reserve(kClients);
   for (int i = 0; i < kClients; ++i) {
     dirs.push_back(base + "/client-" + std::to_string(i));
-    ASSERT_TRUE(StoreTree(dirs[i], stale, /*delete_extra=*/true,
-                          /*write_manifest=*/true)
-                    .ok());
+    ASSERT_TRUE(store::ApplyTree(dirs[i], stale, Manifest{}).ok());
   }
-  const Manifest stale_manifest = BuildManifest(stale);
 
   // Arm the full disk only after the stale replicas exist: the byte
   // budget throttles just the applies under test, and only under
@@ -339,16 +495,8 @@ TEST(DaemonChaos, DiskFullOnOneClientDoesNotDisturbTheOthers) {
         ClientOptions opts;
         opts.port = daemon.port();
         opts.io_timeout_ms = 10000;
-        auto synced = RunSyncClient(stale, opts);
-        if (!synced.ok()) {
-          apply_status[i] = synced.status();
-          return;
-        }
-        EXPECT_EQ(synced->reconstructed, server_tree) << "client " << i;
-        auto report =
-            store::ApplyTree(dirs[i], synced->reconstructed,
-                             stale_manifest, {}, &observers[i]);
-        apply_status[i] = report.ok() ? Status::Ok() : report.status();
+        auto report = ConnectTree(dirs[i], opts, {}, &observers[i]);
+        apply_status[i] = report.status();
       });
     }
     for (std::thread& t : threads) {
@@ -380,18 +528,15 @@ TEST(DaemonChaos, DiskFullOnOneClientDoesNotDisturbTheOthers) {
     EXPECT_EQ(*tree, server_tree) << "client " << i;
   }
 
-  // Disk-full cleared: recovery plus a fresh sync+apply must converge.
+  // Disk-full cleared: a fresh connect (its apply recovers whatever the
+  // aborted one left) must converge.
   {
-    auto rec = store::RecoverTree(dirs[0]);
-    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
     ClientOptions opts;
     opts.port = daemon.port();
     opts.io_timeout_ms = 10000;
-    auto synced = RunSyncClient(stale, opts);
-    ASSERT_TRUE(synced.ok()) << synced.status().ToString();
-    auto report = store::ApplyTree(dirs[0], synced->reconstructed,
-                                   stale_manifest, {});
+    auto report = ConnectTree(dirs[0], opts);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->apply.conflicts.empty());
     auto tree = LoadTree(dirs[0]);
     ASSERT_TRUE(tree.ok()) << tree.status().ToString();
     EXPECT_EQ(*tree, server_tree);

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include "fsync/store/apply.h"
 #include "fsync/store/fsstore.h"
 #include "fsync/store/vfs_fault.h"
 #include "fsync/util/random.h"
@@ -29,6 +30,13 @@ class StoreTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(root_); }
 
+  /// Writes `files` into the (empty) tree through the journaled apply,
+  /// manifest included.
+  void Seed(const Collection& files) {
+    auto report = store::ApplyTree(root_, files, Manifest{});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+  }
+
   std::string root_;
 };
 
@@ -44,41 +52,23 @@ Collection SampleCollection(uint64_t seed) {
 
 TEST_F(StoreTest, StoreLoadRoundTrip) {
   Collection files = SampleCollection(1);
-  ASSERT_TRUE(StoreTree(root_, files, false).ok());
+  Seed(files);
   auto back = LoadTree(root_);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(*back, files);
 }
 
-TEST_F(StoreTest, DeleteExtraMirrors) {
-  Collection files = SampleCollection(2);
-  ASSERT_TRUE(StoreTree(root_, files, false).ok());
-  Collection fewer = files;
-  fewer.erase("dir/b.txt");
-  ASSERT_TRUE(StoreTree(root_, fewer, /*delete_extra=*/true).ok());
-  auto back = LoadTree(root_);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, fewer);
-}
-
 TEST_F(StoreTest, KeepExtraPreserves) {
   Collection files = SampleCollection(3);
-  ASSERT_TRUE(StoreTree(root_, files, false).ok());
+  Seed(files);
   Collection fewer;
   fewer["new.txt"] = ToBytes("hello");
-  ASSERT_TRUE(StoreTree(root_, fewer, /*delete_extra=*/false).ok());
+  ASSERT_TRUE(store::ApplyTree(root_, fewer, BuildManifest(files),
+                               {.delete_extra = false})
+                  .ok());
   auto back = LoadTree(root_);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->size(), files.size() + 1);
-}
-
-TEST_F(StoreTest, RejectsUnsafePaths) {
-  Collection evil;
-  evil["../escape"] = ToBytes("nope");
-  EXPECT_FALSE(StoreTree(root_, evil, false).ok());
-  Collection evil2;
-  evil2["/absolute"] = ToBytes("nope");
-  EXPECT_FALSE(StoreTree(root_, evil2, false).ok());
 }
 
 TEST_F(StoreTest, NewlineInANameIsRefusedBeforeAnyWrite) {
@@ -86,8 +76,9 @@ TEST_F(StoreTest, NewlineInANameIsRefusedBeforeAnyWrite) {
   // commit a manifest that VerifyTree cannot read back.
   Collection files = SampleCollection(3);
   files["b\nc"] = ToBytes("split");
-  Status s = StoreTree(root_, files, false, /*write_manifest=*/true);
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  auto report = store::ApplyTree(root_, files, Manifest{});
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+      << report.status().ToString();
   EXPECT_FALSE(fs::exists(root_));
 }
 
@@ -141,7 +132,7 @@ TEST(ManifestTest, ParseRejectsGarbage) {
 
 TEST_F(StoreTest, VerifyDetectsTampering) {
   Collection files = SampleCollection(5);
-  ASSERT_TRUE(StoreTree(root_, files, true, /*write_manifest=*/true).ok());
+  Seed(files);
   auto clean = VerifyTree(root_);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   EXPECT_TRUE(clean->empty());
@@ -165,7 +156,7 @@ TEST_F(StoreTest, VerifyDetectsTampering) {
 
 TEST_F(StoreTest, ManifestExcludedFromLoad) {
   Collection files = SampleCollection(6);
-  ASSERT_TRUE(StoreTree(root_, files, true, /*write_manifest=*/true).ok());
+  Seed(files);
   auto back = LoadTree(root_);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, files);  // .fsx-manifest not part of the content
@@ -173,7 +164,8 @@ TEST_F(StoreTest, ManifestExcludedFromLoad) {
 
 TEST_F(StoreTest, VerifyWithoutManifestIsNotFound) {
   Collection files = SampleCollection(7);
-  ASSERT_TRUE(StoreTree(root_, files, true, /*write_manifest=*/false).ok());
+  Seed(files);
+  fs::remove(fs::path(root_) / ".fsx-manifest");
   auto r = VerifyTree(root_);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
@@ -181,7 +173,7 @@ TEST_F(StoreTest, VerifyWithoutManifestIsNotFound) {
 
 TEST_F(StoreTest, VerifyFlagsTruncatedFile) {
   Collection files = SampleCollection(8);
-  ASSERT_TRUE(StoreTree(root_, files, true, /*write_manifest=*/true).ok());
+  Seed(files);
   fs::resize_file(fs::path(root_) / "dir/b.txt",
                   files["dir/b.txt"].size() / 2);
   auto dirty = VerifyTree(root_);
@@ -192,7 +184,7 @@ TEST_F(StoreTest, VerifyFlagsTruncatedFile) {
 
 TEST_F(StoreTest, VerifyFlagsExtraFile) {
   Collection files = SampleCollection(9);
-  ASSERT_TRUE(StoreTree(root_, files, true, /*write_manifest=*/true).ok());
+  Seed(files);
   std::ofstream(fs::path(root_) / "extra.txt") << "not in the manifest";
   auto dirty = VerifyTree(root_);
   ASSERT_TRUE(dirty.ok());
@@ -202,7 +194,7 @@ TEST_F(StoreTest, VerifyFlagsExtraFile) {
 
 TEST_F(StoreTest, LoadRefusesSymlinks) {
   Collection files = SampleCollection(10);
-  ASSERT_TRUE(StoreTree(root_, files, true, /*write_manifest=*/true).ok());
+  Seed(files);
   // A symlink could alias content from outside the tree; LoadTree must
   // refuse it rather than follow it.
   fs::create_symlink(fs::path(root_) / "a.txt",
@@ -217,7 +209,7 @@ TEST_F(StoreTest, UnreadableSubdirectoryFailsTheWalk) {
     GTEST_SKIP() << "permission bits do not bind root";
   }
   Collection files = SampleCollection(13);
-  ASSERT_TRUE(StoreTree(root_, files, false).ok());
+  Seed(files);
   const fs::path locked = fs::path(root_) / "locked";
   fs::create_directories(locked);
   std::ofstream(locked / "extra.txt") << "an extra file mirroring must see";
@@ -225,7 +217,8 @@ TEST_F(StoreTest, UnreadableSubdirectoryFailsTheWalk) {
 
   // A walk that cannot read a directory must not end early in silence:
   // the mirror would skip the extra file, the load would drop content.
-  Status stored = StoreTree(root_, files, /*delete_extra=*/true);
+  Status stored =
+      store::ApplyTree(root_, files, BuildManifest(files)).status();
   auto loaded = LoadTree(root_);
   fs::permissions(locked, fs::perms::owner_all);
   EXPECT_EQ(stored.code(), StatusCode::kInternal) << stored.ToString();
@@ -235,13 +228,12 @@ TEST_F(StoreTest, UnreadableSubdirectoryFailsTheWalk) {
 }
 
 TEST_F(StoreTest, MirrorDeleteFailureIsReturned) {
-  // A mirror delete the disk refuses must fail the store, not report a
+  // A mirror delete the disk refuses must fail the apply, not report a
   // mirror that still holds the extra. A fault rule, unlike a chmod,
   // binds root too.
   Collection files = SampleCollection(14);
-  ASSERT_TRUE(StoreTree(root_, files, false).ok());
+  Seed(files);
   Collection fewer = files;
-  fewer.erase("a.txt");
   fewer.erase("dir/b.txt");
   store::FaultVfs vfs;
   store::DiskFaultRule rule;
@@ -253,19 +245,19 @@ TEST_F(StoreTest, MirrorDeleteFailureIsReturned) {
   Status stored;
   {
     store::ScopedVfs scoped(&vfs);
-    stored = StoreTree(root_, fewer, /*delete_extra=*/true);
+    stored = store::ApplyTree(root_, fewer, BuildManifest(files)).status();
   }
   EXPECT_EQ(vfs.faults_injected(), 1u);
   EXPECT_EQ(stored.code(), StatusCode::kFailedPrecondition)
       << stored.ToString();
-  EXPECT_TRUE(fs::exists(fs::path(root_) / "dir/b.txt"));
-  // The other extra is still removed: every delete is tried.
-  EXPECT_FALSE(fs::exists(fs::path(root_) / "a.txt"));
+  auto back = LoadTree(root_);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, files);  // the extra is still there, untouched
 }
 
 TEST_F(StoreTest, InternalArtifactsExcludedFromLoadAndMirroring) {
   Collection files = SampleCollection(11);
-  ASSERT_TRUE(StoreTree(root_, files, true, /*write_manifest=*/true).ok());
+  Seed(files);
   // Simulate debris from an interrupted apply: a staged temp (for a
   // file not in this collection) and an in-place journal next to real
   // content.
@@ -276,16 +268,20 @@ TEST_F(StoreTest, InternalArtifactsExcludedFromLoadAndMirroring) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(*back, files);  // artifacts are not content
 
-  // Mirror-mode rewrite must not treat the artifacts as "extra files"
-  // to delete — recovery owns them, not the mirroring pass.
-  ASSERT_TRUE(StoreTree(root_, files, /*delete_extra=*/true, true).ok());
-  EXPECT_TRUE(fs::exists(fs::path(root_) / "ghost.txt.fsx-tmp"));
+  // A mirror-mode apply must not treat the artifacts as "extra files"
+  // to delete — recovery owns them, not the mirroring pass: it sweeps
+  // the stranded temp and leaves the foreign journal-suffixed file.
+  auto report = store::ApplyTree(root_, files, BuildManifest(files));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->files_deleted, 0u);
+  EXPECT_TRUE(report->recovered);
+  EXPECT_FALSE(fs::exists(fs::path(root_) / "ghost.txt.fsx-tmp"));
   EXPECT_TRUE(fs::exists(fs::path(root_) / "dir/b.txt.fsx-journal"));
 }
 
-TEST_F(StoreTest, StoreTreeLeavesNoTempsBehind) {
+TEST_F(StoreTest, ApplyLeavesNoTempsBehind) {
   Collection files = SampleCollection(12);
-  ASSERT_TRUE(StoreTree(root_, files, true, /*write_manifest=*/true).ok());
+  Seed(files);
   for (auto it = fs::recursive_directory_iterator(root_);
        it != fs::recursive_directory_iterator(); ++it) {
     EXPECT_FALSE(it->path().filename().string().ends_with(".fsx-tmp"))

@@ -182,7 +182,7 @@ class AdoptCrashTest : public ::testing::Test {
 
   void ResetTree() {
     fs::remove_all(root_);
-    ASSERT_TRUE(StoreTree(root_, AdoptOldTree(), true, true).ok());
+    ASSERT_TRUE(ApplyTree(root_, AdoptOldTree(), Manifest{}).ok());
   }
 
   bool RunApply() {
