@@ -1,4 +1,4 @@
-// Daemon session protocol (v2): the control vocabulary carrying one
+// Daemon session protocol (v3): the control vocabulary carrying one
 // whole-tree sync over one framed connection.
 //
 // Every daemon message travels in one record of type kRecordTypeDaemon
@@ -29,12 +29,14 @@
 //   kGoodbye                              kDraining  (stream 0)
 //
 // Both sides run the tree flow with the walk's fixed shape
-// (reconcile/trie.h) and TreeSyncParams' default 16 KiB small-file
-// threshold: they are v2 protocol constants, and only the session config
+// (reconcile/trie.h) and TreeSyncParams' default 4 KiB small-file
+// threshold: they are protocol constants, and only the session config
 // (negotiated in the handshake) and the server's cache come from the
-// daemon. A tree message the server half refuses
-// (an ask outside the offered walk, a second plan, ...) fails the
-// connection: see docs/PROTOCOL.md, "Daemon protocol v2".
+// daemon. v3 lowered the threshold from v2's 16 KiB, which changes the
+// files a server bundles, so the two versions do not interoperate. A
+// tree message the server half refuses (an ask outside the offered walk,
+// a second plan, ...) fails the connection: see docs/PROTOCOL.md,
+// "Daemon protocol v3".
 #ifndef FSYNC_NETD_PROTOCOL_H_
 #define FSYNC_NETD_PROTOCOL_H_
 
@@ -51,7 +53,7 @@ namespace fsx::netd {
 /// server refuses mismatched magic outright and answers a higher client
 /// version with its own (the client decides whether it can speak it).
 inline constexpr uint32_t kDaemonMagic = 0x46535844;  // "FSXD"
-inline constexpr uint8_t kDaemonVersion = 2;
+inline constexpr uint8_t kDaemonVersion = 3;
 
 enum class Msg : uint8_t {
   kHello = 1,

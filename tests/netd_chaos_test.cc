@@ -36,7 +36,7 @@
 namespace fsx::netd {
 namespace {
 
-// Adds two files above the 16 KiB small-file threshold, edited in the
+// Adds two files above the 4 KiB small-file threshold, edited in the
 // server's version, so faults hit the per-file sessions as well as the
 // small-file bundle.
 void AddLargeFiles(Collection& tree, uint64_t seed, bool edited) {

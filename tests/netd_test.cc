@@ -272,7 +272,7 @@ TEST(Poller, EpollBackend) {
 
 // --------------------------------------------------------------- daemon
 
-// Adds three files above the 16 KiB small-file threshold, edited in the
+// Adds three files above the 4 KiB small-file threshold, edited in the
 // server's version, so a sync runs per-file sessions next to the bundle.
 void AddLargeFiles(Collection& tree, bool edited) {
   for (int i = 0; i < 3; ++i) {
@@ -733,21 +733,25 @@ TEST(DaemonTranscript, TreeMatchesSimulatedTree) {
 TEST(Daemon, RefusesAV1Hello) {
   SyncDaemon daemon(SmallServerTree(), DaemonOptions{});
   ASSERT_TRUE(daemon.Start().ok());
-  auto raw = RawClient::Connect(daemon.port());
-  ASSERT_TRUE(raw.ok());
-  BitWriter hello;
-  hello.WriteBits(kDaemonMagic, 32);
-  hello.WriteBits(1, 8);  // the full-manifest protocol's version
-  const Bytes body = hello.Finish();
-  ASSERT_TRUE(raw->Send(Msg::kHello, 0, body).ok());
-  auto msg = raw->Recv();
-  ASSERT_TRUE(msg.ok()) << msg.status().ToString();
-  ASSERT_EQ(msg->msg, Msg::kHelloAck);
-  auto ack = ParseHelloAck(msg->body);
-  ASSERT_TRUE(ack.ok());
-  EXPECT_FALSE(ack->accepted);
-  EXPECT_EQ(ack->version, 2);
-  EXPECT_TRUE(raw->WaitForEof(5000));
+  // v1 is the full-manifest protocol; v2 bundled files up to 16 KiB.
+  for (uint8_t version : {1, 2}) {
+    SCOPED_TRACE("client version " + std::to_string(version));
+    auto raw = RawClient::Connect(daemon.port());
+    ASSERT_TRUE(raw.ok());
+    BitWriter hello;
+    hello.WriteBits(kDaemonMagic, 32);
+    hello.WriteBits(version, 8);
+    const Bytes body = hello.Finish();
+    ASSERT_TRUE(raw->Send(Msg::kHello, 0, body).ok());
+    auto msg = raw->Recv();
+    ASSERT_TRUE(msg.ok()) << msg.status().ToString();
+    ASSERT_EQ(msg->msg, Msg::kHelloAck);
+    auto ack = ParseHelloAck(msg->body);
+    ASSERT_TRUE(ack.ok());
+    EXPECT_FALSE(ack->accepted);
+    EXPECT_EQ(ack->version, kDaemonVersion);
+    EXPECT_TRUE(raw->WaitForEof(5000));
+  }
   daemon.Stop();
   daemon.Join();
 }
