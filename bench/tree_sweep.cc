@@ -1,14 +1,13 @@
 // Whole-tree sync at scale: manifest reconciliation + rename adoption +
-// small-file batching (SyncCollectionTree) against the per-file
-// fingerprint-announce batched driver (SyncCollectionBatched) on large
-// trees with ~1% churn. The tree protocol's announce cost is
-// O(set difference) instead of O(n) fingerprints, which dominates when
-// almost nothing changed; the high-latency link model converts rounds
-// and bytes into wall-clock over a slow link. The `daemon` row runs the
-// same tree flow over a loopback SyncDaemon and RunSyncClient: its
-// bytes are the physical ones (framing and handshake included), and it
-// has no simulated rounds or link time. --files=N rescales every
-// workload (default 20000; the headline run uses --files=100000).
+// small-file batching (SyncCollectionTree) on large trees with ~1%
+// churn. The manifest walk costs O(set difference) instead of an O(n)
+// per-file fingerprint announce, which dominates when almost nothing
+// changed; the high-latency link model converts rounds and bytes into
+// wall-clock over a slow link. The `daemon` row runs the same tree flow
+// over a loopback SyncDaemon and RunSyncClient: its bytes are the
+// physical ones (framing and handshake included), and it has no
+// simulated rounds or link time. --files=N rescales every workload
+// (default 20000; the headline run uses --files=100000).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,34 +55,15 @@ int RunWorkload(bench::JsonReport& report, const char* dataset,
               "total KB", "rounds", "link sec", "adopted", "small",
               "sessioned", "wall ms");
 
-  SyncConfig config;
-
-  for (int which = 0; which < 3; ++which) {
+  for (const bool simulated : {true, false}) {
     SimulatedChannel channel;
     obs::SyncObserver observer;
     bench::WallTimer timer;
     Row row;
-    if (which == 0) {
-      row.protocol = "batched";
-      auto r = SyncCollectionBatched(pair.old_tree, pair.new_tree, config,
-                                     channel, &observer);
-      if (!r.ok()) {
-        std::fprintf(stderr, "batched sync failed: %s\n",
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      if (r->reconstructed != pair.new_tree) {
-        std::fprintf(stderr, "batched sync produced a wrong tree\n");
-        return 1;
-      }
-      row.stats = r->stats;
-      row.rounds = static_cast<uint64_t>(channel.stats().roundtrips);
-    } else if (which == 1) {
+    if (simulated) {
       row.protocol = "tree";
-      TreeSyncParams params;
-      params.config = config;
-      auto r = SyncCollectionTree(pair.old_tree, pair.new_tree, params,
-                                  channel, &observer);
+      auto r = SyncCollectionTree(pair.old_tree, pair.new_tree, {}, channel,
+                                  &observer);
       if (!r.ok()) {
         std::fprintf(stderr, "tree sync failed: %s\n",
                      r.status().ToString().c_str());
@@ -128,7 +108,6 @@ int RunWorkload(bench::JsonReport& report, const char* dataset,
       row.sessioned = r->files_sessioned;
     }
     uint64_t wall = timer.Ns();
-    const bool simulated = which != 2;
     std::printf("%-10s %12.1f %8s %10s %9llu %8llu %10llu %10.1f\n",
                 row.protocol, row.stats.total_bytes() / 1024.0,
                 simulated ? std::to_string(row.rounds).c_str() : "-",
@@ -202,11 +181,12 @@ int main(int argc, char** argv) {
   }
   fsx::bench::JsonReport report(
       "tree_sweep",
-      "whole-tree sync at scale: manifest walk + adoption vs batched");
+      "whole-tree sync at scale: manifest walk + adoption, simulated and "
+      "over the daemon");
   report.ParseArgs(argc, argv);
   fsx::bench::PrintHeader(
       "Tree sweep",
-      "manifest reconciliation + rename adoption vs per-file announce");
+      "manifest reconciliation + rename adoption, simulated and daemon");
   int rc = fsx::Run(report, num_files);
   return rc != 0 ? rc : report.Write();
 }

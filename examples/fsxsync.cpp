@@ -1,7 +1,12 @@
 // fsxsync: synchronize a destination directory tree to match a source
 // tree using the multi-round protocol, and report what the transfer
 // would have cost over a network (both endpoints run in-process; the
-// byte accounting is exact, the link is simulated).
+// byte accounting is exact, the link is simulated). The default method,
+// fsx, runs SyncCollectionTree, the same tree flow as serve/connect: a
+// manifest walk finds the changed files, so an unchanged tree costs one
+// root-digest exchange; renamed content is adopted locally; files up to
+// 4 KiB ship in one compressed bundle; the rest run per-file sessions
+// that share their roundtrips.
 //
 //   fsxsync <source-dir> <dest-dir> [--method fsx|rsync|cdc|multiround]
 //           [--dry-run] [--keep-extra] [--trace]
@@ -270,6 +275,24 @@ int WriteMetricsJson(const fsx::obs::SyncObserver& observer,
   return out.good() ? 0 : 1;
 }
 
+// SyncCollectionTree, with the figures PrintStats reads in the
+// comparators' result shape.
+fsx::StatusOr<fsx::CollectionSyncResult> SyncTree(
+    const fsx::Collection& client, const fsx::Collection& server,
+    const fsx::TreeSyncParams& params, fsx::SimulatedChannel& channel,
+    fsx::obs::SyncObserver* obs) {
+  FSYNC_ASSIGN_OR_RETURN(
+      fsx::TreeSyncResult tree,
+      fsx::SyncCollectionTree(client, server, params, channel, obs));
+  fsx::CollectionSyncResult result;
+  result.reconstructed = std::move(tree.reconstructed);
+  result.stats = tree.stats;
+  result.files_total = tree.files_total;
+  result.files_unchanged = tree.files_unchanged;
+  result.files_new = tree.files_new;
+  return result;
+}
+
 void PrintStats(std::FILE* out, const char* method,
                 const fsx::CollectionSyncResult& r, uint64_t tree_bytes) {
   std::fprintf(out, "method:        %s\n", method);
@@ -445,6 +468,7 @@ int RunSync(const std::string& src_dir, const std::string& dst_dir,
       }
       config = *parsed;
     }
+    const fsx::TreeSyncParams tree_params{.config = config, .cache = cache};
     fsx::SimulatedChannel channel;
     if (faults.any()) {
       // Lossy-link mode: arm the faults on the raw channel and run the
@@ -462,8 +486,8 @@ int RunSync(const std::string& src_dir, const std::string& dst_dir,
         params.max_attempts = faults.retries;
       }
       fsx::transport::ReliableChannel reliable(channel, params);
-      result = SyncCollectionBatched(*client_tree, *server_tree, config,
-                                     reliable, obs, cache);
+      result = SyncTree(*client_tree, *server_tree, tree_params, reliable,
+                        obs);
       transport_counters = reliable.counters();
       std::fprintf(stderr,
                    "transport: %llu records, %llu retransmits, "
@@ -475,8 +499,8 @@ int RunSync(const std::string& src_dir, const std::string& dst_dir,
                    static_cast<unsigned long long>(
                        transport_counters->timeouts));
     } else {
-      result = SyncCollectionBatched(*client_tree, *server_tree, config,
-                                     channel, obs, cache);
+      result =
+          SyncTree(*client_tree, *server_tree, tree_params, channel, obs);
     }
   } else {
     std::fprintf(stderr, "unknown method '%s' (fsx|rsync|cdc|multiround)\n",

@@ -36,11 +36,13 @@ int main() {
     const Collection& old_snap = model.Snapshot(0);
     const Collection& new_snap = model.Snapshot(gap);
 
-    SyncConfig config = ChooseConfig(32 * 1024, 32 * 1024, hints);
-    // Batched driver: all files' protocol rounds share roundtrips, so the
-    // reported latency is what a real deployment would see.
+    TreeSyncParams params;
+    params.config = ChooseConfig(32 * 1024, 32 * 1024, hints);
+    // The tree driver: a manifest walk finds the changed pages, and all
+    // their protocol rounds share roundtrips, so the reported latency is
+    // what a real deployment would see.
     SimulatedChannel channel;
-    auto r = SyncCollectionBatched(old_snap, new_snap, config, channel);
+    auto r = SyncCollectionTree(old_snap, new_snap, params, channel);
     if (!r.ok()) {
       std::fprintf(stderr, "sync failed: %s\n",
                    r.status().ToString().c_str());

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_set>
-
-#include "fsync/hash/md5.h"
 
 namespace fsx {
 
@@ -48,49 +45,6 @@ SyncConfig ChooseConfig(uint64_t old_size, uint64_t new_size,
     config.global_extra_bits += 2;  // fewer false candidates to report
   }
   return config;
-}
-
-SyncConfig RefineConfig(SyncConfig config, double similarity) {
-  similarity = std::clamp(similarity, 0.0, 1.0);
-  if (similarity > 0.9) {
-    // Mostly unchanged: large blocks confirm immediately; big groups are
-    // safe because almost every candidate is genuine.
-    config.verify.group_size = 16;
-    config.verify.continuation_group_size = 8;
-  } else if (similarity < 0.3) {
-    // Heavy rewrite: the map phase will confirm little; spend fewer
-    // roundtrips and let the delta compressor do the work.
-    config.min_block_size = std::max<uint32_t>(config.min_block_size, 256);
-    config.min_continuation_block = config.min_block_size;
-    if (config.max_roundtrips == 0 || config.max_roundtrips > 4) {
-      config.max_roundtrips = 4;
-    }
-    config.verify.group_size = 4;
-  }
-  return config;
-}
-
-double EstimateSimilarity(ByteSpan a, ByteSpan b) {
-  constexpr size_t kBlock = 64;
-  if (a.empty() || b.empty()) {
-    return a.empty() && b.empty() ? 1.0 : 0.0;
-  }
-  std::unordered_set<uint64_t> a_blocks;
-  for (size_t off = 0; off + kBlock <= a.size(); off += kBlock) {
-    a_blocks.insert(Md5::HashBits(a.subspan(off, kBlock), 64));
-  }
-  if (a_blocks.empty()) {
-    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin())
-               ? 1.0
-               : 0.0;
-  }
-  size_t total = 0;
-  size_t hits = 0;
-  for (size_t off = 0; off + kBlock <= b.size(); off += kBlock) {
-    ++total;
-    hits += a_blocks.contains(Md5::HashBits(b.subspan(off, kBlock), 64));
-  }
-  return total == 0 ? 0.0 : static_cast<double>(hits) / total;
 }
 
 }  // namespace fsx

@@ -1,13 +1,14 @@
 // Adaptive parameter selection (paper Section 7: "ideally, such a tool
 // would be adaptive and choose the best set of parameters and number of
 // roundtrips based on the characteristics of the data set and link").
-// Chooses a SyncConfig from the file size and, optionally, from a cheap
-// one-round similarity probe.
+// Chooses a SyncConfig from the file sizes and the link's latency and
+// bandwidth.
 #ifndef FSYNC_CORE_ADAPTIVE_H_
 #define FSYNC_CORE_ADAPTIVE_H_
 
+#include <cstdint>
+
 #include "fsync/core/config.h"
-#include "fsync/util/bytes.h"
 
 namespace fsx {
 
@@ -29,19 +30,6 @@ struct AdaptiveHints {
 /// Picks a configuration from the two file sizes and link hints.
 SyncConfig ChooseConfig(uint64_t old_size, uint64_t new_size,
                         const AdaptiveHints& hints = {});
-
-/// Refines `config` with a similarity estimate in [0, 1] obtained from a
-/// probe (e.g. the confirmed fraction after the first round, or an
-/// application-level prior). Very similar files warrant larger minimum
-/// block sizes and larger verification groups; dissimilar files should
-/// stop the map phase early and lean on the delta.
-SyncConfig RefineConfig(SyncConfig config, double similarity);
-
-/// Cheap similarity estimate between two locally available versions
-/// (shared 64-byte block fraction, sampled). Intended for tests and for
-/// callers that keep recent history; the protocol itself never needs both
-/// files on one side.
-double EstimateSimilarity(ByteSpan a, ByteSpan b);
 
 }  // namespace fsx
 

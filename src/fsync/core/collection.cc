@@ -144,7 +144,7 @@ Status RunLadderExchange(std::vector<FileSession>& sessions, SessionMsg kind,
       FSYNC_ASSIGN_OR_RETURN(req, ain.ReadBytes(len));
     }
     if (idx >= sessions.size()) {
-      return Status::DataLoss("batched sync: bad ladder index");
+      return Status::DataLoss("multiplexed sessions: bad ladder index");
     }
     CachedServerEndpoint& server = *sessions[idx].server;
     FSYNC_ASSIGN_OR_RETURN(Bytes reply, server.Handle(kind, req));
@@ -175,13 +175,13 @@ struct MultiplexTotals {
   uint64_t delta_bytes = 0;  // encoded delta payload across all sessions
 };
 
-// The shared heart of SyncCollectionBatched and SyncCollectionTree: runs
-// every per-file session to completion with ONE message per direction per
-// round for the whole batch, then (only when some reconstruction failed
-// its fingerprint check) one exchange per ladder rung for all the broken
-// sessions at once. `c2s` is the already-received initial request batch.
-// On success every session's client holds its reconstruction. Framing:
-// docs/PROTOCOL.md, "Multiplexed batches".
+// The large files' sessions of SyncCollectionTree: runs every per-file
+// session to completion with ONE message per direction per round for the
+// whole batch, then (only when some reconstruction failed its fingerprint
+// check) one exchange per ladder rung for all the broken sessions at once.
+// `c2s` is the already-received initial request batch. On success every
+// session's client holds its reconstruction. Framing: docs/PROTOCOL.md,
+// "Multiplexed batches".
 StatusOr<MultiplexTotals> RunMultiplexedSessions(
     std::vector<FileSession>& sessions, const SyncConfig& config,
     SimulatedChannel& channel, obs::SyncObserver* obs, Bytes c2s) {
@@ -267,7 +267,7 @@ StatusOr<MultiplexTotals> RunMultiplexedSessions(
 
   for (FileSession& s : sessions) {
     if (s.next.has_value() || !s.client->endpoint().done()) {
-      return Status::Internal("batched sync: unfinished session");
+      return Status::Internal("multiplexed sessions: unfinished session");
     }
   }
   return totals;
@@ -351,180 +351,6 @@ StatusOr<CollectionSyncResult> SyncCollection(const Collection& client,
 
 namespace {
 
-// SyncCollectionBatched; `fingerprint_hints` as in BuildFileSessions.
-StatusOr<CollectionSyncResult> SyncCollectionBatchedImpl(
-    const Collection& client, const Collection& server,
-    const SyncConfig& config, SimulatedChannel& channel,
-    obs::SyncObserver* obs, cache::SyncCache* cache,
-    bool fingerprint_hints) {
-  using Dir = SimulatedChannel::Direction;
-  FSYNC_RETURN_IF_ERROR(ValidateSyncConfig(config));
-  ObservedSession scope(channel, obs, "session-batched");
-  CollectionSyncResult result;
-  result.files_total = server.size();
-
-  // --- 1. Client announces (name, fingerprint) for every file. Each
-  //         side keeps the manifest it builds here for its session
-  //         endpoints (one fingerprint per file per side). ---
-  obs::SetPhase(obs, obs::Phase::kHandshake);
-  const Manifest client_manifest = BuildManifest(client, config.num_threads);
-  {
-    BitWriter msg;
-    msg.WriteVarint(client_manifest.size());
-    for (const auto& [name, entry] : client_manifest) {
-      msg.WriteVarint(name.size());
-      msg.WriteBytes(AsBytes(name));
-      msg.WriteBytes(
-          ByteSpan(entry.fingerprint.data(), entry.fingerprint.size()));
-    }
-    channel.Send(Dir::kClientToServer, msg.Finish());
-  }
-  FSYNC_ASSIGN_OR_RETURN(Bytes announce,
-                         channel.Receive(Dir::kClientToServer));
-
-  // --- 2. Server classifies: per client file 2 bits (kept / sync /
-  //         delete), then the list of names only it has, then the adopt
-  //         list: planned files whose server content the client already
-  //         announced under another name (equal-hash short-circuit; each
-  //         is (index into the sorted plan, announce index) so the
-  //         client copies locally and both sides skip the session). ---
-  std::vector<std::string> sync_names;  // deterministic on both sides
-  const Manifest server_manifest = BuildManifest(server, config.num_threads);
-  {
-    BitReader in(announce);
-    FSYNC_ASSIGN_OR_RETURN(uint64_t count, in.ReadVarint());
-    if (count != client.size()) {
-      return Status::Internal("batched sync: announce desync");
-    }
-    BitWriter verdict;
-    std::map<Fingerprint, uint64_t> announced;  // fp -> first index
-    std::vector<std::string> changed_names;
-    for (uint64_t i = 0; i < count; ++i) {
-      FSYNC_ASSIGN_OR_RETURN(uint64_t len, in.ReadVarint());
-      FSYNC_ASSIGN_OR_RETURN(Bytes name_bytes, in.ReadBytes(len));
-      FSYNC_ASSIGN_OR_RETURN(Bytes fp_bytes, in.ReadBytes(16));
-      std::string name = ToString(name_bytes);
-      Fingerprint client_fp;
-      std::copy(fp_bytes.begin(), fp_bytes.end(), client_fp.begin());
-      announced.emplace(client_fp, i);
-      auto it = server_manifest.find(name);
-      if (it == server_manifest.end()) {
-        verdict.WriteBits(2, 2);  // delete
-        continue;
-      }
-      bool same = it->second.fingerprint == client_fp;
-      verdict.WriteBits(same ? 0 : 1, 2);
-      if (!same) {
-        changed_names.push_back(std::move(name));
-      }
-    }
-    std::vector<std::string> new_names;
-    for (const auto& [name, data] : server) {
-      if (!client.contains(name)) {
-        new_names.push_back(name);
-      }
-    }
-    verdict.WriteVarint(new_names.size());
-    for (const std::string& name : new_names) {
-      verdict.WriteVarint(name.size());
-      verdict.WriteBytes(ToBytes(name));
-    }
-    // The server's copy of the sorted plan; identical to the client's
-    // sync_names before adoptions are removed.
-    std::vector<std::string> planned = std::move(changed_names);
-    planned.insert(planned.end(), new_names.begin(), new_names.end());
-    std::sort(planned.begin(), planned.end());
-    std::vector<std::pair<uint64_t, uint64_t>> adopt_pairs;
-    for (uint64_t i = 0; i < planned.size(); ++i) {
-      auto it = announced.find(server_manifest.at(planned[i]).fingerprint);
-      if (it != announced.end()) {
-        adopt_pairs.emplace_back(i, it->second);
-      }
-    }
-    verdict.WriteVarint(adopt_pairs.size());
-    for (const auto& [idx, src] : adopt_pairs) {
-      verdict.WriteVarint(idx);
-      verdict.WriteVarint(src);
-    }
-    channel.Send(Dir::kServerToClient, verdict.Finish());
-  }
-  FSYNC_ASSIGN_OR_RETURN(Bytes verdict_msg,
-                         channel.Receive(Dir::kServerToClient));
-  {
-    BitReader in(verdict_msg);
-    for (const auto& [name, data] : client) {
-      FSYNC_ASSIGN_OR_RETURN(uint64_t code, in.ReadBits(2));
-      if (code == 0) {
-        result.reconstructed[name] = data;
-        ++result.files_unchanged;
-      } else if (code == 1) {
-        sync_names.push_back(name);
-      }  // code 2: deleted -> dropped
-    }
-    FSYNC_ASSIGN_OR_RETURN(uint64_t n_new, in.ReadVarint());
-    if (n_new > verdict_msg.size()) {
-      return Status::DataLoss("batched sync: implausible new-file count");
-    }
-    for (uint64_t i = 0; i < n_new; ++i) {
-      FSYNC_ASSIGN_OR_RETURN(uint64_t len, in.ReadVarint());
-      FSYNC_ASSIGN_OR_RETURN(Bytes name_bytes, in.ReadBytes(len));
-      sync_names.push_back(ToString(name_bytes));
-      ++result.files_new;
-    }
-    std::sort(sync_names.begin(), sync_names.end());
-    // Adoptions: copy the named announce entry's content locally and
-    // drop the file from the session plan.
-    FSYNC_ASSIGN_OR_RETURN(uint64_t n_adopts, in.ReadVarint());
-    if (n_adopts > sync_names.size()) {
-      return Status::DataLoss("batched sync: implausible adopt count");
-    }
-    if (n_adopts > 0) {
-      std::vector<const std::string*> announce_order;
-      announce_order.reserve(client.size());
-      for (const auto& kv : client) {
-        announce_order.push_back(&kv.first);
-      }
-      std::vector<bool> adopted(sync_names.size(), false);
-      for (uint64_t k = 0; k < n_adopts; ++k) {
-        FSYNC_ASSIGN_OR_RETURN(uint64_t idx, in.ReadVarint());
-        FSYNC_ASSIGN_OR_RETURN(uint64_t src, in.ReadVarint());
-        if (idx >= sync_names.size() || src >= announce_order.size()) {
-          return Status::DataLoss("batched sync: bad adopt reference");
-        }
-        result.reconstructed[sync_names[idx]] =
-            client.at(*announce_order[src]);
-        adopted[idx] = true;
-        obs::AddEvent(obs, obs::Event::kRenameAdopted);
-      }
-      std::vector<std::string> rest;
-      rest.reserve(sync_names.size() - n_adopts);
-      for (size_t i = 0; i < sync_names.size(); ++i) {
-        if (!adopted[i]) {
-          rest.push_back(std::move(sync_names[i]));
-        }
-      }
-      sync_names = std::move(rest);
-    }
-  }
-
-  // --- 3. Multiplex the per-file sessions, one message per direction
-  //         per round for the whole batch; then the fallbacks. ---
-  std::vector<FileSession> sessions = BuildFileSessions(
-      sync_names, client, server, config, cache, obs, client_manifest,
-      server_manifest, fingerprint_hints);
-  channel.Send(Dir::kClientToServer, BuildInitialRequestBatch(sessions));
-  FSYNC_ASSIGN_OR_RETURN(Bytes c2s, channel.Receive(Dir::kClientToServer));
-  FSYNC_ASSIGN_OR_RETURN(MultiplexTotals totals,
-                         RunMultiplexedSessions(sessions, config, channel,
-                                                obs, std::move(c2s)));
-  result.delta_bytes = totals.delta_bytes;
-  for (FileSession& s : sessions) {
-    result.reconstructed[s.name] = s.client->endpoint().result();
-  }
-  result.stats = channel.stats();
-  return result;
-}
-
 // SyncCollectionTree; `fingerprint_hints` as in BuildFileSessions. The
 // tree-level decisions are the halves' (core/tree_session.h); this loop
 // moves their messages and runs the large files' sessions.
@@ -598,14 +424,6 @@ StatusOr<TreeSyncResult> SyncCollectionTreeImpl(const Collection& client,
 
 }  // namespace
 
-StatusOr<CollectionSyncResult> SyncCollectionBatched(
-    const Collection& client, const Collection& server,
-    const SyncConfig& config, SimulatedChannel& channel,
-    obs::SyncObserver* obs, cache::SyncCache* cache) {
-  return SyncCollectionBatchedImpl(client, server, config, channel, obs,
-                                   cache, /*fingerprint_hints=*/true);
-}
-
 StatusOr<TreeSyncResult> SyncCollectionTree(const Collection& client,
                                             const Collection& server,
                                             const TreeSyncParams& params,
@@ -615,14 +433,25 @@ StatusOr<TreeSyncResult> SyncCollectionTree(const Collection& client,
                                 /*fingerprint_hints=*/true);
 }
 
-namespace core_internal {
-
-StatusOr<CollectionSyncResult> SyncCollectionBatchedWithoutHints(
+StatusOr<CollectionSyncResult> SyncCollectionBatched(
     const Collection& client, const Collection& server,
-    const SyncConfig& config, SimulatedChannel& channel) {
-  return SyncCollectionBatchedImpl(client, server, config, channel, nullptr,
-                                   nullptr, /*fingerprint_hints=*/false);
+    const SyncConfig& config, SimulatedChannel& channel,
+    obs::SyncObserver* obs, cache::SyncCache* cache) {
+  FSYNC_ASSIGN_OR_RETURN(
+      TreeSyncResult tree,
+      SyncCollectionTree(client, server, {.config = config, .cache = cache},
+                         channel, obs));
+  CollectionSyncResult result;
+  result.reconstructed = std::move(tree.reconstructed);
+  result.stats = tree.stats;
+  result.files_total = tree.files_total;
+  result.files_unchanged = tree.files_unchanged;
+  result.files_new = tree.files_new;
+  result.delta_bytes = tree.delta_bytes;
+  return result;
 }
+
+namespace core_internal {
 
 StatusOr<TreeSyncResult> SyncCollectionTreeWithoutHints(
     const Collection& client, const Collection& server,

@@ -4,27 +4,15 @@ namespace fsx {
 
 namespace {
 
-TreeProtocolEntry BatchedEntry(int num_threads) {
-  SyncConfig config;
-  config.num_threads = num_threads;
-  return {"collection-batched",
-          [config](const Collection& client, const Collection& server,
-                   SimulatedChannel& channel, obs::SyncObserver* obs)
-              -> StatusOr<TreeProtocolOutcome> {
-            FSYNC_ASSIGN_OR_RETURN(
-                CollectionSyncResult r,
-                SyncCollectionBatched(client, server, config, channel, obs));
-            TreeProtocolOutcome out;
-            out.reconstructed = std::move(r.reconstructed);
-            out.stats = r.stats;
-            return out;
-          }};
-}
-
-TreeProtocolEntry TreeEntryFn(int num_threads) {
+// `small_file_threshold` 0 sends every stale file through a multiplexed
+// session, so the sweeps cover the session batch on every file shape as
+// well as the bundle.
+TreeProtocolEntry TreeEntryFn(const char* name, int num_threads,
+                              uint64_t small_file_threshold) {
   TreeSyncParams params;
   params.config.num_threads = num_threads;
-  return {"collection-tree",
+  params.small_file_threshold = small_file_threshold;
+  return {name,
           [params](const Collection& client, const Collection& server,
                    SimulatedChannel& channel, obs::SyncObserver* obs)
               -> StatusOr<TreeProtocolOutcome> {
@@ -43,14 +31,16 @@ TreeProtocolEntry TreeEntryFn(int num_threads) {
 }  // namespace
 
 const std::vector<TreeProtocolEntry>& TreeConformanceProtocols() {
-  static const std::vector<TreeProtocolEntry> kProtocols = {
-      BatchedEntry(1), TreeEntryFn(1)};
+  static const std::vector<TreeProtocolEntry> kProtocols =
+      ThreadedTreeConformanceProtocols(1);
   return kProtocols;
 }
 
 std::vector<TreeProtocolEntry> ThreadedTreeConformanceProtocols(
     int num_threads) {
-  return {BatchedEntry(num_threads), TreeEntryFn(num_threads)};
+  return {TreeEntryFn("collection-tree", num_threads,
+                      TreeSyncParams{}.small_file_threshold),
+          TreeEntryFn("collection-tree-sessions", num_threads, 0)};
 }
 
 }  // namespace fsx

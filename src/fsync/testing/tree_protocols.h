@@ -1,7 +1,6 @@
 // Registry of whole-collection synchronization drivers adapted to one
 // signature, mirroring protocols.h at the tree level: the differential
-// runner and the fault injector drive the batched per-file protocol and
-// the manifest-reconciled tree protocol interchangeably.
+// runner and the fault injector drive every entry interchangeably.
 #ifndef FSYNC_TESTING_TREE_PROTOCOLS_H_
 #define FSYNC_TESTING_TREE_PROTOCOLS_H_
 
@@ -34,9 +33,9 @@ struct TreeProtocolEntry {
   TreeProtocolFn run;
 };
 
-/// The tree conformance registry: the batched per-file-fingerprint
-/// driver and the manifest-reconciled tree driver, each with
-/// library-default parameters.
+/// The tree conformance registry: the manifest-reconciled tree driver
+/// with library-default parameters ("collection-tree") and with every
+/// stale file in a per-file session ("collection-tree-sessions").
 const std::vector<TreeProtocolEntry>& TreeConformanceProtocols();
 
 /// The same registry with every protocol's `num_threads` execution knob

@@ -64,39 +64,6 @@ TEST(Adaptive, AsymmetricUplinkShiftsCostDownstream) {
             r_sym->stats.client_to_server_bytes);
 }
 
-TEST(Adaptive, RefinementReactsToSimilarity) {
-  SyncConfig base = ChooseConfig(100000, 100000);
-  SyncConfig similar = RefineConfig(base, 0.95);
-  SyncConfig dissimilar = RefineConfig(base, 0.1);
-  EXPECT_GT(similar.verify.group_size, dissimilar.verify.group_size);
-  EXPECT_GE(dissimilar.min_block_size, base.min_block_size);
-  EXPECT_NE(dissimilar.max_roundtrips, 0);
-}
-
-TEST(Adaptive, SimilarityEstimateOrdersPairsCorrectly) {
-  Rng rng(1);
-  Bytes base = SynthSourceFile(rng, 50000);
-  EditProfile light;
-  light.num_edits = 2;
-  Bytes lightly = ApplyEdits(base, light, rng);
-  Bytes unrelated = rng.RandomBytes(50000);
-
-  double s_same = EstimateSimilarity(base, base);
-  double s_light = EstimateSimilarity(base, lightly);
-  double s_diff = EstimateSimilarity(base, unrelated);
-  EXPECT_DOUBLE_EQ(s_same, 1.0);
-  EXPECT_GT(s_light, 0.5);
-  EXPECT_GT(s_light, s_diff);
-  EXPECT_LT(s_diff, 0.05);
-}
-
-TEST(Adaptive, SimilarityEdgeCases) {
-  Bytes small = ToBytes("tiny");
-  EXPECT_DOUBLE_EQ(EstimateSimilarity({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(EstimateSimilarity(small, {}), 0.0);
-  EXPECT_DOUBLE_EQ(EstimateSimilarity(small, small), 1.0);
-}
-
 TEST(Adaptive, ChosenConfigSynchronizesCorrectly) {
   Rng rng(2);
   for (size_t size : {500u, 20000u, 200000u}) {

@@ -3,8 +3,9 @@
 // or no cache at all must produce wire traffic — every message, byte for
 // byte, in order — and results identical to the uncached run. Covers
 // every cached server path: the single-file session protocol across the
-// full corpus, the batched and tree collection drivers, and the
-// broadcast hash-cast path. Labeled `cache` and `conformance`.
+// full corpus, the tree collection driver with every stale file in a
+// session and with its small-file bundle, and the broadcast hash-cast
+// path. Labeled `cache` and `conformance`.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -117,24 +118,29 @@ Collection ConformanceClient(uint64_t seed) {
   return client;
 }
 
+// Every stale file in one multiplexed session batch (bundle threshold
+// 0), so the cache serves each file's session replies.
 TEST(CacheConformance, BatchedCollectionWireBitIdentical) {
   const uint64_t seed = SeedFromEnv(67);
   Collection client = ConformanceClient(seed);
   Collection server = ConformanceServer(seed);
-  SyncConfig config;
 
+  TreeSyncParams plain;
+  plain.small_file_threshold = 0;
   SimulatedChannel uncached;
   uncached.EnableTranscript();
-  auto r0 = SyncCollectionBatched(client, server, config, uncached);
+  auto r0 = SyncCollectionTree(client, server, plain, uncached);
   ASSERT_TRUE(r0.ok()) << r0.status().message();
+  ASSERT_EQ(r0->files_small, 0u);
 
   cache::SyncCache cache;
+  TreeSyncParams with_cache = plain;
+  with_cache.cache = &cache;
   for (int client_no = 0; client_no < 2; ++client_no) {
     SCOPED_TRACE(client_no == 0 ? "cold" : "warm");
     SimulatedChannel cached;
     cached.EnableTranscript();
-    auto r1 = SyncCollectionBatched(client, server, config, cached,
-                                    nullptr, &cache);
+    auto r1 = SyncCollectionTree(client, server, with_cache, cached);
     ASSERT_TRUE(r1.ok()) << r1.status().message();
     EXPECT_EQ(r0->reconstructed, r1->reconstructed);
     EXPECT_EQ(r0->stats.total_bytes(), r1->stats.total_bytes());

@@ -354,21 +354,5 @@ TEST(CollectionCache, TreeDriverSharesCacheAcrossClients) {
   EXPECT_GT(s.bytes_saved, 0u);
 }
 
-TEST(CollectionCache, BatchedDriverSharesCacheAcrossClients) {
-  CorpusPair pair = MakeCorpusPair(CorpusShape::kDispersedEdits, 47);
-  Collection client{{"f", pair.f_old}};
-  Collection server{{"f", pair.f_new}};
-  cache::SyncCache cache;
-  SyncConfig config;
-  for (int client_no = 0; client_no < 2; ++client_no) {
-    SimulatedChannel channel;
-    auto r = SyncCollectionBatched(client, server, config, channel,
-                                   nullptr, &cache);
-    ASSERT_TRUE(r.ok()) << r.status().message();
-    EXPECT_EQ(r->reconstructed, server);
-  }
-  EXPECT_GT(cache.Stats().hits, 0u);
-}
-
 }  // namespace
 }  // namespace fsx

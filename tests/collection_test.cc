@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "fsync/core/adaptive.h"
 #include "fsync/core/collection.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/edits.h"
@@ -125,15 +126,17 @@ TEST(Collection, RoundtripsAreBatchedNotSummed) {
   EXPECT_LT(r->stats.roundtrips, 30u);
 }
 
+// The multiplexed (batched) collection sync: SyncCollectionTree.
 TEST(CollectionBatched, ReconstructsAndSharesRoundtrips) {
   Snapshots s = MakeSnapshots(10, 15);
   SyncConfig config;
   SimulatedChannel channel;
-  auto r = SyncCollectionBatched(s.old_snap, s.new_snap, config, channel);
+  auto r = SyncCollectionTree(s.old_snap, s.new_snap, {.config = config},
+                              channel);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->reconstructed, s.new_snap);
   // True multiplexing: total roundtrips ~= deepest single file's session
-  // plus the announce exchange, far below #files * rounds.
+  // plus the manifest walk and plan, far below #files * rounds.
   EXPECT_LT(r->stats.roundtrips, 30u);
   // And it should be comparable in bytes to the per-file accounting.
   auto per_file = SyncCollection(s.old_snap, s.new_snap, config);
@@ -147,9 +150,8 @@ TEST(CollectionBatched, HandlesNewDeletedAndUnchanged) {
   Rng rng(12);
   s.new_snap.erase(s.new_snap.begin());
   s.new_snap["added_file"] = SynthSourceFile(rng, 12000);
-  SyncConfig config;
   SimulatedChannel channel;
-  auto r = SyncCollectionBatched(s.old_snap, s.new_snap, config, channel);
+  auto r = SyncCollectionTree(s.old_snap, s.new_snap, {}, channel);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->reconstructed, s.new_snap);
   EXPECT_EQ(r->files_new, 1u);
@@ -157,14 +159,13 @@ TEST(CollectionBatched, HandlesNewDeletedAndUnchanged) {
 }
 
 TEST(CollectionBatched, EmptyCollections) {
-  SyncConfig config;
   SimulatedChannel channel;
-  auto r = SyncCollectionBatched({}, {}, config, channel);
+  auto r = SyncCollectionTree({}, {}, {}, channel);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->reconstructed.empty());
 }
 
-TEST(CollectionBatched, AllUnchangedCostsOnlyAnnounce) {
+TEST(CollectionBatched, AllUnchangedCostsOneDigestExchange) {
   Snapshots s;
   Rng rng(13);
   for (int i = 0; i < 10; ++i) {
@@ -172,28 +173,22 @@ TEST(CollectionBatched, AllUnchangedCostsOnlyAnnounce) {
     s.old_snap["f" + std::to_string(i)] = content;
     s.new_snap["f" + std::to_string(i)] = content;
   }
-  SyncConfig config;
   SimulatedChannel channel;
-  auto r = SyncCollectionBatched(s.old_snap, s.new_snap, config, channel);
+  auto r = SyncCollectionTree(s.old_snap, s.new_snap, {}, channel);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->files_unchanged, 10u);
-  EXPECT_EQ(r->stats.roundtrips, 1u);  // announce/verdict only
+  EXPECT_EQ(r->stats.roundtrips, 1u);  // the root digests match
   EXPECT_LT(r->stats.total_bytes(), 10 * 64u);
 }
 
 // A config SynchronizeFile refuses must be refused by the multiplexed
-// drivers too (they used to loop forever on these).
+// driver too (it used to loop forever on these).
 TEST(CollectionBatched, InvalidConfigIsRejectedNotRun) {
   Snapshots s = MakeSnapshots(5, 6);
   for (int which = 0; which < 2; ++which) {
     SyncConfig config;
     (which == 0 ? config.start_block_size : config.min_continuation_block) =
         0;
-    SimulatedChannel batched_channel;
-    auto batched = SyncCollectionBatched(s.old_snap, s.new_snap, config,
-                                         batched_channel);
-    EXPECT_EQ(batched.status().code(), StatusCode::kInvalidArgument)
-        << which;
     TreeSyncParams params;
     params.config = config;
     params.small_file_threshold = 0;
@@ -202,6 +197,53 @@ TEST(CollectionBatched, InvalidConfigIsRejectedNotRun) {
         SyncCollectionTree(s.old_snap, s.new_snap, params, tree_channel);
     EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument) << which;
   }
+}
+
+// SyncCollectionBatched survives only as perfbench's adapter over
+// SyncCollectionTree: the same wire, message for message.
+TEST(CollectionBatched, AdapterTranscriptEqualsTreeDriver) {
+  Snapshots s = MakeSnapshots(14, 12);
+  Rng rng(15);
+  s.new_snap.erase(s.new_snap.begin());
+  s.new_snap["added_file"] = SynthSourceFile(rng, 12000);
+  s.new_snap["small_file"] = SynthSourceFile(rng, 600);
+  const SyncConfig config = ChooseConfig(32 * 1024, 32 * 1024);
+  cache::SyncCache cache;
+
+  SimulatedChannel tree_channel;
+  tree_channel.EnableTranscript();
+  auto tree = SyncCollectionTree(s.old_snap, s.new_snap,
+                                 {.config = config, .cache = &cache},
+                                 tree_channel);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_GT(tree->files_small, 0u);
+  ASSERT_GT(tree->files_sessioned, 0u);
+
+  SimulatedChannel adapter_channel;
+  adapter_channel.EnableTranscript();
+  auto adapter = SyncCollectionBatched(s.old_snap, s.new_snap, config,
+                                       adapter_channel, nullptr, &cache);
+  ASSERT_TRUE(adapter.ok()) << adapter.status().ToString();
+  EXPECT_EQ(adapter->reconstructed, s.new_snap);
+  ASSERT_EQ(adapter_channel.transcript().size(),
+            tree_channel.transcript().size());
+  for (size_t i = 0; i < tree_channel.transcript().size(); ++i) {
+    EXPECT_EQ(adapter_channel.transcript()[i].dir,
+              tree_channel.transcript()[i].dir)
+        << "message " << i;
+    EXPECT_EQ(adapter_channel.transcript()[i].payload,
+              tree_channel.transcript()[i].payload)
+        << "message " << i;
+  }
+  EXPECT_EQ(adapter->stats.client_to_server_bytes,
+            tree->stats.client_to_server_bytes);
+  EXPECT_EQ(adapter->stats.server_to_client_bytes,
+            tree->stats.server_to_client_bytes);
+  EXPECT_EQ(adapter->stats.roundtrips, tree->stats.roundtrips);
+  EXPECT_EQ(adapter->files_total, tree->files_total);
+  EXPECT_EQ(adapter->files_unchanged, tree->files_unchanged);
+  EXPECT_EQ(adapter->files_new, tree->files_new);
+  EXPECT_EQ(adapter->delta_bytes, tree->delta_bytes);
 }
 
 TEST(Collection, EmptyCollections) {

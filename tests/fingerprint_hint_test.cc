@@ -3,8 +3,8 @@
 // the wire that an endpoint hashing its own file does. Covers endpoint
 // pairs and SynchronizeFile's session over the conformance corpus, both
 // resume outcomes (accepted and rejected) through a hinted server
-// endpoint, and the batched and tree collection drivers, whose handshake
-// fingerprints feed their per-file sessions. Labeled `conformance`;
+// endpoint, and the tree collection driver, whose manifest fingerprints
+// feed its per-file sessions. Labeled `conformance`;
 // FSX_SEED=<n> replays a failure.
 #include <gtest/gtest.h>
 
@@ -182,27 +182,6 @@ void CorpusCollections(uint64_t seed, Collection& client,
   const Bytes moved = MakeCorpusPair(CorpusShape::kBinaryEdit, seed).f_old;
   client["old-name"] = moved;
   server["new-name"] = moved;
-}
-
-TEST(FingerprintHints, BatchedCollectionWireIdenticalWithHints) {
-  const uint64_t seed = SeedFromEnv(1327);
-  SCOPED_TRACE("FSX_SEED=" + std::to_string(seed));
-  Collection client, server;
-  CorpusCollections(seed, client, server);
-  SyncConfig config;
-
-  SimulatedChannel plain;
-  plain.EnableTranscript();
-  auto r0 = core_internal::SyncCollectionBatchedWithoutHints(client, server,
-                                                             config, plain);
-  SimulatedChannel hinted;
-  hinted.EnableTranscript();
-  auto r1 = SyncCollectionBatched(client, server, config, hinted);
-  ASSERT_TRUE(r0.ok()) << r0.status().message();
-  ASSERT_TRUE(r1.ok()) << r1.status().message();
-  EXPECT_EQ(r1->reconstructed, server);
-  EXPECT_EQ(r0->reconstructed, r1->reconstructed);
-  ExpectSameTranscript(plain, hinted);
 }
 
 TEST(FingerprintHints, TreeCollectionWireIdenticalWithHints) {

@@ -119,16 +119,16 @@ TEST(Ladder, CleanSessionStaysOnLevelZero) {
   EXPECT_EQ(obs.event_count(obs::Event::kFullFallback), 0u);
 }
 
-// The same sweep through the multiplexed drivers: one collection per
-// verification width, one file per seed, so the broken sessions of a
-// batch share its rung-2 and rung-3 exchanges.
+// The same sweep through the multiplexed driver: one collection per
+// verification width, one file per seed, every stale file in a session,
+// so the broken sessions of a batch share its rung-2 and rung-3
+// exchanges.
 struct MultiplexTally {
   uint64_t repaired_regions = 0;
   uint64_t full_fallbacks = 0;
 };
 
-void SweepMultiplexed(bool repair_enabled, bool tree,
-                      MultiplexTally& tally) {
+void SweepMultiplexed(bool repair_enabled, MultiplexTally& tally) {
   for (int bits = 1; bits <= 5; ++bits) {
     SyncConfig config = WeakVerifyConfig(bits);
     config.repair.enabled = repair_enabled;
@@ -142,21 +142,13 @@ void SweepMultiplexed(bool repair_enabled, bool tree,
     }
     SimulatedChannel channel;
     obs::SyncObserver obs;
-    Collection reconstructed;
-    if (tree) {
-      TreeSyncParams params;
-      params.config = config;
-      params.small_file_threshold = 0;  // every stale file gets a session
-      auto r = SyncCollectionTree(client, server, params, channel, &obs);
-      ASSERT_TRUE(r.ok()) << "bits " << bits << ": " << r.status().ToString();
-      EXPECT_EQ(r->files_sessioned, server.size()) << "bits " << bits;
-      reconstructed = std::move(r->reconstructed);
-    } else {
-      auto r = SyncCollectionBatched(client, server, config, channel, &obs);
-      ASSERT_TRUE(r.ok()) << "bits " << bits << ": " << r.status().ToString();
-      reconstructed = std::move(r->reconstructed);
-    }
-    EXPECT_EQ(reconstructed, server) << "bits " << bits;
+    TreeSyncParams params;
+    params.config = config;
+    params.small_file_threshold = 0;  // every stale file gets a session
+    auto r = SyncCollectionTree(client, server, params, channel, &obs);
+    ASSERT_TRUE(r.ok()) << "bits " << bits << ": " << r.status().ToString();
+    EXPECT_EQ(r->files_sessioned, server.size()) << "bits " << bits;
+    EXPECT_EQ(r->reconstructed, server) << "bits " << bits;
     // Invariant 6: the observer's phase sums are the channel's stats.
     EXPECT_EQ(obs.dir_bytes(obs::Flow::kUp),
               channel.stats().client_to_server_bytes)
@@ -170,21 +162,16 @@ void SweepMultiplexed(bool repair_enabled, bool tree,
 }
 
 TEST(Ladder, MultiplexedSessionsReachRegionRepair) {
-  for (bool tree : {false, true}) {
-    MultiplexTally tally;
-    SweepMultiplexed(/*repair_enabled=*/true, tree, tally);
-    EXPECT_GT(tally.repaired_regions, 0u)
-        << (tree ? "tree" : "batched") << ": region repair never engaged";
-  }
+  MultiplexTally tally;
+  SweepMultiplexed(/*repair_enabled=*/true, tally);
+  EXPECT_GT(tally.repaired_regions, 0u) << "region repair never engaged";
 }
 
 TEST(Ladder, MultiplexedRepairDisabledOnlyFallsBack) {
-  for (bool tree : {false, true}) {
-    MultiplexTally tally;
-    SweepMultiplexed(/*repair_enabled=*/false, tree, tally);
-    EXPECT_EQ(tally.repaired_regions, 0u) << (tree ? "tree" : "batched");
-    EXPECT_GT(tally.full_fallbacks, 0u) << (tree ? "tree" : "batched");
-  }
+  MultiplexTally tally;
+  SweepMultiplexed(/*repair_enabled=*/false, tally);
+  EXPECT_EQ(tally.repaired_regions, 0u);
+  EXPECT_GT(tally.full_fallbacks, 0u);
 }
 
 }  // namespace

@@ -113,15 +113,15 @@ TEST(TreeCorpus, ShapesHaveTheirDefiningStructure) {
 // Differential sweep
 // ---------------------------------------------------------------------------
 
-TEST(TreeConformance, RegistryHasBothDrivers) {
+TEST(TreeConformance, RegistryHasBundleAndSessionEntries) {
   const std::vector<TreeProtocolEntry>& protocols = TreeConformanceProtocols();
   ASSERT_EQ(protocols.size(), 2u);
   std::set<std::string> names;
   for (const TreeProtocolEntry& p : protocols) {
     names.insert(p.name);
   }
-  EXPECT_TRUE(names.contains("collection-batched"));
   EXPECT_TRUE(names.contains("collection-tree"));
+  EXPECT_TRUE(names.contains("collection-tree-sessions"));
 }
 
 TEST(TreeConformance, AllProtocolsPassTheDifferentialSweep) {

@@ -1,12 +1,12 @@
 // Seed-replayable property tests for whole-tree sync (CTest label
-// `tree`). Random tree-mutation workloads drive both collection drivers
-// and pin the properties the tentpole claims: post-sync tree equality
-// under arbitrary churn; pure renames ship zero literal bytes (every
-// wire byte is manifest traffic, every changed file is adopted); the
-// observer's phase attribution equals the channel's ground truth with
-// the manifest phase included; and at light churn the tree driver beats
-// the batched driver on both bytes and rounds. Failures print the
-// FSX_SEED that replays them.
+// `tree`). Random tree-mutation workloads drive the tree conformance
+// registry and pin the properties whole-tree sync claims: post-sync
+// tree equality under arbitrary churn; pure renames ship zero literal
+// bytes (every wire byte is manifest traffic, every changed file is
+// adopted); the observer's phase attribution equals the channel's ground
+// truth with the manifest phase included; and at light churn the tree
+// driver beats a flat per-file announce on bytes and the per-file
+// sessions on rounds. Failures print the FSX_SEED that replays them.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -136,29 +136,27 @@ TEST(TreeProperty, LightChurnBeatsBatchedOnBytesAndRounds) {
   profile.seed = seed;
   TreePair pair = MakeTreeWorkload(profile);
 
-  SimulatedChannel batched_channel;
-  SyncConfig config;
-  auto batched = SyncCollectionBatched(pair.old_tree, pair.new_tree, config,
-                                       batched_channel);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-
   SimulatedChannel tree_channel;
-  TreeSyncParams params;
-  auto tree =
-      SyncCollectionTree(pair.old_tree, pair.new_tree, params, tree_channel);
+  auto tree = SyncCollectionTree(pair.old_tree, pair.new_tree, {},
+                                 tree_channel);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_EQ(tree->reconstructed, pair.new_tree) << Replay(seed);
 
-  ASSERT_EQ(batched->reconstructed, tree->reconstructed);
-  // At ≤1% churn the batched driver pays O(n) fingerprints; the
-  // manifest walk pays O(set difference). The 4x floor here is far
-  // below the measured 13x at the benchmark scale, so the test stays
-  // robust across seeds while still catching a regression to O(n).
-  EXPECT_LT(tree_channel.stats().total_bytes() * 4,
-            batched_channel.stats().total_bytes())
+  // At <=1% churn a flat announce of every client file's name and
+  // fingerprint costs O(n) before a single file moves; the manifest walk
+  // pays O(set difference). The 4x floor here is far below the measured
+  // 12x, so the test stays robust across seeds while still catching a
+  // regression to O(n).
+  const uint64_t announce = FullExchangeBytes(pair.old_tree);
+  EXPECT_LT(tree_channel.stats().total_bytes() * 4, announce)
       << Replay(seed) << ": tree " << tree_channel.stats().total_bytes()
-      << " bytes vs batched " << batched_channel.stats().total_bytes();
-  EXPECT_LT(tree_channel.stats().roundtrips,
-            batched_channel.stats().roundtrips)
+      << " bytes vs announce " << announce;
+  // A batch behind that announce needs its exchange plus the deepest
+  // changed file's session: SyncCollection's count. The bundle spares
+  // the tree driver most of those session rounds.
+  auto per_file = SyncCollection(pair.old_tree, pair.new_tree, SyncConfig{});
+  ASSERT_TRUE(per_file.ok()) << per_file.status().ToString();
+  EXPECT_LT(tree_channel.stats().roundtrips, per_file->stats.roundtrips)
       << Replay(seed);
 }
 
