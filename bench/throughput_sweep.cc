@@ -1,9 +1,9 @@
 // GB/s-per-core sweep over the sync hot paths, scalar vs hardware
 // dispatch: CRC32C (slice-by-4 vs SSE4.2/ARMv8 three-stream), the
 // rolling weak-hash scan loop (tabled Adler vs GEAR), batched strong-
-// hash verification (scalar MD5 vs 4-lane interleaved), whole-file
-// fingerprints over a 20k-file tree (scalar vs the lane-refill batch),
-// and the two
+// hash verification (scalar MD5 vs the 4-lane and, with AVX-512, the
+// 16-lane kernel), whole-file fingerprints over a 20k-file tree (scalar
+// vs the lane-refill batch at either width), and the two
 // end-to-end kernels those feed — server signature generation
 // (MakeZsyncControl) and client scan (PlanFromControl).
 //
@@ -13,14 +13,17 @@
 //   - HW CRC32C >= 3x slice-by-4 (only on machines exposing a HW tier);
 //   - batched MD5 verify >= 1.0x scalar (it must never lose);
 //   - batched whole-file fingerprints >= 1.0x scalar (the same bar);
+//   - 16-lane whole-file fingerprints >= 1.5x the 4-lane kernel (only on
+//     machines with the AVX-512 tier, and not under FSX_FORCE_SCALAR);
 //   - GEAR scan >= 1.3x the Adler scan (the config-gated fast weak
 //     hash, which is where the e2e client-scan speedup comes from);
 //   - e2e client scan under HW dispatch >= 0.9x scalar (neutrality
 //     smoke: the weak/strong hashes there never touch CRC32C, so the
 //     dispatch layer must be invisible modulo timer noise).
-// The last two compare like-for-like kernels whose ratio sits near its
-// bar, so they are timed against each other (see TimePaired): host load
-// that slows both sides leaves them in place.
+// The gates over like-for-like kernels whose ratio sits near its bar
+// (GEAR, both md5-files gates, e2e client scan) time the two sides
+// against each other (see TimePaired): host load that slows both sides
+// leaves them in place.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
@@ -188,18 +191,55 @@ PairedRows BenchScans(ByteSpan buf, uint64_t block_size) {
       [&] { return ScanCpuNs<GearScanHash>(buf, block_size); });
 }
 
-// ---- Strong-hash verify: hash n equal-size blocks, scalar vs 4-lane
-// batch. ----
-Row BenchVerify(ByteSpan buf, uint64_t block_size, bool batched) {
+// ---- The MD5 kernels: scalar Md5 one message at a time, or the batch
+// (hash/md5_batch.h) pinned to its 4-lane kernel (scalar tier) or its
+// 16-lane kernel (AVX-512 tier). ----
+enum class Md5Kernel { kScalar, kBatch4, kBatch16 };
+
+const char* KernelName(Md5Kernel k) {
+  switch (k) {
+    case Md5Kernel::kScalar:
+      return "scalar";
+    case Md5Kernel::kBatch4:
+      return "batch4";
+    case Md5Kernel::kBatch16:
+      return "batch16";
+  }
+  return "unknown";
+}
+
+// Pins the dispatch tier that selects batch kernel `k` for one scope.
+class KernelScope {
+ public:
+  explicit KernelScope(Md5Kernel k) {
+    simd::ForceTier(k == Md5Kernel::kBatch16 ? simd::DispatchTier::kAvx512
+                                             : simd::DispatchTier::kScalar);
+  }
+  ~KernelScope() { simd::ForceTier(std::nullopt); }
+};
+
+// True when this host runs the 16-lane kernel. Under FSX_FORCE_SCALAR the
+// 16-lane rows and their gate are left out: that run pins the 4-lane
+// kernel.
+bool HasBatch16() {
+  const std::vector<simd::DispatchTier> tiers = simd::AvailableTiers();
+  return !simd::ForceScalarFromEnv() &&
+         std::find(tiers.begin(), tiers.end(), simd::DispatchTier::kAvx512) !=
+             tiers.end();
+}
+
+// ---- Strong-hash verify: hash n equal-size blocks with kernel `k`. ----
+Row BenchVerify(ByteSpan buf, uint64_t block_size, Md5Kernel k) {
   const size_t n = buf.size() / block_size;
   std::vector<ByteSpan> blocks(n);
   for (size_t i = 0; i < n; ++i) {
     blocks[i] = buf.subspan(i * block_size, block_size);
   }
   std::vector<uint64_t> out(n);
-  Row row{"md5-verify", batched ? "batch4" : "scalar", n * block_size, 0};
+  Row row{"md5-verify", KernelName(k), n * block_size, 0};
+  KernelScope scope(k);
   row.ns = BestOf([&] {
-    if (batched) {
+    if (k != Md5Kernel::kScalar) {
       Md5HashBitsBatch(blocks.data(), n, 64, 0xA11, out.data());
     } else {
       for (size_t i = 0; i < n; ++i) {
@@ -214,11 +254,12 @@ Row BenchVerify(ByteSpan buf, uint64_t block_size, bool batched) {
 // ---- Whole-file fingerprints: every file of a tree, one scalar
 // FileFingerprint each vs one Md5Batch pass over them all (the shape of
 // the manifest builders). The files differ in length, so the batch
-// row measures the lane-refill scheduler. ----
-uint64_t FileHashesCpuNs(const std::vector<ByteSpan>& files, bool batched) {
+// rows measure the lane-refill scheduler. ----
+uint64_t FileHashesCpuNs(const std::vector<ByteSpan>& files, Md5Kernel k) {
   std::vector<Fingerprint> out(files.size());
+  KernelScope scope(k);
   const uint64_t start = ThreadCpuNs();
-  if (batched) {
+  if (k != Md5Kernel::kScalar) {
     Md5Batch(files.data(), files.size(), out.data());
   } else {
     for (size_t i = 0; i < files.size(); ++i) {
@@ -230,18 +271,14 @@ uint64_t FileHashesCpuNs(const std::vector<ByteSpan>& files, bool batched) {
   return ns;
 }
 
-PairedRows BenchFileHashes(const Collection& tree) {
-  std::vector<ByteSpan> files;
-  uint64_t bytes = 0;
-  for (const auto& [name, data] : tree) {
-    files.push_back(data);
-    bytes += data.size();
-  }
+// md5-files under kernels a and b, timed against each other.
+PairedRows BenchFileHashes(const std::vector<ByteSpan>& files,
+                           uint64_t bytes, Md5Kernel a, Md5Kernel b) {
   return TimePaired(
-      Row{"md5-files", "scalar", bytes, 0},
-      [&] { return FileHashesCpuNs(files, /*batched=*/false); },
-      Row{"md5-files", "batch4", bytes, 0},
-      [&] { return FileHashesCpuNs(files, /*batched=*/true); });
+      Row{"md5-files", KernelName(a), bytes, 0},
+      [&] { return FileHashesCpuNs(files, a); },
+      Row{"md5-files", KernelName(b), bytes, 0},
+      [&] { return FileHashesCpuNs(files, b); });
 }
 
 // ---- End-to-end kernels: zsync signature generation and client scan
@@ -342,15 +379,33 @@ int Main(int argc, char** argv) {
   const PairedRows scans = BenchScans(buf, 2048);
   add(scans.a);
   add(scans.b);
-  add(BenchVerify(buf, 2048, /*batched=*/false));
-  add(BenchVerify(buf, 2048, /*batched=*/true));
+  const bool batch16 = HasBatch16();
+  add(BenchVerify(buf, 2048, Md5Kernel::kScalar));
+  add(BenchVerify(buf, 2048, Md5Kernel::kBatch4));
+  if (batch16) {
+    add(BenchVerify(buf, 2048, Md5Kernel::kBatch16));
+  }
   // The mirror-apply tree: 20,003 files of 64 B - 4 KiB.
   const Collection tree =
       MakeTreeWorkload(ReleaseTreeProfile(20000)).new_tree;
-  const PairedRows file_hashes = BenchFileHashes(tree);
-  report.AddWorkload("release-tree-20000", tree.size(), file_hashes.a.bytes);
+  std::vector<ByteSpan> files;
+  uint64_t file_bytes = 0;
+  for (const auto& [name, data] : tree) {
+    files.push_back(data);
+    file_bytes += data.size();
+  }
+  report.AddWorkload("release-tree-20000", tree.size(), file_bytes);
+  const PairedRows file_hashes = BenchFileHashes(
+      files, file_bytes, Md5Kernel::kScalar, Md5Kernel::kBatch4);
   add(file_hashes.a);
   add(file_hashes.b);
+  std::optional<PairedRows> wide_file_hashes;
+  if (batch16) {
+    // Times batch4 again, paired with batch16, for the 16-lane gate.
+    wide_file_hashes = BenchFileHashes(files, file_bytes, Md5Kernel::kBatch4,
+                                       Md5Kernel::kBatch16);
+    add(wide_file_hashes->b);
+  }
 
   // The e2e pair syncs `buf` against a copy shifted by half a block, so
   // every block exists in the haystack but never on its natural
@@ -404,6 +459,12 @@ int Main(int argc, char** argv) {
          rate_of("md5-verify", "batch4") / rate_of("md5-verify", "scalar"),
          1.0);
     gate("md5-files batch4 vs scalar", file_hashes.speedup, 1.0);
+    if (wide_file_hashes.has_value()) {
+      gate("md5-files batch16 vs batch4", wide_file_hashes->speedup, 1.5);
+    } else {
+      std::printf("check: no 16-lane MD5 kernel in this run; batch16 gate "
+                  "skipped\n");
+    }
   }
   return rc;
 }

@@ -159,9 +159,11 @@ int PrintFeatures() {
     std::printf(" %s", fsx::simd::TierName(t));
   }
   std::printf("\n");
-  std::printf("cpu:             sse4.2=%c avx2=%c pclmul=%c armv8crc=%c\n",
+  std::printf("cpu:             sse4.2=%c avx2=%c pclmul=%c avx512f=%c "
+              "avx512vl=%c armv8crc=%c\n",
               cpu.sse42 ? 'y' : 'n', cpu.avx2 ? 'y' : 'n',
-              cpu.clmul ? 'y' : 'n', cpu.armv8_crc ? 'y' : 'n');
+              cpu.clmul ? 'y' : 'n', cpu.avx512f ? 'y' : 'n',
+              cpu.avx512vl ? 'y' : 'n', cpu.armv8_crc ? 'y' : 'n');
   std::printf("forced scalar:   %s (FSX_FORCE_SCALAR)\n",
               fsx::simd::ForceScalarFromEnv() ? "yes" : "no");
   return 0;

@@ -2,9 +2,11 @@
 
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "fsync/compress/codec.h"
 #include "fsync/hash/fingerprint.h"
+#include "fsync/hash/md5_batch.h"
 #include "fsync/util/bit_io.h"
 
 namespace fsx {
@@ -165,14 +167,26 @@ std::optional<Bytes> TreeSyncClient::Plan() const {
 Status TreeSyncClient::OnBundle(ByteSpan bundle) {
   const ManifestDiff& diff = walk_.diff();
   BitReader in(bundle);
-  for (const std::string& path : small_) {
+  std::vector<Bytes> files;
+  files.reserve(small_.size());
+  for (size_t i = 0; i < small_.size(); ++i) {
     FSYNC_ASSIGN_OR_RETURN(uint64_t len, in.ReadVarint());
     FSYNC_ASSIGN_OR_RETURN(Bytes comp, in.ReadBytes(len));
     FSYNC_ASSIGN_OR_RETURN(Bytes data, Decompress(comp));
-    if (FileFingerprint(data) != diff.stale_entries.at(path).fingerprint) {
+    files.push_back(std::move(data));
+  }
+  // Every file checked against the fingerprint the walk delivered, in
+  // one batched pass.
+  std::vector<ByteSpan> spans(files.begin(), files.end());
+  std::vector<Fingerprint> fps(files.size());
+  Md5Batch(spans.data(), spans.size(), fps.data());
+  for (size_t i = 0; i < small_.size(); ++i) {
+    if (fps[i] != diff.stale_entries.at(small_[i]).fingerprint) {
       return Status::DataLoss("tree sync: small-file batch mismatch");
     }
-    result_.reconstructed[path] = std::move(data);
+  }
+  for (size_t i = 0; i < small_.size(); ++i) {
+    result_.reconstructed[small_[i]] = std::move(files[i]);
     obs::AddEvent(obs_, obs::Event::kSmallFileBatched);
   }
   return Status::Ok();

@@ -37,8 +37,10 @@
 namespace fsx {
 
 /// The served tree's half of the flow, built once: its manifest and the
-/// walk's server side. Immutable, so one snapshot serves any number of
-/// concurrent TreeSyncServers (the daemon builds one at start-up).
+/// walk's server side. Immutable but for the side's thread-safe memo of
+/// node hashes, so one snapshot serves any number of concurrent
+/// TreeSyncServers (the daemon builds one at start-up), and a node any
+/// of them hashed is hashed once for all of them.
 struct TreeSnapshot {
   /// `tree` must outlive the snapshot. `small_file_threshold` and
   /// `cache` shape every server over it.
@@ -113,7 +115,8 @@ class TreeSyncClient {
   bool awaits_bundle() const { return !small_.empty(); }
 
   /// Unpacks the bundle, checking each file against the fingerprint the
-  /// walk delivered.
+  /// walk delivered (all files hashed in one Md5Batch pass). A mismatch
+  /// is DataLoss and adds none of the bundle's files.
   Status OnBundle(ByteSpan bundle);
 
   /// The walk's outcome, adoptions applied.

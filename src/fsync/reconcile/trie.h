@@ -12,8 +12,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -124,16 +127,120 @@ struct Entry {
   const ManifestEntry* meta = nullptr;
 };
 
+// DescendantHashes results of one side, by (node, levels), filled lazily
+// by MemoDescendantHashes. Records are only ever added, never changed.
+struct DescentMemo {
+  struct Key {
+    NodeId node;
+    int levels = 0;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return std::hash<uint64_t>()(
+          k.node.prefix ^ (static_cast<uint64_t>(k.node.depth) << 1) ^
+          (static_cast<uint64_t>(k.levels) << 9));
+    }
+  };
+  std::mutex mu;
+  std::unordered_map<Key, std::vector<uint64_t>, KeyHash> hashes;
+};
+
 // One replica's side of the walk: its entries sorted by (key, name), and
 // each entry's node-hash preimage (name, 0, AppendEntryHashForm) written
 // once, in that order, into one buffer. The entries under a node are a
 // contiguous run, so the node's hash is the MD5 of one slice of
 // `preimage`.
+//
+// A side never changes once built, so what the walk hashes over it is
+// computed once: the root hash when the side is built, each node's
+// descendant hashes the first time any server half asks for them
+// (MemoDescendantHashes). One side served to many clients, as the
+// daemon's TreeSnapshot is, hashes a node once, not once per client.
 struct TrieSide {
   std::vector<Entry> entries;
   Bytes preimage;
   std::vector<size_t> offsets;  // entry i is [offsets[i], offsets[i + 1])
+  uint64_t root_hash = 0;       // NodeHash of the root
+  std::unique_ptr<DescentMemo> memo = std::make_unique<DescentMemo>();
 };
+
+// Half-open range of entries under `node`.
+inline std::pair<size_t, size_t> NodeRange(const std::vector<Entry>& entries,
+                                           NodeId node) {
+  if (node.depth == 0) {
+    return {0, entries.size()};
+  }
+  uint64_t lo_key = node.prefix;
+  uint64_t hi_key =
+      node.depth == 64
+          ? node.prefix
+          : node.prefix | ((uint64_t{1} << (64 - node.depth)) - 1);
+  auto lo = std::lower_bound(
+      entries.begin(), entries.end(), lo_key,
+      [](const Entry& e, uint64_t k) { return e.key < k; });
+  auto hi = std::upper_bound(
+      entries.begin(), entries.end(), hi_key,
+      [](uint64_t k, const Entry& e) { return k < e.key; });
+  return {static_cast<size_t>(lo - entries.begin()),
+          static_cast<size_t>(hi - entries.begin())};
+}
+
+// The node-hash preimage of every entry under `node`.
+inline ByteSpan NodePreimage(const TrieSide& side, NodeId node) {
+  auto [lo, hi] = NodeRange(side.entries, node);
+  return ByteSpan(side.preimage)
+      .subspan(side.offsets[lo], side.offsets[hi] - side.offsets[lo]);
+}
+
+// A node hash: the low 8 * kNodeHashBytes bits of the MD5 of its
+// preimage, computed afresh (the root's is side.root_hash).
+inline uint64_t NodeHash(const TrieSide& side, NodeId node) {
+  return Md5::HashBits(NodePreimage(side, node), 8 * kNodeHashBytes);
+}
+
+// NodeHash of each of the 2^levels descendants of `node`, in key order,
+// hashed afresh in one batched call.
+inline std::vector<uint64_t> DescendantHashes(const TrieSide& side,
+                                              NodeId node, int levels) {
+  const size_t count = size_t{1} << levels;
+  std::vector<ByteSpan> slices(count);
+  for (size_t idx = 0; idx < count; ++idx) {
+    slices[idx] = NodePreimage(side, Descendant(node, levels, idx));
+  }
+  std::vector<uint64_t> out(count);
+  Md5HashBitsBatch(slices.data(), count, 8 * kNodeHashBytes,
+                   /*salt=*/0, out.data());
+  return out;
+}
+
+// DescendantHashes(side, node, levels), computed the first time any
+// caller asks and remembered in side.memo; safe to call from any number
+// of threads at once. TrieServer asks only for nodes of this side that
+// hold more than kLeafBatch entries, so no client can add a key the side
+// does not have. The memo also keeps at most one record per entry of the
+// side (a walk over evenly spread keys needs a fraction of that); past
+// that bound results are computed afresh and not kept.
+inline std::vector<uint64_t> MemoDescendantHashes(const TrieSide& side,
+                                                  NodeId node, int levels) {
+  DescentMemo& memo = *side.memo;
+  const DescentMemo::Key key{node, levels};
+  {
+    std::lock_guard<std::mutex> lock(memo.mu);
+    auto it = memo.hashes.find(key);
+    if (it != memo.hashes.end()) {
+      return it->second;
+    }
+  }
+  // Hashed outside the lock; two threads racing on one node both compute
+  // it, and the first to finish stores it.
+  std::vector<uint64_t> hashes = DescendantHashes(side, node, levels);
+  std::lock_guard<std::mutex> lock(memo.mu);
+  if (memo.hashes.size() < side.entries.size()) {
+    memo.hashes.try_emplace(key, hashes);
+  }
+  return hashes;
+}
 
 inline TrieSide BuildSide(const Manifest& files) {
   TrieSide side;
@@ -167,56 +274,8 @@ inline TrieSide BuildSide(const Manifest& files) {
     AppendEntryHashForm(side.preimage, *e.meta);
     side.offsets.push_back(side.preimage.size());
   }
+  side.root_hash = NodeHash(side, NodeId{});
   return side;
-}
-
-// Half-open range of entries under `node`.
-inline std::pair<size_t, size_t> NodeRange(const std::vector<Entry>& entries,
-                                           NodeId node) {
-  if (node.depth == 0) {
-    return {0, entries.size()};
-  }
-  uint64_t lo_key = node.prefix;
-  uint64_t hi_key =
-      node.depth == 64
-          ? node.prefix
-          : node.prefix | ((uint64_t{1} << (64 - node.depth)) - 1);
-  auto lo = std::lower_bound(
-      entries.begin(), entries.end(), lo_key,
-      [](const Entry& e, uint64_t k) { return e.key < k; });
-  auto hi = std::upper_bound(
-      entries.begin(), entries.end(), hi_key,
-      [](uint64_t k, const Entry& e) { return k < e.key; });
-  return {static_cast<size_t>(lo - entries.begin()),
-          static_cast<size_t>(hi - entries.begin())};
-}
-
-// The node-hash preimage of every entry under `node`.
-inline ByteSpan NodePreimage(const TrieSide& side, NodeId node) {
-  auto [lo, hi] = NodeRange(side.entries, node);
-  return ByteSpan(side.preimage)
-      .subspan(side.offsets[lo], side.offsets[hi] - side.offsets[lo]);
-}
-
-// A node hash: the low 8 * kNodeHashBytes bits of the MD5 of its
-// preimage.
-inline uint64_t NodeHash(const TrieSide& side, NodeId node) {
-  return Md5::HashBits(NodePreimage(side, node), 8 * kNodeHashBytes);
-}
-
-// NodeHash of each of the 2^levels descendants of `node`, in key order,
-// hashed in one batched call.
-inline std::vector<uint64_t> DescendantHashes(const TrieSide& side,
-                                              NodeId node, int levels) {
-  const size_t count = size_t{1} << levels;
-  std::vector<ByteSpan> slices(count);
-  for (size_t idx = 0; idx < count; ++idx) {
-    slices[idx] = NodePreimage(side, Descendant(node, levels, idx));
-  }
-  std::vector<uint64_t> out(count);
-  Md5HashBitsBatch(slices.data(), count, 8 * kNodeHashBytes,
-                   /*salt=*/0, out.data());
-  return out;
 }
 
 // Levels a mismatching node at `depth` descends. Both sides derive it
@@ -258,7 +317,7 @@ class TrieServer {
         }
         FSYNC_ASSIGN_OR_RETURN(uint64_t client_root,
                                in.ReadBits(8 * kNodeHashBytes));
-        if (client_root == NodeHash(side_, n)) {
+        if (client_root == side_.root_hash) {
           reply.WriteBits(kReplySame, 2);
           continue;
         }
@@ -285,7 +344,7 @@ class TrieServer {
         const int levels = DescentLevels(n.depth);
         reply.WriteBits(kReplyChildren, 2);
         const std::vector<uint64_t> hashes =
-            DescendantHashes(side_, n, levels);
+            MemoDescendantHashes(side_, n, levels);
         for (uint64_t idx = 0; idx < hashes.size(); ++idx) {
           reply.WriteBits(hashes[idx], 8 * kNodeHashBytes);
           offered.push_back(Descendant(n, levels, idx));
@@ -319,7 +378,7 @@ class TrieClient {
     BitWriter ask;
     ask.WriteVarint(1);
     WriteNodeId(ask, NodeId{});
-    ask.WriteBits(NodeHash(side_, NodeId{}), 8 * kNodeHashBytes);
+    ask.WriteBits(side_.root_hash, 8 * kNodeHashBytes);
     return ask.Finish();
   }
 

@@ -246,6 +246,7 @@ Crc32cKernelFn Crc32cKernel(DispatchTier tier) {
     case DispatchTier::kScalar:
       return nullptr;
     case DispatchTier::kSse42:
+    case DispatchTier::kAvx512:  // the wide tier widens MD5, not CRC32C
 #if defined(FSYNC_HAVE_SSE42_KERNEL)
       return DetectCpuFeatures().sse42 ? &Crc32cUpdateSse42 : nullptr;
 #else

@@ -2,6 +2,7 @@
 
 #include "fsync/core/adaptive.h"
 #include "fsync/core/collection.h"
+#include "fsync/core/tree_session.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/edits.h"
 #include "fsync/workload/text_synth.h"
@@ -251,6 +252,52 @@ TEST(Collection, EmptyCollections) {
   auto r = SyncCollection({}, {}, config);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->reconstructed.empty());
+}
+
+TEST(TreeSession, CorruptedBundledFileIsDataLoss) {
+  // An empty client takes every file in the bundle. With one byte of one
+  // served file flipped after the snapshot took its fingerprints, the
+  // bundle no longer matches what the walk delivered: the batched check
+  // must refuse the whole bundle. The clean run beside it must land.
+  Rng rng(71);
+  Collection served;
+  for (int i = 0; i < 40; ++i) {
+    served["d" + std::to_string(i % 3) + "/f" + std::to_string(i)] =
+        rng.RandomBytes(60 + 37 * i);
+  }
+  const Collection empty;
+  const TreeSyncParams params;
+  for (bool corrupt : {false, true}) {
+    SCOPED_TRACE(corrupt ? "corrupt" : "clean");
+    Collection tree = served;
+    const TreeSnapshot snapshot(tree, params);
+    if (corrupt) {
+      tree.at("d2/f17")[5] ^= 0x01;
+    }
+    TreeSyncServer server(snapshot);
+    TreeSyncClient client(empty, params);
+    std::optional<Bytes> ask = client.Start();
+    while (ask.has_value()) {
+      auto reply = server.OnWalk(*ask);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      auto next = client.OnWalkReply(*reply);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      ask = std::move(*next);
+    }
+    std::optional<Bytes> plan = client.Plan();
+    ASSERT_TRUE(plan.has_value());
+    ASSERT_TRUE(client.awaits_bundle());
+    auto bundle = server.OnPlan(*plan);
+    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+    const Status st = client.OnBundle(*bundle);
+    if (corrupt) {
+      EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+      EXPECT_TRUE(client.result().reconstructed.empty());
+    } else {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(client.result().reconstructed, served);
+    }
+  }
 }
 
 }  // namespace

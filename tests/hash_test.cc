@@ -452,137 +452,194 @@ TEST(Gear, TableIsDeterministic) {
             (((table['a'] << 1) + table['b']) << 1) + table['c']);
 }
 
-// --- Batched 4-lane MD5: bit-exact vs the scalar hasher ---------------
+// --- Batched MD5: bit-exact vs the scalar hasher under every tier -----
+//
+// Each case runs once per runnable dispatch tier, so both batch kernels
+// are pinned where the host has them: the 4-lane one (scalar, sse42,
+// armv8crc) and the 16-lane one (avx512). Backing buffers are offset by
+// an odd byte count so no message starts on an aligned address.
 
-TEST(Md5Batch, MatchesScalarAcrossSizesAndSalts) {
-  Rng rng(31);
-  // Sizes poke the padding state machine: empty, sub-block, the 55/56
-  // padding split (with and without the 8-byte salt prefix), block
-  // multiples, and typical sync block sizes.
-  for (size_t size : {size_t{0}, size_t{1}, size_t{47}, size_t{48},
-                      size_t{55}, size_t{56}, size_t{63}, size_t{64},
-                      size_t{65}, size_t{119}, size_t{120}, size_t{128},
-                      size_t{2048}}) {
-    for (uint64_t salt : {uint64_t{0}, uint64_t{0xA11},
-                          uint64_t{0x25A6C}, ~uint64_t{0}}) {
-      Bytes backing = rng.RandomBytes(4 * size + 3);
-      ByteSpan blocks[4];
-      for (int l = 0; l < 4; ++l) {
-        blocks[l] = ByteSpan(backing.data() + l * size, size);
-      }
-      uint64_t out[4];
-      for (int bits : {1, 16, 24, 64}) {
-        Md5HashBits4(blocks, bits, salt, out);
-        for (int l = 0; l < 4; ++l) {
-          EXPECT_EQ(out[l], Md5::HashBits(blocks[l], bits, salt))
-              << "size " << size << " salt " << salt << " bits " << bits
-              << " lane " << l;
-        }
-      }
-    }
+// Every runnable tier, each pinned for the iteration that names it.
+template <typename Body>
+void ForEachTier(const Body& body) {
+  for (simd::DispatchTier tier : simd::AvailableTiers()) {
+    TierGuard guard(tier);
+    SCOPED_TRACE(std::string("tier ") + simd::TierName(tier));
+    body();
   }
 }
 
+TEST(Md5Batch, MatchesScalarAcrossSizesAndSalts) {
+  // Sizes poke the padding state machine: empty, sub-block, the 55/56
+  // padding split (with and without the 8-byte salt prefix), block
+  // multiples, typical sync block sizes and a page. Batches of 4, 16
+  // and 21 fill one narrow lane set, one wide lane set, and a wide set
+  // plus a partial group.
+  ForEachTier([] {
+    Rng rng(31);
+    for (size_t size : {size_t{0}, size_t{1}, size_t{47}, size_t{48},
+                        size_t{55}, size_t{56}, size_t{63}, size_t{64},
+                        size_t{65}, size_t{119}, size_t{120}, size_t{128},
+                        size_t{2048}, size_t{4095}, size_t{4096}}) {
+      for (uint64_t salt : {uint64_t{0}, uint64_t{0xA11},
+                            uint64_t{0x25A6C}, ~uint64_t{0}}) {
+        Bytes backing = rng.RandomBytes(21 * size + 3);
+        std::vector<ByteSpan> blocks;
+        for (int l = 0; l < 21; ++l) {
+          blocks.push_back(ByteSpan(backing.data() + 1 + l * size, size));
+        }
+        for (int bits : {1, 16, 24, 40, 64}) {
+          uint64_t out4[4];
+          Md5HashBits4(blocks.data(), bits, salt, out4);
+          for (int l = 0; l < 4; ++l) {
+            EXPECT_EQ(out4[l], Md5::HashBits(blocks[l], bits, salt))
+                << "size " << size << " salt " << salt << " bits " << bits
+                << " lane " << l;
+          }
+          for (size_t n : {size_t{16}, size_t{21}}) {
+            std::vector<uint64_t> out(n);
+            Md5HashBitsBatch(blocks.data(), n, bits, salt, out.data());
+            for (size_t l = 0; l < n; ++l) {
+              EXPECT_EQ(out[l], Md5::HashBits(blocks[l], bits, salt))
+                  << "size " << size << " salt " << salt << " bits "
+                  << bits << " n " << n << " lane " << l;
+            }
+          }
+        }
+      }
+    }
+  });
+}
+
 TEST(Md5Batch, BatchHandlesMixedSizesAndStragglers) {
-  Rng rng(37);
-  // 11 blocks of irregular sizes: runs of equal sizes go 4-wide, the
-  // rest fall back to scalar — outputs must be identical either way.
-  const size_t sizes[] = {100, 100, 100, 100, 100, 100, 100,
-                          37,  100, 100, 64};
-  Bytes backing = rng.RandomBytes(1024);
-  std::vector<ByteSpan> blocks;
-  size_t off = 0;
-  for (size_t s : sizes) {
-    blocks.push_back(ByteSpan(backing.data() + off, s));
-    off += s;
-  }
-  std::vector<uint64_t> out(blocks.size());
-  Md5HashBitsBatch(blocks.data(), blocks.size(), 48, 0xFEED, out.data());
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    EXPECT_EQ(out[i], Md5::HashBits(blocks[i], 48, 0xFEED)) << "block " << i;
-  }
+  ForEachTier([] {
+    Rng rng(37);
+    // Blocks of irregular sizes: runs of equal sizes and odd ones out
+    // must hash identically whichever lane they land in.
+    const size_t sizes[] = {100, 100, 100, 100, 100, 100, 100, 37,  100,
+                            100, 64,  55,  56,  120, 119, 1,   0,   4096,
+                            63,  100, 100, 100, 9};
+    Bytes backing = rng.RandomBytes(8192);
+    std::vector<ByteSpan> blocks;
+    size_t off = 1;
+    for (size_t s : sizes) {
+      blocks.push_back(ByteSpan(backing.data() + off, s));
+      off += s;
+    }
+    for (size_t n : {size_t{11}, blocks.size()}) {
+      std::vector<uint64_t> out(n);
+      Md5HashBitsBatch(blocks.data(), n, 48, 0xFEED, out.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[i], Md5::HashBits(blocks[i], 48, 0xFEED))
+            << "n " << n << " block " << i;
+      }
+    }
+  });
 }
 
 TEST(Md5Batch, DigestsMatchScalarAtEveryLength) {
   // Every length 0-300 covers each padding split (with the 0x80 byte and
   // the bit length landing in the same or the next block) several times
-  // over; 4095-4097 straddle a page-sized file.
-  Rng rng(41);
-  std::vector<size_t> lengths;
-  for (size_t len = 0; len <= 300; ++len) lengths.push_back(len);
-  lengths.insert(lengths.end(), {4095, 4096, 4097});
-  Bytes backing = rng.RandomBytes(4097 + lengths.size());
-  std::vector<ByteSpan> msgs;
-  for (size_t i = 0; i < lengths.size(); ++i) {
-    msgs.push_back(ByteSpan(backing.data() + i, lengths[i]));
-  }
-  std::vector<Md5Digest> out(msgs.size());
-  Md5Batch(msgs.data(), msgs.size(), out.data());
-  for (size_t i = 0; i < msgs.size(); ++i) {
-    EXPECT_EQ(out[i], Md5::Hash(msgs[i])) << "length " << lengths[i];
-  }
+  // over; 4095-4097 straddle a page-sized file. Each message starts one
+  // byte after the last, so half of them sit at odd addresses.
+  ForEachTier([] {
+    Rng rng(41);
+    std::vector<size_t> lengths;
+    for (size_t len = 0; len <= 300; ++len) lengths.push_back(len);
+    lengths.insert(lengths.end(), {4095, 4096, 4097});
+    Bytes backing = rng.RandomBytes(4097 + lengths.size());
+    std::vector<ByteSpan> msgs;
+    for (size_t i = 0; i < lengths.size(); ++i) {
+      msgs.push_back(ByteSpan(backing.data() + i, lengths[i]));
+    }
+    std::vector<Md5Digest> out(msgs.size());
+    Md5Batch(msgs.data(), msgs.size(), out.data());
+    for (size_t i = 0; i < msgs.size(); ++i) {
+      EXPECT_EQ(out[i], Md5::Hash(msgs[i])) << "length " << lengths[i];
+    }
+  });
 }
 
 TEST(Md5Batch, DigestsMatchScalarAtEveryCount) {
-  // Counts below, at and above one lane set, plus a long batch whose
-  // lanes refill hundreds of times.
-  Rng rng(43);
-  Bytes backing = rng.RandomBytes(8192);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5},
-                   size_t{1001}}) {
-    std::vector<ByteSpan> msgs;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t len = rng.Uniform(700);
-      const size_t off = rng.Uniform(backing.size() - len + 1);
-      msgs.push_back(ByteSpan(backing.data() + off, len));
+  // Every count 0-40 (idle lanes and partial final groups of both lane
+  // widths, and the hand-off from sixteen lanes to four), plus a long
+  // batch whose lanes refill hundreds of times.
+  ForEachTier([] {
+    Rng rng(43);
+    Bytes backing = rng.RandomBytes(8192);
+    std::vector<size_t> counts;
+    for (size_t n = 0; n <= 40; ++n) counts.push_back(n);
+    counts.push_back(1001);
+    for (size_t n : counts) {
+      std::vector<ByteSpan> msgs;
+      for (size_t i = 0; i < n; ++i) {
+        const size_t len = rng.Uniform(700);
+        const size_t off = rng.Uniform(backing.size() - len + 1);
+        msgs.push_back(ByteSpan(backing.data() + off, len));
+      }
+      std::vector<Md5Digest> out(n);
+      Md5Batch(msgs.data(), n, out.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[i], Md5::Hash(msgs[i])) << "n " << n << " msg " << i;
+      }
     }
-    std::vector<Md5Digest> out(n);
-    Md5Batch(msgs.data(), n, out.data());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out[i], Md5::Hash(msgs[i])) << "n " << n << " msg " << i;
-    }
-  }
+  });
 }
 
 TEST(Md5Batch, LongStragglerAmongSmallMessages) {
-  // A 1 MiB message holds one lane for ~16k blocks while the other three
-  // lanes cycle through the small messages on either side of it.
-  Rng rng(47);
-  Bytes big = rng.RandomBytes(size_t{1} << 20);
-  Bytes small = rng.RandomBytes(4096);
-  std::vector<ByteSpan> msgs;
-  for (size_t i = 0; i < 1000; ++i) {
-    if (i == 500) msgs.push_back(big);
-    const size_t len = rng.Uniform(200);
-    msgs.push_back(ByteSpan(small.data() + rng.Uniform(4096 - len), len));
-  }
-  std::vector<Md5Digest> out(msgs.size());
-  Md5Batch(msgs.data(), msgs.size(), out.data());
-  for (size_t i = 0; i < msgs.size(); ++i) {
-    EXPECT_EQ(out[i], Md5::Hash(msgs[i])) << "msg " << i;
-  }
+  // A 1 MiB message holds one lane for ~16k blocks while the other lanes
+  // cycle through the small messages on either side of it; a second
+  // batch ends on the straggler, so it finishes after the wide lanes
+  // hand off to the narrow ones.
+  ForEachTier([] {
+    Rng rng(47);
+    Bytes big = rng.RandomBytes((size_t{1} << 20) + 1);
+    const ByteSpan odd_big(big.data() + 1, size_t{1} << 20);
+    Bytes small = rng.RandomBytes(4096);
+    std::vector<ByteSpan> msgs;
+    for (size_t i = 0; i < 1000; ++i) {
+      if (i == 500) msgs.push_back(odd_big);
+      const size_t len = rng.Uniform(200);
+      msgs.push_back(ByteSpan(small.data() + rng.Uniform(4096 - len), len));
+    }
+    std::vector<Md5Digest> out(msgs.size());
+    Md5Batch(msgs.data(), msgs.size(), out.data());
+    for (size_t i = 0; i < msgs.size(); ++i) {
+      EXPECT_EQ(out[i], Md5::Hash(msgs[i])) << "msg " << i;
+    }
+    std::vector<ByteSpan> tail(msgs.begin(), msgs.begin() + 30);
+    tail.push_back(odd_big);
+    std::vector<Md5Digest> tail_out(tail.size());
+    Md5Batch(tail.data(), tail.size(), tail_out.data());
+    for (size_t i = 0; i < tail.size(); ++i) {
+      EXPECT_EQ(tail_out[i], Md5::Hash(tail[i])) << "tail msg " << i;
+    }
+  });
 }
 
 TEST(Md5Batch, HashBitsBatchMatchesScalarOnMixedLengths) {
-  Rng rng(53);
-  Bytes backing = rng.RandomBytes(4096);
-  std::vector<ByteSpan> blocks;
-  for (int i = 0; i < 257; ++i) {
-    const size_t len = rng.Uniform(1500);
-    blocks.push_back(
-        ByteSpan(backing.data() + rng.Uniform(backing.size() - len), len));
-  }
-  for (uint64_t salt : {uint64_t{0}, uint64_t{0xA11}, uint64_t{0x791E0},
-                        ~uint64_t{0}}) {
-    for (int bits : {1, 24, 64}) {
-      std::vector<uint64_t> out(blocks.size());
-      Md5HashBitsBatch(blocks.data(), blocks.size(), bits, salt, out.data());
-      for (size_t i = 0; i < blocks.size(); ++i) {
-        EXPECT_EQ(out[i], Md5::HashBits(blocks[i], bits, salt))
-            << "salt " << salt << " bits " << bits << " block " << i;
+  ForEachTier([] {
+    Rng rng(53);
+    Bytes backing = rng.RandomBytes(4096);
+    std::vector<ByteSpan> blocks;
+    for (int i = 0; i < 257; ++i) {
+      const size_t len = rng.Uniform(1500);
+      blocks.push_back(
+          ByteSpan(backing.data() + rng.Uniform(backing.size() - len), len));
+    }
+    for (uint64_t salt : {uint64_t{0}, uint64_t{0xA11}, uint64_t{0x791E0},
+                          ~uint64_t{0}}) {
+      for (int bits : {1, 24, 40, 64}) {
+        std::vector<uint64_t> out(blocks.size());
+        Md5HashBitsBatch(blocks.data(), blocks.size(), bits, salt,
+                         out.data());
+        for (size_t i = 0; i < blocks.size(); ++i) {
+          EXPECT_EQ(out[i], Md5::HashBits(blocks[i], bits, salt))
+              << "salt " << salt << " bits " << bits << " block " << i;
+        }
       }
     }
-  }
+  });
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
+#include <vector>
 
 #include "fsync/reconcile/manifest.h"
+#include "fsync/reconcile/trie.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/text_synth.h"
 
@@ -196,6 +199,184 @@ TEST(Merkle, BuildManifestMatchesFingerprints) {
   }
   for (int n : {1, 2, 3, 8}) {
     EXPECT_EQ(BuildManifest(files, n), serial) << n << " threads";
+  }
+}
+
+// --- The walk's node-hash memo (TrieSide, MemoDescendantHashes) --------
+
+using reconcile_internal::DescendantHashes;
+using reconcile_internal::DescentLevels;
+using reconcile_internal::NodeHash;
+using reconcile_internal::NodeId;
+using reconcile_internal::TrieClient;
+using reconcile_internal::TrieServer;
+using reconcile_internal::TrieSide;
+
+// A server manifest and clients that differ from it in different ways:
+// identical, a few changed files, a renamed slice, and empty.
+struct MemoFixture {
+  Manifest server = MakeDigests(11, 3000, "f");
+  std::vector<Manifest> clients;
+  MemoFixture() {
+    clients.push_back(server);
+    Manifest changed = server;
+    for (int i = 0; i < 3000; i += 97) {
+      changed["f" + std::to_string(i)].fingerprint[3] ^= 0x5A;
+    }
+    clients.push_back(std::move(changed));
+    Manifest renamed = server;
+    for (int i = 0; i < 200; ++i) {
+      renamed.erase("f" + std::to_string(i));
+      renamed["g" + std::to_string(i)] = server.at("f" + std::to_string(i));
+    }
+    clients.push_back(std::move(renamed));
+    clients.push_back(Manifest{});
+  }
+};
+
+// One walk of `client` against a server half over `side`: every ask and
+// every reply, in order.
+struct WalkTranscript {
+  std::vector<Bytes> asks;
+  std::vector<Bytes> replies;
+};
+
+WalkTranscript Walk(const Manifest& client, const TrieSide& side) {
+  WalkTranscript t;
+  TrieClient walk_client(client);
+  TrieServer walk_server(side);
+  std::optional<Bytes> ask = walk_client.Start();
+  while (ask.has_value()) {
+    t.asks.push_back(*ask);
+    auto reply = walk_server.OnWalk(*ask);
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    if (!reply.ok()) break;
+    t.replies.push_back(*reply);
+    auto next = walk_client.OnWalkReply(*reply);
+    EXPECT_TRUE(next.ok()) << next.status().ToString();
+    if (!next.ok()) break;
+    ask = std::move(*next);
+  }
+  return t;
+}
+
+// The nodes an ask names that the server answers by descending: all of
+// them but a root whose hash the server's side matches.
+std::vector<NodeId> AskedNodes(ByteSpan ask, const TrieSide& side) {
+  BitReader in(ask);
+  auto count = in.ReadVarint();
+  EXPECT_TRUE(count.ok());
+  std::vector<NodeId> nodes;
+  for (uint64_t i = 0; count.ok() && i < *count; ++i) {
+    auto node = reconcile_internal::ReadNodeId(in);
+    EXPECT_TRUE(node.ok());
+    if (!node.ok()) break;
+    if (node->depth == 0) {
+      auto root = in.ReadBits(8 * reconcile_internal::kNodeHashBytes);
+      EXPECT_TRUE(root.ok());
+      if (root.ok() && *root == side.root_hash) {
+        continue;
+      }
+    }
+    nodes.push_back(*node);
+  }
+  return nodes;
+}
+
+TEST(TrieMemo, MemoizedHashesEqualAFreshComputation) {
+  const MemoFixture fx;
+  const TrieSide side = reconcile_internal::BuildSide(fx.server);
+  EXPECT_EQ(side.root_hash, NodeHash(side, NodeId{}));
+  size_t descended = 0;
+  for (const Manifest& client : fx.clients) {
+    const WalkTranscript walk = Walk(client, side);
+    for (const Bytes& ask : walk.asks) {
+      for (const NodeId& node : AskedNodes(ask, side)) {
+        auto [lo, hi] = reconcile_internal::NodeRange(side.entries, node);
+        if (hi - lo <= reconcile_internal::kLeafBatch) {
+          continue;  // answered with its entries, nothing hashed
+        }
+        const int levels = DescentLevels(node.depth);
+        const std::vector<uint64_t> fresh =
+            DescendantHashes(side, node, levels);
+        // The node's descendant hashes were memoized by the walk, and a
+        // second ask (a memo hit) returns them unchanged.
+        {
+          std::lock_guard<std::mutex> lock(side.memo->mu);
+          auto it = side.memo->hashes.find({node, levels});
+          ASSERT_NE(it, side.memo->hashes.end())
+              << "depth " << node.depth << " prefix " << node.prefix;
+          EXPECT_EQ(it->second, fresh);
+        }
+        EXPECT_EQ(reconcile_internal::MemoDescendantHashes(side, node, levels),
+                  fresh);
+        // And each descendant's hash is that node's NodeHash.
+        for (uint64_t idx = 0; idx < fresh.size(); ++idx) {
+          EXPECT_EQ(fresh[idx],
+                    NodeHash(side, reconcile_internal::Descendant(
+                                       node, levels, idx)));
+        }
+        ++descended;
+      }
+    }
+  }
+  EXPECT_GT(descended, 16u);
+  EXPECT_LE(side.memo->hashes.size(), side.entries.size());
+}
+
+TEST(TrieMemo, WarmMemoRepliesEqualAColdSide) {
+  // Every client's walk over a side whose memo earlier walks filled must
+  // move exactly the bytes of the same walk over a freshly built side.
+  const MemoFixture fx;
+  const TrieSide shared = reconcile_internal::BuildSide(fx.server);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t c = 0; c < fx.clients.size(); ++c) {
+      const TrieSide cold = reconcile_internal::BuildSide(fx.server);
+      const WalkTranscript want = Walk(fx.clients[c], cold);
+      const WalkTranscript got = Walk(fx.clients[c], shared);
+      EXPECT_EQ(got.asks, want.asks) << "pass " << pass << " client " << c;
+      EXPECT_EQ(got.replies, want.replies)
+          << "pass " << pass << " client " << c;
+    }
+  }
+}
+
+TEST(TrieMemo, ConcurrentServersOnOneSideReplyIdentically) {
+  // Four threads walk one shared side at once, each through its own
+  // server half, so they race to fill the memo for the same nodes. Each
+  // walk's replies must be byte-identical to the same walk run alone
+  // over a side of its own. (Runs under TSan in CI's par job.)
+  const MemoFixture fx;
+  std::vector<WalkTranscript> want;
+  for (const Manifest& client : fx.clients) {
+    const TrieSide alone = reconcile_internal::BuildSide(fx.server);
+    want.push_back(Walk(client, alone));
+  }
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    const TrieSide shared = reconcile_internal::BuildSide(fx.server);
+    std::vector<std::vector<WalkTranscript>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Every thread walks every client, starting at a different one.
+        for (size_t k = 0; k < fx.clients.size(); ++k) {
+          const size_t c = (t + k) % fx.clients.size();
+          got[t].push_back(Walk(fx.clients[c], shared));
+        }
+      });
+    }
+    for (std::thread& th : threads) {
+      th.join();
+    }
+    for (int t = 0; t < kThreads; ++t) {
+      for (size_t k = 0; k < fx.clients.size(); ++k) {
+        const size_t c = (t + k) % fx.clients.size();
+        EXPECT_EQ(got[t][k].replies, want[c].replies)
+            << "round " << round << " thread " << t << " client " << c;
+      }
+    }
   }
 }
 
