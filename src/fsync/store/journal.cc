@@ -102,11 +102,6 @@ class Cursor {
   size_t pos_ = 0;
 };
 
-bool EndsWith(const std::string& s, const char* suffix) {
-  size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 }  // namespace
 
 Bytes EncodeJournalRecord(const JournalRecord& r) {
@@ -312,15 +307,16 @@ bool JournalFilePlausible(const fs::path& path) {
   return std::memcmp(head, kMagic, got) == 0;
 }
 
-bool IsInternalArtifact(const std::string& rel_path) {
+bool IsInternalArtifact(std::string_view rel_path) {
   // Basename-level check: artifacts can live in subdirectories (a staged
   // temp sits next to its target file; an in-place journal next to its
   // target).
   size_t slash = rel_path.find_last_of('/');
-  std::string base =
-      slash == std::string::npos ? rel_path : rel_path.substr(slash + 1);
-  return base == ".fsx-manifest" || base == kJournalName ||
-         EndsWith(base, kTempSuffix) || EndsWith(base, kJournalSuffix);
+  std::string_view base =
+      slash == std::string_view::npos ? rel_path : rel_path.substr(slash + 1);
+  return base == ".fsx-manifest" || base == ".fsx-index" ||
+         base == kJournalName ||
+         base.ends_with(kTempSuffix) || base.ends_with(kJournalSuffix);
 }
 
 }  // namespace fsx::store

@@ -25,6 +25,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fsync/hash/fingerprint.h"
@@ -146,10 +147,11 @@ Status RemoveJournal(const std::filesystem::path& path);
 bool JournalFilePlausible(const std::filesystem::path& path);
 
 /// True for fsstore/apply bookkeeping files that are never collection
-/// content: the manifest, tree and in-place journals, and staged
-/// `*.fsx-tmp` files. LoadTree skips them, delete_extra must not
-/// delete them, and recovery cleans the temps.
-bool IsInternalArtifact(const std::string& rel_path);
+/// content: the manifest, the stat index (tree_index.h), tree and
+/// in-place journals, and staged `*.fsx-tmp` files. LoadTree skips them,
+/// delete_extra must not delete them, the apply and the daemon client
+/// refuse them as names, and recovery cleans the temps.
+bool IsInternalArtifact(std::string_view rel_path);
 
 }  // namespace fsx::store
 

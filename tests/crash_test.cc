@@ -4,17 +4,25 @@
 // for every n the operation fires, then asserts the recovery contract:
 // after RecoverTree / RecoverInPlaceFile, every file is bit-exactly its
 // old or new version, no journal or staged temp survives, and re-running
-// the apply converges to the target tree.
+// the apply converges to the target tree. The tree sweep runs once more
+// from a warm stat index (`.fsx-index`): its rewrite after COMMIT is the
+// apply's last kill point, and whatever index a kill leaves must not
+// change what the next apply decides.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fsync/obs/sync_obs.h"
 #include "fsync/store/apply.h"
+#include "fsync/store/crashpoint.h"
 #include "fsync/store/journal.h"
+#include "fsync/store/tree_index.h"
 #include "fsync/testing/crash.h"
+#include "fsync/testing/racy_clock.h"
 
 namespace fsx::store {
 namespace {
@@ -67,13 +75,28 @@ Collection NewTree() {
   return c;
 }
 
+std::vector<std::pair<std::string, FileApplyOutcome::Action>> Outcomes(
+    const ApplyReport& report) {
+  std::vector<std::pair<std::string, FileApplyOutcome::Action>> out;
+  for (const FileApplyOutcome& f : report.files) {
+    out.emplace_back(f.path, f.action);
+  }
+  return out;
+}
+
 class TreeCrashTest : public CrashTest {
  protected:
   /// Resets the tree to the old state with a matching manifest — the
-  /// world as it was before the interrupted apply.
+  /// world as it was before the interrupted apply. With `warm_index_`,
+  /// a no-op apply past the clock tick then records every file.
   void ResetTree() {
     fs::remove_all(root_);
     ASSERT_TRUE(ApplyTree(root_, OldTree(), Manifest{}).ok());
+    if (warm_index_) {
+      fsx::testing::WaitPastCoarseTick();
+      ASSERT_TRUE(ApplyTree(root_, OldTree(), BuildManifest(OldTree())).ok());
+      ASSERT_EQ(TreeIndex::Load(root_).size(), OldTree().size());
+    }
   }
 
   bool RunApply() {
@@ -118,20 +141,70 @@ class TreeCrashTest : public CrashTest {
           << context << ": surviving journal " << it->path();
     }
   }
-};
 
-TEST_F(TreeCrashTest, EveryKillPointRecoversToOldOrNew) {
-  ResetTree();
-  uint64_t total = fsx::testing::CountCrashPoints([&] { return RunApply(); });
-  ASSERT_GT(total, 0u) << "apply fired no crash points";
-
-  for (int64_t n = 0; n < static_cast<int64_t>(total); ++n) {
-    std::string ctx = "kill-point " + std::to_string(n);
+  /// The labels of the crash points a fault-free RunApply fires, in
+  /// order (run in-process, with a recording hook).
+  std::vector<std::string> KillPointLabels() {
     ResetTree();
-    CrashRunResult run = RunWithCrashAt(n, [&] { return RunApply(); });
-    ASSERT_EQ(run.outcome, CrashRunResult::Outcome::kCrashed)
-        << ctx << ": " << run.error;
+    std::vector<std::string> labels;
+    SetCrashHook([&](const char* label, uint64_t) { labels.push_back(label); });
+    const bool ok = RunApply();
+    SetCrashHook({});
+    EXPECT_TRUE(ok);
+    return labels;
+  }
 
+  /// Re-runs the apply on the surviving tree and on a copy without its
+  /// stat index: whatever index survived must decide exactly as none.
+  void ExpectReapplyIgnoresTheIndex(const std::string& context) {
+    const std::string bare = root_ + "_no_index";
+    fs::remove_all(bare);
+    fs::copy(root_, bare, fs::copy_options::recursive);
+    fs::remove(fs::path(bare) / kIndexName);
+    auto again = ApplyTree(root_, NewTree(), BuildManifest(OldTree()));
+    auto bare_again = ApplyTree(bare, NewTree(), BuildManifest(OldTree()));
+    ASSERT_TRUE(again.ok()) << context << ": " << again.status().ToString();
+    ASSERT_TRUE(bare_again.ok()) << context;
+    EXPECT_EQ(Outcomes(*again), Outcomes(*bare_again)) << context;
+    EXPECT_TRUE(again->conflicts.empty()) << context;
+    EXPECT_EQ(FileBytes(fs::path(root_) / ".fsx-manifest"),
+              FileBytes(fs::path(bare) / ".fsx-manifest"))
+        << context;
+    fs::remove_all(bare);
+  }
+
+  /// The kill-point sweep of the tree apply.
+  void SweepKillPoints() {
+    const std::vector<std::string> labels = KillPointLabels();
+    ResetTree();
+    uint64_t total =
+        fsx::testing::CountCrashPoints([&] { return RunApply(); });
+    ASSERT_GT(total, 0u) << "apply fired no crash points";
+    ASSERT_EQ(total, labels.size());
+    ASSERT_EQ(labels.back(), "index:staged")
+        << "the index rewrite is not the apply's last step";
+
+    for (int64_t n = 0; n < static_cast<int64_t>(total); ++n) {
+      std::string ctx = "kill-point " + std::to_string(n) + " (" +
+                        labels[n] + ")";
+      ResetTree();
+      CrashRunResult run = RunWithCrashAt(n, [&] { return RunApply(); });
+      ASSERT_EQ(run.outcome, CrashRunResult::Outcome::kCrashed)
+          << ctx << ": " << run.error;
+      if (labels[n].starts_with("index:")) {
+        // Killed after COMMIT: the tree and its manifest are new already.
+        auto disk = LoadTree(root_);
+        ASSERT_TRUE(disk.ok()) << ctx;
+        EXPECT_EQ(*disk, NewTree()) << ctx;
+        auto dirty = VerifyTree(root_);
+        ASSERT_TRUE(dirty.ok()) << ctx;
+        EXPECT_TRUE(dirty->empty()) << ctx;
+      }
+      RecoverAndConverge(ctx);
+    }
+  }
+
+  void RecoverAndConverge(const std::string& ctx) {
     // Even before recovery, content files are never torn: staging and
     // rename keep each one bit-exactly old or new.
     ExpectOldOrNew(ctx + " pre-recovery");
@@ -150,9 +223,7 @@ TEST_F(TreeCrashTest, EveryKillPointRecoversToOldOrNew) {
     }
 
     // Re-running the same apply must converge on the target tree.
-    auto again = ApplyTree(root_, NewTree(), BuildManifest(OldTree()));
-    ASSERT_TRUE(again.ok()) << ctx << ": " << again.status().ToString();
-    EXPECT_TRUE(again->conflicts.empty()) << ctx;
+    ExpectReapplyIgnoresTheIndex(ctx);
     auto final_disk = LoadTree(root_);
     ASSERT_TRUE(final_disk.ok()) << ctx;
     EXPECT_EQ(*final_disk, NewTree()) << ctx << ": re-apply did not converge";
@@ -160,6 +231,15 @@ TEST_F(TreeCrashTest, EveryKillPointRecoversToOldOrNew) {
     ASSERT_TRUE(dirty.ok()) << ctx;
     EXPECT_TRUE(dirty->empty()) << ctx;
   }
+
+  bool warm_index_ = false;
+};
+
+TEST_F(TreeCrashTest, EveryKillPointRecoversToOldOrNew) { SweepKillPoints(); }
+
+TEST_F(TreeCrashTest, EveryKillPointRecoversToOldOrNewWithWarmIndex) {
+  warm_index_ = true;
+  SweepKillPoints();
 }
 
 TEST_F(TreeCrashTest, CrashDuringRecoveryStillRecovers) {

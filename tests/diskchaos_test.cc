@@ -7,6 +7,11 @@
 // unverified bytes), every file is bit-exactly old or new, and a
 // fault-free RecoverTree plus re-apply converges with no debris.
 //
+// The tree sweeps also run from a warm stat index (`.fsx-index`,
+// store/tree_index.h). Its rewrite is the last thing an apply does, after
+// COMMIT: a fault there must never fail the committed apply, and the
+// next apply must decide exactly as it would with no index at all.
+//
 // Runs in-process (a disk fault is an error return, not a process
 // death), so the whole suite is asan/tsan-clean by construction.
 #include <gtest/gtest.h>
@@ -15,15 +20,19 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <unistd.h>
 
 #include "fsync/obs/sync_obs.h"
 #include "fsync/store/apply.h"
 #include "fsync/store/journal.h"
+#include "fsync/store/tree_index.h"
 #include "fsync/store/vfs.h"
 #include "fsync/store/vfs_fault.h"
 #include "fsync/testing/diskfault.h"
+#include "fsync/testing/racy_clock.h"
 
 namespace fsx::store {
 namespace {
@@ -57,6 +66,17 @@ Collection NewTree() {
   return c;
 }
 
+using Action = FileApplyOutcome::Action;
+
+std::vector<std::pair<std::string, Action>> Outcomes(
+    const ApplyReport& report) {
+  std::vector<std::pair<std::string, Action>> out;
+  for (const FileApplyOutcome& f : report.files) {
+    out.emplace_back(f.path, f.action);
+  }
+  return out;
+}
+
 class DiskChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -76,13 +96,33 @@ class DiskChaosTest : public ::testing::Test {
     fs::remove_all(root_, ec);
   }
 
+  /// The old tree with its manifest; with `warm_index_`, also a stat
+  /// index that records every file (a no-op apply past the clock tick).
   void ResetTree() {
     fs::remove_all(root_);
     ASSERT_TRUE(ApplyTree(root_, OldTree(), Manifest{}).ok());
+    if (warm_index_) {
+      fsx::testing::WaitPastCoarseTick();
+      ASSERT_TRUE(ApplyTree(root_, OldTree(), BuildManifest(OldTree())).ok());
+      ASSERT_EQ(TreeIndex::Load(root_).size(), OldTree().size());
+    }
   }
 
   StatusOr<ApplyReport> RunApply(obs::SyncObserver* obs = nullptr) {
     return ApplyTree(root_, NewTree(), BuildManifest(OldTree()), {}, obs);
+  }
+
+  /// How many vfs ops of a fault-free RunApply come before the stat
+  /// index rewrite, which is the last thing an apply does: a fault at
+  /// any later op hits a committed apply.
+  uint64_t OpsBeforeIndexWrite() {
+    ResetTree();
+    const uint64_t total = CountDiskOps([&] { return RunApply().ok(); });
+    ResetTree();
+    const uint64_t index_ops =
+        CountDiskOps([&] { return RunApply().ok(); }, kIndexName);
+    EXPECT_GT(index_ops, 0u) << "the apply wrote no index";
+    return total - index_ops;
   }
 
   /// The per-file contract under a disk fault: every surviving path is
@@ -121,14 +161,30 @@ class DiskChaosTest : public ::testing::Test {
     }
   }
 
-  /// Fault-free convergence: recover, re-apply, verify clean.
+  /// Fault-free convergence: recover, re-apply, verify clean. The
+  /// re-apply runs on the tree with whatever index survived and on a
+  /// copy without one; both must decide and commit the same.
   void ExpectConverges(const std::string& context) {
     auto rec = RecoverTree(root_);
     ASSERT_TRUE(rec.ok()) << context << ": " << rec.status().ToString();
     ExpectOldOrNew(context + " post-recovery");
     ExpectNoApplyDebris(context + " post-recovery");
+    const std::string bare = root_ + "_no_index";
+    fs::remove_all(bare);
+    fs::copy(root_, bare, fs::copy_options::recursive);
+    fs::remove(fs::path(bare) / kIndexName);
     auto redo = RunApply();
     ASSERT_TRUE(redo.ok()) << context << ": " << redo.status().ToString();
+    auto bare_redo = ApplyTree(bare, NewTree(), BuildManifest(OldTree()));
+    ASSERT_TRUE(bare_redo.ok()) << context << ": "
+                                << bare_redo.status().ToString();
+    EXPECT_EQ(Outcomes(*redo), Outcomes(*bare_redo))
+        << context << ": the surviving index changed the apply";
+    EXPECT_EQ(redo->conflicts, bare_redo->conflicts) << context;
+    EXPECT_EQ(FileBytes(fs::path(root_) / ".fsx-manifest"),
+              FileBytes(fs::path(bare) / ".fsx-manifest"))
+        << context << ": the surviving index changed the manifest";
+    fs::remove_all(bare);
     auto disk = LoadTree(root_);
     ASSERT_TRUE(disk.ok()) << context;
     EXPECT_EQ(*disk, NewTree()) << context << ": re-apply did not converge";
@@ -139,6 +195,7 @@ class DiskChaosTest : public ::testing::Test {
 
   /// One full op-index sweep of the tree apply under `fault_errno`.
   void SweepTreeApply(int fault_errno, const char* what) {
+    const uint64_t committed_after = OpsBeforeIndexWrite();
     ResetTree();
     uint64_t total = CountDiskOps([&] { return RunApply().ok(); });
     ASSERT_GT(total, 0u) << "apply performed no vfs ops";
@@ -154,6 +211,11 @@ class DiskChaosTest : public ::testing::Test {
         return r.ok();
       });
       ASSERT_GT(run.faults_injected, 0u) << ctx << ": fault never fired";
+      if (static_cast<uint64_t>(n) >= committed_after) {
+        EXPECT_TRUE(run.fn_ok)
+            << ctx << ": a fault in the index write failed a committed "
+            << "apply: " << failure.ToString();
+      }
       if (!run.fn_ok) {
         // A surfaced failure must be typed, never a bare kInternal.
         EXPECT_NE(failure.code(), StatusCode::kInternal)
@@ -165,7 +227,47 @@ class DiskChaosTest : public ::testing::Test {
     }
   }
 
+  /// The tree apply under a sticky EIO from each op index on.
+  void SweepStickyEio() {
+    // Sticky: the disk stays broken for the rest of the run — the retry
+    // ladder must give up with a typed error, and a later clean disk must
+    // still converge. Once the transaction has committed, only the index
+    // rewrite is left to fail, and the apply reports success.
+    const uint64_t committed_after = OpsBeforeIndexWrite();
+    ResetTree();
+    uint64_t total = CountDiskOps([&] { return RunApply().ok(); });
+    ASSERT_GT(total, 0u);
+    for (int64_t n = 0; n < static_cast<int64_t>(total); ++n) {
+      std::string ctx = "sticky EIO at op " + std::to_string(n);
+      ResetTree();
+      Status failure = Status::Ok();
+      DiskFaultRun run = RunWithDiskFaultAt(
+          n, EIO,
+          [&] {
+            auto r = RunApply();
+            failure = r.status();
+            return r.ok();
+          },
+          /*path_pattern=*/"", /*sticky=*/true);
+      ASSERT_GT(run.faults_injected, 0u) << ctx;
+      if (static_cast<uint64_t>(n) >= committed_after) {
+        EXPECT_TRUE(run.fn_ok) << ctx << ": a fault in the index write "
+                               << "failed a committed apply: "
+                               << failure.ToString();
+      } else {
+        EXPECT_FALSE(run.fn_ok) << ctx << ": sticky EIO reported success";
+        EXPECT_TRUE(failure.code() == StatusCode::kUnavailable ||
+                    failure.code() == StatusCode::kDataLoss ||
+                    failure.code() == StatusCode::kNotFound)
+            << ctx << ": " << failure.ToString();
+      }
+      ExpectOldOrNew(ctx + " pre-recovery");
+      ExpectConverges(ctx);
+    }
+  }
+
   std::string root_;
+  bool warm_index_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -180,34 +282,23 @@ TEST_F(DiskChaosTest, TreeApplySurvivesEnospcAtEveryOp) {
   SweepTreeApply(ENOSPC, "ENOSPC");
 }
 
+TEST_F(DiskChaosTest, TreeApplySurvivesEioAtEveryOpWithWarmIndex) {
+  warm_index_ = true;
+  SweepTreeApply(EIO, "EIO, warm index,");
+}
+
+TEST_F(DiskChaosTest, TreeApplySurvivesEnospcAtEveryOpWithWarmIndex) {
+  warm_index_ = true;
+  SweepTreeApply(ENOSPC, "ENOSPC, warm index,");
+}
+
 TEST_F(DiskChaosTest, TreeApplySurvivesStickyEioAtEveryOp) {
-  // Sticky: the disk stays broken for the rest of the run — the retry
-  // ladder must give up with a typed error, and a later clean disk must
-  // still converge.
-  ResetTree();
-  uint64_t total = CountDiskOps([&] { return RunApply().ok(); });
-  ASSERT_GT(total, 0u);
-  for (int64_t n = 0; n < static_cast<int64_t>(total); ++n) {
-    std::string ctx = "sticky EIO at op " + std::to_string(n);
-    ResetTree();
-    Status failure = Status::Ok();
-    DiskFaultRun run = RunWithDiskFaultAt(
-        n, EIO,
-        [&] {
-          auto r = RunApply();
-          failure = r.status();
-          return r.ok();
-        },
-        /*path_pattern=*/"", /*sticky=*/true);
-    ASSERT_GT(run.faults_injected, 0u) << ctx;
-    EXPECT_FALSE(run.fn_ok) << ctx << ": sticky EIO reported success";
-    EXPECT_TRUE(failure.code() == StatusCode::kUnavailable ||
-                failure.code() == StatusCode::kDataLoss ||
-                failure.code() == StatusCode::kNotFound)
-        << ctx << ": " << failure.ToString();
-    ExpectOldOrNew(ctx + " pre-recovery");
-    ExpectConverges(ctx);
-  }
+  SweepStickyEio();
+}
+
+TEST_F(DiskChaosTest, TreeApplySurvivesStickyEioAtEveryOpWithWarmIndex) {
+  warm_index_ = true;
+  SweepStickyEio();
 }
 
 // ---------------------------------------------------------------------------

@@ -1096,5 +1096,14 @@ TEST(Daemon, ClientRejectsHostileManifest) {
   }
 }
 
+TEST(Daemon, ClientRejectsTheStatIndexName) {
+  // A served `.fsx-index` would replace the apply's stat cache, whose
+  // records decide which files the next apply re-reads.
+  for (const char* evil : {".fsx-index", "sub/.fsx-index"}) {
+    SCOPED_TRACE(evil);
+    ExpectClientRejectsLeaf(evil);
+  }
+}
+
 }  // namespace
 }  // namespace fsx::netd

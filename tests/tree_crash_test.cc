@@ -3,7 +3,9 @@
 // including an a<->b content swap, the hardest adoption shape — and
 // _exit()s at every fsync/rename/journal-append boundary, then asserts
 // the recovery contract: every file bit-exactly old or new, no debris,
-// and a fresh plan computed from the surviving disk state converges.
+// and a fresh plan computed from the surviving disk state converges —
+// also from a warm stat index, which must decide that plan exactly as
+// no index would.
 // The chaos half runs both collection drivers over a ReliableChannel
 // whose inner channel injects the seeded Bernoulli fault schedules and
 // pins bit-exact reconstruction plus logical-stream determinism.
@@ -113,10 +115,13 @@ TEST(TreeChaos, DeliveredStreamIsIndependentOfFaultSchedule) {
 // ---------------------------------------------------------------------------
 
 #include <filesystem>
+#include <utility>
 
 #include "fsync/store/apply.h"
 #include "fsync/store/fsstore.h"
+#include "fsync/store/tree_index.h"
 #include "fsync/testing/crash.h"
+#include "fsync/testing/racy_clock.h"
 
 namespace fsx::store {
 namespace {
@@ -183,6 +188,12 @@ class AdoptCrashTest : public ::testing::Test {
   void ResetTree() {
     fs::remove_all(root_);
     ASSERT_TRUE(ApplyTree(root_, AdoptOldTree(), Manifest{}).ok());
+    if (warm_index_) {  // a no-op apply past the tick records every file
+      fsx::testing::WaitPastCoarseTick();
+      ASSERT_TRUE(
+          ApplyTree(root_, AdoptOldTree(), BuildManifest(AdoptOldTree())).ok());
+      ASSERT_EQ(TreeIndex::Load(root_).size(), AdoptOldTree().size());
+    }
   }
 
   bool RunApply() {
@@ -232,12 +243,23 @@ class AdoptCrashTest : public ::testing::Test {
   /// as it survived, not against the pre-crash snapshot. A half-applied
   /// swap leaves the old bytes nowhere in the tree, so replaying the
   /// original adopt list cannot converge — the fresh plan always can.
+  /// The apply runs on the surviving tree and on a copy without its
+  /// stat index; both must decide alike.
   void ConvergeFromDisk(const std::string& context) {
     auto disk = LoadTree(root_);
     ASSERT_TRUE(disk.ok()) << context << ": " << disk.status().ToString();
+    const std::string bare = root_ + "_no_index";
+    fs::remove_all(bare);
+    fs::copy(root_, bare, fs::copy_options::recursive);
+    fs::remove(fs::path(bare) / kIndexName);
     auto again =
         ApplyTree(root_, AdoptNewTree(), BuildManifest(*disk));
+    auto bare_again = ApplyTree(bare, AdoptNewTree(), BuildManifest(*disk));
+    fs::remove_all(bare);
     ASSERT_TRUE(again.ok()) << context << ": " << again.status().ToString();
+    ASSERT_TRUE(bare_again.ok()) << context;
+    EXPECT_EQ(Actions(*again), Actions(*bare_again))
+        << context << ": the surviving index changed the apply";
     EXPECT_TRUE(again->conflicts.empty()) << context;
     auto final_disk = LoadTree(root_);
     ASSERT_TRUE(final_disk.ok()) << context;
@@ -245,7 +267,49 @@ class AdoptCrashTest : public ::testing::Test {
         << context << ": re-plan did not converge";
   }
 
+  static std::vector<std::pair<std::string, FileApplyOutcome::Action>>
+  Actions(const ApplyReport& report) {
+    std::vector<std::pair<std::string, FileApplyOutcome::Action>> out;
+    for (const FileApplyOutcome& f : report.files) {
+      out.emplace_back(f.path, f.action);
+    }
+    return out;
+  }
+
+  void SweepKillPoints() {
+    ResetTree();
+    uint64_t total =
+        fsx::testing::CountCrashPoints([&] { return RunApply(); });
+    ASSERT_GT(total, 0u) << "adopt apply fired no crash points";
+
+    for (int64_t n = 0; n < static_cast<int64_t>(total); ++n) {
+      std::string ctx = "kill-point " + std::to_string(n);
+      ResetTree();
+      CrashRunResult run = RunWithCrashAt(n, [&] { return RunApply(); });
+      ASSERT_EQ(run.outcome, CrashRunResult::Outcome::kCrashed)
+          << ctx << ": " << run.error;
+
+      // Staging and rename keep every file old-or-new even pre-recovery.
+      ExpectOldOrNew(ctx + " pre-recovery");
+
+      obs::SyncObserver obs;
+      auto rec = RecoverTree(root_, &obs);
+      ASSERT_TRUE(rec.ok()) << ctx << ": " << rec.status().ToString();
+      ExpectOldOrNew(ctx + " post-recovery");
+      ExpectNoApplyDebris(ctx);
+      if (rec->had_journal) {
+        EXPECT_EQ(obs.event_count(obs::Event::kRecovery), 1u) << ctx;
+        auto dirty = VerifyTree(root_);
+        ASSERT_TRUE(dirty.ok()) << ctx << ": " << dirty.status().ToString();
+        EXPECT_TRUE(dirty->empty()) << ctx;
+      }
+
+      ConvergeFromDisk(ctx);
+    }
+  }
+
   std::string root_;
+  bool warm_index_ = false;
 };
 
 TEST_F(AdoptCrashTest, UninterruptedApplyAdoptsAndConverges) {
@@ -265,35 +329,11 @@ TEST_F(AdoptCrashTest, UninterruptedApplyAdoptsAndConverges) {
   EXPECT_TRUE(dirty->empty());
 }
 
-TEST_F(AdoptCrashTest, EveryKillPointRecoversToOldOrNew) {
-  ResetTree();
-  uint64_t total = fsx::testing::CountCrashPoints([&] { return RunApply(); });
-  ASSERT_GT(total, 0u) << "adopt apply fired no crash points";
+TEST_F(AdoptCrashTest, EveryKillPointRecoversToOldOrNew) { SweepKillPoints(); }
 
-  for (int64_t n = 0; n < static_cast<int64_t>(total); ++n) {
-    std::string ctx = "kill-point " + std::to_string(n);
-    ResetTree();
-    CrashRunResult run = RunWithCrashAt(n, [&] { return RunApply(); });
-    ASSERT_EQ(run.outcome, CrashRunResult::Outcome::kCrashed)
-        << ctx << ": " << run.error;
-
-    // Staging and rename keep every file old-or-new even pre-recovery.
-    ExpectOldOrNew(ctx + " pre-recovery");
-
-    obs::SyncObserver obs;
-    auto rec = RecoverTree(root_, &obs);
-    ASSERT_TRUE(rec.ok()) << ctx << ": " << rec.status().ToString();
-    ExpectOldOrNew(ctx + " post-recovery");
-    ExpectNoApplyDebris(ctx);
-    if (rec->had_journal) {
-      EXPECT_EQ(obs.event_count(obs::Event::kRecovery), 1u) << ctx;
-      auto dirty = VerifyTree(root_);
-      ASSERT_TRUE(dirty.ok()) << ctx << ": " << dirty.status().ToString();
-      EXPECT_TRUE(dirty->empty()) << ctx;
-    }
-
-    ConvergeFromDisk(ctx);
-  }
+TEST_F(AdoptCrashTest, EveryKillPointRecoversToOldOrNewWithWarmIndex) {
+  warm_index_ = true;
+  SweepKillPoints();
 }
 
 TEST_F(AdoptCrashTest, ReplayingTheStaleAdoptPlanIsSafe) {
