@@ -2,7 +2,10 @@
 // two delta codecs (throughput and, via labels, compression ratio).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "fsync/compress/codec.h"
+#include "fsync/core/endpoint.h"
 #include "fsync/delta/bsdiff.h"
 #include "fsync/delta/vcdiff.h"
 #include "fsync/delta/zd.h"
@@ -70,6 +73,56 @@ void BM_ZdEncode(benchmark::State& state) {
   state.counters["delta_bytes"] = static_cast<double>(out_size);
 }
 BENCHMARK(BM_ZdEncode)->Arg(64 << 10)->Arg(512 << 10);
+
+// The server's encode at the end of a session: the reference a real
+// ledger confirmed, and the known runs that place it in the target.
+struct SessionDelta {
+  Bytes reference;
+  Bytes target;
+  std::vector<KnownRun> runs;
+};
+
+SessionDelta MakeSessionDelta(size_t n) {
+  DeltaInput d = MakeDeltaInput(n);
+  SyncConfig config;
+  SyncClientEndpoint client(d.reference, config);
+  SyncServerEndpoint server(d.target, config);
+  StatusOr<Bytes> msg = server.OnRequest(client.MakeRequest());
+  while (msg.ok()) {
+    auto reply = client.OnServerMessage(*msg);
+    if (!reply.ok() || !reply->has_value()) {
+      break;
+    }
+    msg = server.OnClientMessage(**reply);
+  }
+  SessionDelta s;
+  s.reference = server.DeltaReference(&s.runs);
+  s.target = std::move(d.target);
+  return s;
+}
+
+// Arg 1: 0 parses the whole target, 1 is guided by the ledger's runs.
+void BM_ZdEncodeSession(benchmark::State& state) {
+  SessionDelta s = MakeSessionDelta(state.range(0));
+  std::span<const KnownRun> runs;
+  if (state.range(1) != 0) {
+    runs = s.runs;
+  }
+  size_t out_size = 0;
+  for (auto _ : state) {
+    auto delta = ZdEncode(s.reference, s.target, runs);
+    out_size = delta->size();
+    benchmark::DoNotOptimize(delta);
+  }
+  state.SetBytesProcessed(state.iterations() * s.target.size());
+  state.counters["delta_bytes"] = static_cast<double>(out_size);
+  state.counters["runs"] = static_cast<double>(s.runs.size());
+}
+BENCHMARK(BM_ZdEncodeSession)
+    ->Args({64 << 10, 0})
+    ->Args({64 << 10, 1})
+    ->Args({512 << 10, 0})
+    ->Args({512 << 10, 1});
 
 void BM_ZdDecode(benchmark::State& state) {
   DeltaInput d = MakeDeltaInput(state.range(0));

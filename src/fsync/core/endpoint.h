@@ -24,6 +24,7 @@
 #include "fsync/core/block_ledger.h"
 #include "fsync/core/checkpoint.h"
 #include "fsync/core/config.h"
+#include "fsync/delta/delta.h"
 #include "fsync/hash/fingerprint.h"
 #include "fsync/index/block_index.h"
 #include "fsync/obs/sync_obs.h"
@@ -114,9 +115,13 @@ void GroupVerifyHashes(ByteSpan file, const std::vector<VerifyGroup>& groups,
 
 /// Builds the delta reference: the confirmed ranges' bytes in F_new order.
 /// `client_side` selects client (read F_old at range.src) or server
-/// (read F_new at range.begin) materialization.
+/// (read F_new at range.begin) materialization. `runs`, when given,
+/// receives where each range sits in F_new and in the reference, the
+/// map that guides the server's encode; ranges that touch in F_new
+/// form one run.
 Bytes BuildReference(ByteSpan file, const BlockLedger& ledger,
-                     bool client_side);
+                     bool client_side,
+                     std::vector<KnownRun>* runs = nullptr);
 
 /// Control skeleton both endpoints share: round scheduling, stage
 /// transitions, and the roundtrip budget. The two sides must execute it
@@ -195,6 +200,10 @@ class SyncServerEndpoint : private core_internal::EndpointBase {
   /// driver (in-process, multiplexed, daemon, cache replay) dispatches
   /// through here.
   StatusOr<Bytes> Handle(SessionMsg kind, ByteSpan msg);
+
+  /// The reference the delta is encoded against and, in `runs`, the
+  /// known runs that guide the encode (both empty before a map exists).
+  Bytes DeltaReference(std::vector<KnownRun>* runs) const;
 
   /// True once the unchanged short-circuit or the delta has been sent.
   bool done() const { return done_; }

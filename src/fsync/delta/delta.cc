@@ -7,10 +7,11 @@
 namespace fsx {
 
 StatusOr<Bytes> DeltaEncode(DeltaCodec codec, ByteSpan reference,
-                            ByteSpan target) {
+                            ByteSpan target,
+                            std::span<const KnownRun> known) {
   switch (codec) {
     case DeltaCodec::kZd:
-      return ZdEncode(reference, target);
+      return ZdEncode(reference, target, known);
     case DeltaCodec::kVcdiff:
       return VcdiffEncode(reference, target);
     case DeltaCodec::kBsdiff:

@@ -5,6 +5,9 @@
 #ifndef FSYNC_DELTA_DELTA_H_
 #define FSYNC_DELTA_DELTA_H_
 
+#include <cstdint>
+#include <span>
+
 #include "fsync/util/bytes.h"
 #include "fsync/util/status.h"
 
@@ -18,9 +21,21 @@ enum class DeltaCodec {
             // sections (bsdiff-family)
 };
 
-/// Encodes `target` against `reference` with the chosen codec.
+/// A stretch of the target the decoder already holds: target bytes
+/// [target_pos, target_pos + length) equal reference bytes
+/// [ref_pos, ref_pos + length). The map phase yields these.
+struct KnownRun {
+  uint64_t target_pos = 0;
+  uint64_t ref_pos = 0;
+  uint64_t length = 0;
+};
+
+/// Encodes `target` against `reference` with the chosen codec. `known`
+/// (sorted by target position, disjoint) guides zd's parse; vcdiff and
+/// bsdiff ignore it.
 StatusOr<Bytes> DeltaEncode(DeltaCodec codec, ByteSpan reference,
-                            ByteSpan target);
+                            ByteSpan target,
+                            std::span<const KnownRun> known = {});
 
 /// Decodes a delta produced by DeltaEncode with the same codec and
 /// reference; returns the reconstructed target.

@@ -8,6 +8,9 @@
 #ifndef FSYNC_DELTA_ZD_H_
 #define FSYNC_DELTA_ZD_H_
 
+#include <span>
+
+#include "fsync/delta/delta.h"
 #include "fsync/util/bytes.h"
 #include "fsync/util/status.h"
 
@@ -19,8 +22,14 @@ struct ZdParams {
   uint32_t min_match = 4;   // shortest copy worth encoding
 };
 
-/// Encodes `target` against `reference`.
+/// Encodes `target` against `reference`. Each of the `known` runs is
+/// coded as one reference copy at its offset, extended while the bytes
+/// past its end still match; the matcher parses only the gaps between
+/// them. Without runs the whole target is parsed. Runs that are
+/// unsorted, overlap, fall out of range or whose bytes differ are
+/// InvalidArgument.
 StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
+                         std::span<const KnownRun> known = {},
                          const ZdParams& params = {});
 
 /// Decodes a zd delta; `reference` must equal the encoder's reference.
