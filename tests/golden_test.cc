@@ -99,7 +99,9 @@ TEST(Golden, SessionTrafficIsStable) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->reconstructed, text2);
   EXPECT_EQ(r->stats.client_to_server_bytes, 75u);
-  EXPECT_EQ(r->stats.server_to_client_bytes, 294u);
+  // 294 before the server's encode was guided by the map; the same
+  // session encoded without runs still moves 294.
+  EXPECT_EQ(r->stats.server_to_client_bytes, 293u);
   EXPECT_EQ(r->stats.roundtrips, 11u);
 }
 
