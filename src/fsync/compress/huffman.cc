@@ -8,32 +8,6 @@ namespace fsx {
 
 namespace {
 
-// Node in the package-merge forest. Leaf nodes carry a symbol; packages
-// carry two children.
-struct PmNode {
-  uint64_t weight = 0;
-  int symbol = -1;  // >= 0 for leaves
-  int left = -1;    // child indices into the pool, -1 for leaves
-  int right = -1;
-};
-
-// Increments `depth_count[symbol]` for every leaf reachable from `root`.
-void CountLeaves(const std::vector<PmNode>& pool, int root,
-                 std::vector<uint8_t>& code_len) {
-  std::vector<int> stack = {root};
-  while (!stack.empty()) {
-    int idx = stack.back();
-    stack.pop_back();
-    const PmNode& n = pool[idx];
-    if (n.symbol >= 0) {
-      ++code_len[n.symbol];
-    } else {
-      stack.push_back(n.left);
-      stack.push_back(n.right);
-    }
-  }
-}
-
 uint32_t ReverseBits(uint32_t v, int n) {
   uint32_t r = 0;
   for (int i = 0; i < n; ++i) {
@@ -68,49 +42,58 @@ std::vector<uint8_t> BuildCodeLengths(const std::vector<uint64_t>& freqs,
   std::sort(used.begin(), used.end(), [&](int a, int b) {
     return freqs[a] != freqs[b] ? freqs[a] < freqs[b] : a < b;
   });
-
-  std::vector<PmNode> pool;
-  pool.reserve(used.size() * static_cast<size_t>(max_bits) * 2);
-  std::vector<int> leaves;
-  for (int s : used) {
-    pool.push_back({freqs[s], s, -1, -1});
-    leaves.push_back(static_cast<int>(pool.size()) - 1);
+  const size_t m = used.size();
+  std::vector<uint64_t> leaf_weight(m);
+  for (size_t i = 0; i < m; ++i) {
+    leaf_weight[i] = freqs[used[i]];
   }
 
-  // prev = merged list of the previous level (indices into pool).
-  std::vector<int> prev;
+  // Each level's list merges the sorted leaves with the packages of the
+  // previous level's list (its entries paired in order), a leaf first on
+  // equal weight. Only weights are kept, plus whether each entry is a
+  // leaf: a prefix of a list holds a prefix of the leaves and a prefix
+  // of the packages, and the first p packages cover the first 2p entries
+  // of the level below. No list is longer than 2m - 1 entries.
+  const size_t width = 2 * m;
+  std::vector<uint8_t> is_leaf(width * static_cast<size_t>(max_bits));
+  std::vector<uint64_t> prev(width);
+  std::vector<uint64_t> merged(width);
+  size_t prev_len = 0;
   for (int level = 0; level < max_bits; ++level) {
-    // Package pairs from prev.
-    std::vector<int> packages;
-    for (size_t i = 0; i + 1 < prev.size(); i += 2) {
-      pool.push_back({pool[prev[i]].weight + pool[prev[i + 1]].weight, -1,
-                      prev[i], prev[i + 1]});
-      packages.push_back(static_cast<int>(pool.size()) - 1);
-    }
-    // Merge leaves and packages by weight.
-    std::vector<int> merged;
-    merged.reserve(leaves.size() + packages.size());
-    size_t li = 0, pi = 0;
-    while (li < leaves.size() || pi < packages.size()) {
-      bool take_leaf;
-      if (li == leaves.size()) {
-        take_leaf = false;
-      } else if (pi == packages.size()) {
-        take_leaf = true;
+    uint8_t* leaf_flags = is_leaf.data() + width * level;
+    const size_t num_packages = prev_len / 2;
+    size_t li = 0, pi = 0, len = 0;
+    while (li < m || pi < num_packages) {
+      bool take_leaf = pi == num_packages ||
+                       (li < m && leaf_weight[li] <= prev[2 * pi] +
+                                                         prev[2 * pi + 1]);
+      if (take_leaf) {
+        merged[len] = leaf_weight[li++];
       } else {
-        take_leaf = pool[leaves[li]].weight <= pool[packages[pi]].weight;
+        merged[len] = prev[2 * pi] + prev[2 * pi + 1];
+        ++pi;
       }
-      merged.push_back(take_leaf ? leaves[li++] : packages[pi++]);
+      leaf_flags[len++] = take_leaf;
     }
-    prev = std::move(merged);
+    std::swap(prev, merged);
+    prev_len = len;
   }
 
   // The optimal length-limited code corresponds to the first 2(n-1)
-  // entries of the final list; each time a leaf appears in a chosen
-  // package chain its code length increases by one.
-  size_t take = 2 * (used.size() - 1);
-  for (size_t i = 0; i < take; ++i) {
-    CountLeaves(pool, prev[i], code_len);
+  // entries of the final list; a leaf's code length is the number of
+  // levels whose chosen prefix holds it. Walking down, the chosen prefix
+  // of each level is twice the packages chosen above it.
+  size_t take = 2 * (m - 1);
+  for (int level = max_bits - 1; level >= 0 && take > 0; --level) {
+    const uint8_t* leaf_flags = is_leaf.data() + width * level;
+    size_t leaves = 0;
+    for (size_t i = 0; i < take; ++i) {
+      leaves += leaf_flags[i];
+    }
+    for (size_t i = 0; i < leaves; ++i) {
+      ++code_len[used[i]];
+    }
+    take = 2 * (take - leaves);
   }
   return code_len;
 }
