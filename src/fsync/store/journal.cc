@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "fsync/hash/crc32c.h"
@@ -293,18 +292,34 @@ StatusOr<JournalContents> ReadJournal(const fs::path& path) {
 
 Status RemoveJournal(const fs::path& path) { return RemoveDurable(path); }
 
-bool JournalFilePlausible(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
+JournalHeader ProbeJournalHeader(const fs::path& path) {
+  auto file = CurrentVfs().Open(path, OpenMode::kRead);
+  if (!file.ok()) {
+    return file.status().code() == StatusCode::kNotFound
+               ? JournalHeader::kMissing
+               : JournalHeader::kUnreadable;
   }
   char head[kMagicLen];
-  in.read(head, static_cast<std::streamsize>(kMagicLen));
-  size_t got = static_cast<size_t>(in.gcount());
+  size_t got = 0;
+  while (got < kMagicLen) {
+    StatusOr<size_t> n = (*file)->Read(head + got, kMagicLen - got);
+    if (!n.ok()) {
+      return JournalHeader::kUnreadable;
+    }
+    if (*n == 0) {
+      break;
+    }
+    got += *n;
+  }
   // A full header must match exactly; a shorter file is plausible only
   // as a torn prefix of the magic (including the empty file a crash at
   // creation leaves behind).
-  return std::memcmp(head, kMagic, got) == 0;
+  return std::memcmp(head, kMagic, got) == 0 ? JournalHeader::kPlausible
+                                             : JournalHeader::kForeign;
+}
+
+bool JournalFilePlausible(const fs::path& path) {
+  return ProbeJournalHeader(path) == JournalHeader::kPlausible;
 }
 
 bool IsInternalArtifact(std::string_view rel_path) {

@@ -138,12 +138,25 @@ StatusOr<JournalContents> ReadJournal(const std::filesystem::path& path);
 /// transaction and a completed recovery. Missing is OK.
 Status RemoveJournal(const std::filesystem::path& path);
 
-/// True when the file at `path` plausibly is (the beginning of) a
-/// journal this code wrote: it starts with the full FSXJ1 magic, or is
-/// shorter than the magic and matches its prefix (a writer that died
-/// while creating the header). Recovery uses this to tell a crashed
-/// journal apart from a pre-existing user file that merely ends in
-/// ".fsx-journal" — the latter must never be deleted.
+/// What the header of a journal-named file says, read through
+/// CurrentVfs().
+enum class JournalHeader : uint8_t {
+  kMissing,     // no file at the path
+  /// Plausibly (the beginning of) a journal this code wrote: it starts
+  /// with the full FSXJ1 magic, or is shorter than the magic and matches
+  /// its prefix (a writer that died while creating the header).
+  kPlausible,
+  kForeign,     // the header was read and is not ours
+  /// The file exists but its header could not be read (EACCES, EIO, ...):
+  /// it may be a journal, so only recovery, which reports the typed
+  /// error, may decide.
+  kUnreadable,
+};
+JournalHeader ProbeJournalHeader(const std::filesystem::path& path);
+
+/// True when ProbeJournalHeader(path) is kPlausible. Recovery uses this
+/// to tell a crashed journal apart from a pre-existing user file that
+/// merely ends in ".fsx-journal" — the latter must never be deleted.
 bool JournalFilePlausible(const std::filesystem::path& path);
 
 /// True for fsstore/apply bookkeeping files that are never collection
