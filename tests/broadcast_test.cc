@@ -138,6 +138,28 @@ TEST(Broadcast, BadRequestRejected) {
   EXPECT_FALSE(MakeCastDelta(f_new, junk, config).ok());
 }
 
+TEST(Broadcast, RequestRangesThatWrapAreDataLoss) {
+  Rng rng(7);
+  Bytes f_new = SynthSourceFile(rng, 10000);
+  HashCastConfig config;
+  constexpr uint64_t kMax = ~uint64_t{0};
+  // Each request's gap or length wraps the position past 2^64: a huge
+  // gap, a huge length, and a gap that lands before the previous range.
+  const std::vector<std::vector<CastMap::Range>> requests = {
+      {{.begin = kMax, .length = 2}},
+      {{.begin = 1, .length = kMax}},
+      {{.begin = 10, .length = 10}, {.begin = 5, .length = 2}},
+  };
+  for (const auto& ranges : requests) {
+    CastMap map;
+    map.ranges = ranges;
+    auto delta = MakeCastDelta(f_new, EncodeCastRequest(map), config);
+    ASSERT_FALSE(delta.ok());
+    EXPECT_EQ(delta.status().code(), StatusCode::kDataLoss)
+        << delta.status().ToString();
+  }
+}
+
 class BroadcastFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BroadcastFuzz, AlwaysReconstructsOrFailsCleanly) {
