@@ -15,6 +15,7 @@
 #include "fsync/hash/tabled_adler.h"
 #include "fsync/reconcile/manifest.h"
 #include "fsync/store/fsstore.h"
+#include "fsync/store/journal.h"
 #include "fsync/testing/tree_corpus.h"
 #include "fsync/util/hex.h"
 #include "fsync/util/random.h"
@@ -130,6 +131,36 @@ TEST(Golden, ManifestFileIsStable) {
   Bytes manifest = SerializeManifest(BuildManifest(pair.new_tree));
   EXPECT_EQ(HexEncode(Md5::Hash(manifest)),
             "c50a520c517295b0d58df705479a86e0");
+}
+
+TEST(Golden, TreeJournalRecordsAreStable) {
+  // The tree journal's record payloads, one of each kind the tree apply
+  // writes: a journal left by one build must recover under another.
+  const Bytes content = ToBytes(kPangram);
+  const Fingerprint fp = FileFingerprint(content);
+  std::vector<store::JournalRecord> records(6);
+  records[0].type = store::JournalRecordType::kBegin;
+  records[1].type = store::JournalRecordType::kFileIntent;
+  records[1].op = store::FileOp::kWrite;
+  records[1].path = "dir/new.txt";
+  records[1].size = content.size();
+  records[1].fingerprint = fp;
+  records[2].type = store::JournalRecordType::kFileIntent;
+  records[2].op = store::FileOp::kDelete;
+  records[2].path = "gone.bin";
+  records[3].type = store::JournalRecordType::kFileIntent;
+  records[3].op = store::FileOp::kAdopt;
+  records[3].path = "moved/to.txt";
+  records[3].size = content.size();
+  records[3].fingerprint = fp;
+  records[3].from_path = "from.txt";
+  records[4].type = store::JournalRecordType::kCommit;
+  records[5].type = store::JournalRecordType::kAbort;
+  Md5 h;
+  for (const store::JournalRecord& r : records) {
+    h.Update(store::EncodeJournalRecord(r));
+  }
+  EXPECT_EQ(HexEncode(h.Finish()), "62dbb55b6c784f6d01295aeb67a888b9");
 }
 
 }  // namespace
