@@ -387,8 +387,7 @@ int RunSync(const std::string& src_dir, const std::string& dst_dir,
       std::fprintf(stderr, "recover: %s\n", rec.status().ToString().c_str());
       return kExitFailed;
     }
-    recovered_before_sync = rec->had_journal || rec->cleaned_temps > 0 ||
-                            rec->inplace_recovered > 0;
+    recovered_before_sync = rec->had_journal || rec->cleaned_temps > 0;
     if (recovered_before_sync) {
       std::fprintf(stderr,
                    "recover: resolved interrupted apply in %s "
@@ -594,20 +593,18 @@ int Recover(const std::string& dir) {
                  rec.status().ToString().c_str());
     return kExitFailed;
   }
-  if (!rec->had_journal && rec->cleaned_temps == 0 &&
-      rec->inplace_recovered == 0) {
+  if (!rec->had_journal && rec->cleaned_temps == 0) {
     std::printf("%s: clean (no interrupted apply)\n", dir.c_str());
     return kExitClean;
   }
   std::printf(
       "%s: recovered (%s journal, %llu file(s) rolled back, "
-      "%llu temp(s) cleaned, %llu in-place journal(s) resolved)\n",
+      "%llu temp(s) cleaned)\n",
       dir.c_str(),
       rec->had_journal ? (rec->was_committed ? "committed" : "uncommitted")
                        : "no",
       static_cast<unsigned long long>(rec->rolled_back_files),
-      static_cast<unsigned long long>(rec->cleaned_temps),
-      static_cast<unsigned long long>(rec->inplace_recovered));
+      static_cast<unsigned long long>(rec->cleaned_temps));
   return kExitRecovered;
 }
 

@@ -195,58 +195,6 @@ StatusOr<Bytes> RsyncClientApply(ByteSpan outdated, ByteSpan stream,
   return out;
 }
 
-StatusOr<CommandList> RsyncDecodeCommands(ByteSpan stream,
-                                          const RsyncParams& params,
-                                          uint64_t outdated_size) {
-  if (stream.empty()) {
-    return Status::DataLoss("rsync stream: empty");
-  }
-  Bytes decompressed;
-  ByteSpan body;
-  if (stream[0] == 1) {
-    FSYNC_ASSIGN_OR_RETURN(decompressed, Decompress(stream.subspan(1)));
-    body = decompressed;
-  } else if (stream[0] == 0) {
-    body = stream.subspan(1);
-  } else {
-    return Status::DataLoss("rsync stream: bad compression flag");
-  }
-
-  BitReader in(body);
-  CommandList out;
-  FSYNC_ASSIGN_OR_RETURN(out.new_size, in.ReadVarint());
-  if (out.new_size > (uint64_t{1} << 32)) {
-    return Status::DataLoss("rsync stream: implausible size");
-  }
-  const uint64_t b = params.block_size;
-  uint64_t pos = 0;
-  while (pos < out.new_size) {
-    FSYNC_ASSIGN_OR_RETURN(uint64_t tag, in.ReadVarint());
-    ReconstructCommand cmd;
-    cmd.target_offset = pos;
-    if (tag == kLiteralTag) {
-      FSYNC_ASSIGN_OR_RETURN(uint64_t len, in.ReadVarint());
-      if (pos + len > out.new_size) {
-        return Status::DataLoss("rsync stream: literal overruns");
-      }
-      FSYNC_ASSIGN_OR_RETURN(cmd.literal, in.ReadBytes(len));
-      cmd.kind = ReconstructCommand::kLiteral;
-      pos += len;
-    } else {
-      uint64_t idx = tag - 1;
-      if ((idx + 1) * b > outdated_size || pos + b > out.new_size) {
-        return Status::DataLoss("rsync stream: bad block reference");
-      }
-      cmd.kind = ReconstructCommand::kCopy;
-      cmd.source_offset = idx * b;
-      cmd.length = b;
-      pos += b;
-    }
-    out.commands.push_back(std::move(cmd));
-  }
-  return out;
-}
-
 StatusOr<RsyncResult> RsyncSynchronize(ByteSpan outdated, ByteSpan current,
                                        const RsyncParams& params,
                                        SimulatedChannel& channel,
@@ -317,82 +265,6 @@ StatusOr<RsyncResult> RsyncSynchronize(ByteSpan outdated, ByteSpan current,
     Fingerprint fb_fp = FileFingerprint(rebuilt);
     if (!std::equal(fb_fp.begin(), fb_fp.end(), want_fp.begin())) {
       return Status::DataLoss("rsync: fallback transfer mismatch");
-    }
-    result.fell_back_to_full_transfer = true;
-  }
-  result.reconstructed = std::move(rebuilt);
-  result.stats = channel.stats();
-  return result;
-}
-
-StatusOr<InplaceSyncResult> InplaceSynchronize(
-    ByteSpan outdated, ByteSpan current, const RsyncParams& params,
-    SimulatedChannel& channel, obs::SyncObserver* obs) {
-  using Dir = SimulatedChannel::Direction;
-  ObservedSession scope(channel, obs, "inplace");
-  InplaceSyncResult result;
-
-  // Wire flow is identical to RsyncSynchronize: fingerprint exchange,
-  // signatures, token stream. Only the client's apply step differs.
-  obs::SetPhase(obs, obs::Phase::kHandshake);
-  Fingerprint old_fp = FileFingerprint(outdated);
-  channel.Send(Dir::kClientToServer, ByteSpan(old_fp.data(), old_fp.size()));
-
-  Fingerprint new_fp = FileFingerprint(current);
-  FSYNC_ASSIGN_OR_RETURN(Bytes fp_msg, channel.Receive(Dir::kClientToServer));
-  bool unchanged = fp_msg.size() == new_fp.size() &&
-                   std::equal(new_fp.begin(), new_fp.end(), fp_msg.begin());
-  Bytes verdict = {static_cast<uint8_t>(unchanged ? 0 : 1)};
-  Append(verdict, ByteSpan(new_fp.data(), new_fp.size()));
-  channel.Send(Dir::kServerToClient, verdict);
-  FSYNC_ASSIGN_OR_RETURN(Bytes v, channel.Receive(Dir::kServerToClient));
-  if (v.size() < 17) {
-    return Status::DataLoss("inplace: short verdict message");
-  }
-  if (v.at(0) == 0) {
-    if (!std::equal(old_fp.begin(), old_fp.end(), v.begin() + 1)) {
-      return Status::DataLoss("inplace: unchanged verdict mismatch");
-    }
-    result.reconstructed.assign(outdated.begin(), outdated.end());
-    result.stats = channel.stats();
-    return result;
-  }
-
-  obs::SetPhase(obs, obs::Phase::kCandidates);
-  std::vector<BlockSignature> sigs = ComputeSignatures(outdated, params);
-  channel.Send(Dir::kClientToServer, EncodeSignatures(sigs, params));
-
-  FSYNC_ASSIGN_OR_RETURN(Bytes sig_msg, channel.Receive(Dir::kClientToServer));
-  FSYNC_ASSIGN_OR_RETURN(std::vector<BlockSignature> server_sigs,
-                         DecodeSignatures(sig_msg, params));
-  Bytes stream = RsyncServerEncode(current, server_sigs, params);
-  obs::SetPhase(obs, obs::Phase::kDelta);
-  channel.Send(Dir::kServerToClient, stream);
-
-  FSYNC_ASSIGN_OR_RETURN(Bytes stream_msg,
-                         channel.Receive(Dir::kServerToClient));
-  FSYNC_ASSIGN_OR_RETURN(
-      CommandList cmds,
-      RsyncDecodeCommands(stream_msg, params, outdated.size()));
-  FSYNC_ASSIGN_OR_RETURN(
-      InPlaceResult applied,
-      InPlaceReconstruct(outdated, std::move(cmds.commands), cmds.new_size));
-  result.promoted_literal_bytes = applied.promoted_literal_bytes;
-  result.promoted_commands = applied.promoted_commands;
-  Bytes rebuilt = std::move(applied.reconstructed);
-
-  ByteSpan want_fp = ByteSpan(v).subspan(1, 16);
-  Fingerprint got_fp = FileFingerprint(rebuilt);
-  if (!std::equal(got_fp.begin(), got_fp.end(), want_fp.begin())) {
-    obs::SetPhase(obs, obs::Phase::kFallback);
-    Bytes full = Compress(current);
-    channel.Send(Dir::kServerToClient, full);
-    FSYNC_ASSIGN_OR_RETURN(Bytes full_msg,
-                           channel.Receive(Dir::kServerToClient));
-    FSYNC_ASSIGN_OR_RETURN(rebuilt, Decompress(full_msg));
-    Fingerprint fb_fp = FileFingerprint(rebuilt);
-    if (!std::equal(fb_fp.begin(), fb_fp.end(), want_fp.begin())) {
-      return Status::DataLoss("inplace: fallback transfer mismatch");
     }
     result.fell_back_to_full_transfer = true;
   }

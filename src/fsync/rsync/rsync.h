@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "fsync/net/channel.h"
-#include "fsync/rsync/inplace.h"
 #include "fsync/util/bytes.h"
 #include "fsync/util/status.h"
 
@@ -63,20 +62,6 @@ Bytes RsyncServerEncode(ByteSpan current,
 StatusOr<Bytes> RsyncClientApply(ByteSpan outdated, ByteSpan stream,
                                  const RsyncParams& params);
 
-/// Decoded form of a server token stream: the literal/copy commands plus
-/// the size of the file they produce. Input to in-place reconstruction
-/// (fsync/rsync/inplace.h).
-struct CommandList {
-  std::vector<ReconstructCommand> commands;
-  uint64_t new_size = 0;
-};
-
-/// Parses a server token stream into an explicit command list (each block
-/// reference becomes a copy command with source/target offsets).
-StatusOr<CommandList> RsyncDecodeCommands(ByteSpan stream,
-                                          const RsyncParams& params,
-                                          uint64_t outdated_size);
-
 /// Result of a full rsync session.
 struct RsyncResult {
   Bytes reconstructed;
@@ -91,26 +76,6 @@ StatusOr<RsyncResult> RsyncSynchronize(ByteSpan outdated, ByteSpan current,
                                        const RsyncParams& params,
                                        SimulatedChannel& channel,
                                        obs::SyncObserver* obs = nullptr);
-
-/// Result of an in-place rsync session.
-struct InplaceSyncResult {
-  Bytes reconstructed;
-  TrafficStats stats;
-  /// Copy bytes promoted to literals to break dependency cycles (the
-  /// extra traffic a cooperating in-place server would have sent).
-  uint64_t promoted_literal_bytes = 0;
-  uint64_t promoted_commands = 0;
-  bool fell_back_to_full_transfer = false;
-};
-
-/// Runs the rsync wire protocol but reconstructs on the client via the
-/// in-place executor (fsync/rsync/inplace.h): the token stream is decoded
-/// into an explicit command list and applied inside a single buffer, as a
-/// constrained-memory receiver would. Wire traffic matches
-/// RsyncSynchronize; reconstruction and verification differ.
-StatusOr<InplaceSyncResult> InplaceSynchronize(
-    ByteSpan outdated, ByteSpan current, const RsyncParams& params,
-    SimulatedChannel& channel, obs::SyncObserver* obs = nullptr);
 
 /// "Idealized rsync": runs RsyncSynchronize for each candidate block size
 /// and returns the cheapest session (the per-file oracle the paper compares

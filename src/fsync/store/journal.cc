@@ -1,6 +1,5 @@
 #include "fsync/store/journal.h"
 
-#include <cerrno>
 #include <cstring>
 #include <utility>
 
@@ -30,11 +29,6 @@ void PutU64(Bytes& out, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<uint8_t>((v >> (8 * i)) & 0xFF));
   }
-}
-
-void PutBytes(Bytes& out, ByteSpan data) {
-  PutU64(out, data.size());
-  out.insert(out.end(), data.begin(), data.end());
 }
 
 void PutString(Bytes& out, const std::string& s) {
@@ -80,13 +74,6 @@ class Cursor {
     pos_ += n;
     return true;
   }
-  bool TakeBytes(Bytes* out) {
-    uint64_t len = 0;
-    if (!TakeU64(&len) || len > data_.size() - pos_) return false;
-    out->assign(data_.begin() + pos_, data_.begin() + pos_ + len);
-    pos_ += len;
-    return true;
-  }
   bool TakeString(std::string* out) {
     uint64_t len = 0;
     if (!TakeU64(&len) || len > data_.size() - pos_) return false;
@@ -108,8 +95,10 @@ Bytes EncodeJournalRecord(const JournalRecord& r) {
   PutU8(out, static_cast<uint8_t>(r.type));
   switch (r.type) {
     case JournalRecordType::kBegin:
-      PutU8(out, static_cast<uint8_t>(r.mode));
-      PutU64(out, r.old_size);
+      // Two retired fields, an apply mode and an old file size, stay in
+      // the format as zeros.
+      PutU8(out, 0);
+      PutU64(out, 0);
       break;
     case JournalRecordType::kFileIntent:
       PutU8(out, static_cast<uint8_t>(r.op));
@@ -119,10 +108,6 @@ Bytes EncodeJournalRecord(const JournalRecord& r) {
       if (r.op == FileOp::kAdopt) {
         PutString(out, r.from_path);
       }
-      break;
-    case JournalRecordType::kBlockMove:
-      PutU64(out, r.target_offset);
-      PutBytes(out, r.undo);
       break;
     case JournalRecordType::kCommit:
     case JournalRecordType::kAbort:
@@ -141,11 +126,10 @@ StatusOr<JournalRecord> DecodeJournalRecord(ByteSpan payload) {
   r.type = static_cast<JournalRecordType>(type);
   switch (r.type) {
     case JournalRecordType::kBegin: {
-      uint8_t mode = 0;
-      if (!cur.TakeU8(&mode) || mode > 1 || !cur.TakeU64(&r.old_size)) {
+      uint8_t retired[9];
+      if (!cur.TakeFixed(retired, sizeof(retired))) {
         return Status::DataLoss("journal record: bad BEGIN");
       }
-      r.mode = static_cast<ApplyMode>(mode);
       break;
     }
     case JournalRecordType::kFileIntent: {
@@ -161,11 +145,6 @@ StatusOr<JournalRecord> DecodeJournalRecord(ByteSpan payload) {
       }
       break;
     }
-    case JournalRecordType::kBlockMove:
-      if (!cur.TakeU64(&r.target_offset) || !cur.TakeBytes(&r.undo)) {
-        return Status::DataLoss("journal record: bad BLOCK-MOVE");
-      }
-      break;
     case JournalRecordType::kCommit:
     case JournalRecordType::kAbort:
       break;
@@ -292,40 +271,9 @@ StatusOr<JournalContents> ReadJournal(const fs::path& path) {
 
 Status RemoveJournal(const fs::path& path) { return RemoveDurable(path); }
 
-JournalHeader ProbeJournalHeader(const fs::path& path) {
-  auto file = CurrentVfs().Open(path, OpenMode::kRead);
-  if (!file.ok()) {
-    return file.status().code() == StatusCode::kNotFound
-               ? JournalHeader::kMissing
-               : JournalHeader::kUnreadable;
-  }
-  char head[kMagicLen];
-  size_t got = 0;
-  while (got < kMagicLen) {
-    StatusOr<size_t> n = (*file)->Read(head + got, kMagicLen - got);
-    if (!n.ok()) {
-      return JournalHeader::kUnreadable;
-    }
-    if (*n == 0) {
-      break;
-    }
-    got += *n;
-  }
-  // A full header must match exactly; a shorter file is plausible only
-  // as a torn prefix of the magic (including the empty file a crash at
-  // creation leaves behind).
-  return std::memcmp(head, kMagic, got) == 0 ? JournalHeader::kPlausible
-                                             : JournalHeader::kForeign;
-}
-
-bool JournalFilePlausible(const fs::path& path) {
-  return ProbeJournalHeader(path) == JournalHeader::kPlausible;
-}
-
 bool IsInternalArtifact(std::string_view rel_path) {
   // Basename-level check: artifacts can live in subdirectories (a staged
-  // temp sits next to its target file; an in-place journal next to its
-  // target).
+  // temp sits next to its target file).
   size_t slash = rel_path.find_last_of('/');
   std::string_view base =
       slash == std::string_view::npos ? rel_path : rel_path.substr(slash + 1);

@@ -1,11 +1,10 @@
 // Write-ahead intent journal for the crash-safe apply path. A tree
-// apply (ApplyTransaction) and an in-place file apply both append
-// intent records to a journal *before* mutating the tree, with an
-// fsync barrier between the append and the mutation; a trailing COMMIT
-// record marks the transaction durable. Recovery (apply.h) reads the
-// journal back and either rolls forward (COMMIT present: only cleanup
-// remains) or rolls back (no COMMIT: discard staged temp files,
-// restore in-place undo images) to a state where every file is
+// apply (ApplyTransaction) appends intent records to the journal
+// *before* mutating the tree, with an fsync barrier between the append
+// and the mutation; a trailing COMMIT record marks the transaction
+// durable. Recovery (apply.h) reads the journal back and either rolls
+// forward (COMMIT present: only cleanup remains) or rolls back (no
+// COMMIT: discard staged temp files) to a state where every file is
 // bit-exactly old or new.
 //
 // On-disk format: a 6-byte magic header "FSXJ1\n" followed by framed
@@ -37,21 +36,20 @@ namespace fsx::store {
 class VfsFile;
 
 /// Name of the tree-level journal at the root of a managed tree, and
-/// the suffix of staged temp files awaiting their commit rename. An
-/// in-place file apply journals to `<file><kJournalSuffix>`.
+/// the suffix of staged temp files awaiting their commit rename. Names
+/// ending in kJournalSuffix stay reserved (IsInternalArtifact): older
+/// builds wrote per-file journals under it.
 inline constexpr char kJournalName[] = ".fsx-journal";
 inline constexpr char kJournalSuffix[] = ".fsx-journal";
 inline constexpr char kTempSuffix[] = ".fsx-tmp";
 
 enum class JournalRecordType : uint8_t {
-  kBegin = 1,       // transaction start (mode + in-place old size)
+  kBegin = 1,       // transaction start
   kFileIntent = 2,  // one file about to be renamed into place / deleted
-  kBlockMove = 3,   // in-place: undo image of the next block move
   kCommit = 4,      // all mutations durable; only cleanup remains
   kAbort = 5,       // transaction abandoned deliberately
 };
 
-enum class ApplyMode : uint8_t { kTree = 0, kInPlace = 1 };
 enum class FileOp : uint8_t {
   kWrite = 0,
   kDelete = 1,
@@ -63,18 +61,12 @@ enum class FileOp : uint8_t {
 /// the fields of the active `type` are meaningful).
 struct JournalRecord {
   JournalRecordType type = JournalRecordType::kBegin;
-  // kBegin
-  ApplyMode mode = ApplyMode::kTree;
-  uint64_t old_size = 0;  // in-place: size to truncate back to on rollback
   // kFileIntent
   FileOp op = FileOp::kWrite;
   std::string path;          // tree-relative path ('/'-separated)
   uint64_t size = 0;         // staged content size (kWrite/kAdopt)
   Fingerprint fingerprint{};  // staged content fingerprint (kWrite/kAdopt)
   std::string from_path;  // adoption source, tree-relative (kAdopt only)
-  // kBlockMove (undo image)
-  uint64_t target_offset = 0;
-  Bytes undo;  // bytes the move is about to overwrite
 
   friend bool operator==(const JournalRecord&,
                          const JournalRecord&) = default;
@@ -138,32 +130,12 @@ StatusOr<JournalContents> ReadJournal(const std::filesystem::path& path);
 /// transaction and a completed recovery. Missing is OK.
 Status RemoveJournal(const std::filesystem::path& path);
 
-/// What the header of a journal-named file says, read through
-/// CurrentVfs().
-enum class JournalHeader : uint8_t {
-  kMissing,     // no file at the path
-  /// Plausibly (the beginning of) a journal this code wrote: it starts
-  /// with the full FSXJ1 magic, or is shorter than the magic and matches
-  /// its prefix (a writer that died while creating the header).
-  kPlausible,
-  kForeign,     // the header was read and is not ours
-  /// The file exists but its header could not be read (EACCES, EIO, ...):
-  /// it may be a journal, so only recovery, which reports the typed
-  /// error, may decide.
-  kUnreadable,
-};
-JournalHeader ProbeJournalHeader(const std::filesystem::path& path);
-
-/// True when ProbeJournalHeader(path) is kPlausible. Recovery uses this
-/// to tell a crashed journal apart from a pre-existing user file that
-/// merely ends in ".fsx-journal" — the latter must never be deleted.
-bool JournalFilePlausible(const std::filesystem::path& path);
-
 /// True for fsstore/apply bookkeeping files that are never collection
-/// content: the manifest, the stat index (tree_index.h), tree and
-/// in-place journals, and staged `*.fsx-tmp` files. LoadTree skips them,
-/// delete_extra must not delete them, the apply and the daemon client
-/// refuse them as names, and recovery cleans the temps.
+/// content: the manifest, the stat index (tree_index.h), the tree
+/// journal and any other `*.fsx-journal` name, and staged `*.fsx-tmp`
+/// files. LoadTree skips them, delete_extra must not delete them, the
+/// apply and the daemon client refuse them as names, and recovery
+/// cleans the temps.
 bool IsInternalArtifact(std::string_view rel_path);
 
 }  // namespace fsx::store

@@ -19,16 +19,10 @@ const char* VfsOpName(VfsOp op) {
       return "open";
     case VfsOp::kRead:
       return "read";
-    case VfsOp::kPread:
-      return "pread";
     case VfsOp::kWrite:
       return "write";
-    case VfsOp::kPwrite:
-      return "pwrite";
     case VfsOp::kFsync:
       return "fsync";
-    case VfsOp::kTruncate:
-      return "ftruncate";
     case VfsOp::kRename:
       return "rename";
     case VfsOp::kUnlink:
@@ -65,18 +59,6 @@ class RealVfsFile : public VfsFile {
     }
   }
 
-  StatusOr<size_t> Pread(uint64_t offset, void* buf, size_t n) override {
-    for (;;) {
-      ssize_t r = ::pread(fd_, buf, n, static_cast<off_t>(offset));
-      if (r >= 0) {
-        return static_cast<size_t>(r);
-      }
-      if (errno != EINTR) {
-        return ErrnoToStatus(errno, "pread " + path_.string());
-      }
-    }
-  }
-
   StatusOr<size_t> Write(const void* buf, size_t n) override {
     for (;;) {
       ssize_t w = ::write(fd_, buf, n);
@@ -85,19 +67,6 @@ class RealVfsFile : public VfsFile {
       }
       if (errno != EINTR) {
         return ErrnoToStatus(errno, "write " + path_.string());
-      }
-    }
-  }
-
-  StatusOr<size_t> Pwrite(uint64_t offset, const void* buf,
-                          size_t n) override {
-    for (;;) {
-      ssize_t w = ::pwrite(fd_, buf, n, static_cast<off_t>(offset));
-      if (w >= 0) {
-        return static_cast<size_t>(w);
-      }
-      if (errno != EINTR) {
-        return ErrnoToStatus(errno, "pwrite " + path_.string());
       }
     }
   }
@@ -113,13 +82,6 @@ class RealVfsFile : public VfsFile {
         return Status::DataLoss(s.message());
       }
       return s;
-    }
-    return Status::Ok();
-  }
-
-  Status Truncate(uint64_t size) override {
-    if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
-      return ErrnoToStatus(errno, "ftruncate " + path_.string());
     }
     return Status::Ok();
   }
@@ -151,9 +113,6 @@ class RealVfs : public Vfs {
         break;
       case OpenMode::kTruncate:
         flags = O_WRONLY | O_CREAT | O_TRUNC;
-        break;
-      case OpenMode::kReadWrite:
-        flags = O_RDWR;
         break;
     }
     int fd = ::open(path.c_str(), flags, 0644);

@@ -45,33 +45,12 @@ class FaultVfsFile : public VfsFile {
     return inner_->Read(buf, n);
   }
 
-  StatusOr<size_t> Pread(uint64_t offset, void* buf, size_t n) override {
-    FaultVfs::Verdict v = owner_->Check(VfsOp::kPread, path_, 0);
-    if (!v.status.ok()) {
-      return v.status;
-    }
-    return inner_->Pread(offset, buf, n);
-  }
-
   StatusOr<size_t> Write(const void* buf, size_t n) override {
     FaultVfs::Verdict v = owner_->Check(VfsOp::kWrite, path_, n);
     if (!v.status.ok()) {
       return v.status;
     }
     StatusOr<size_t> w = inner_->Write(buf, n);
-    if (w.ok()) {
-      owner_->RecordWrite(path_, *w);
-    }
-    return w;
-  }
-
-  StatusOr<size_t> Pwrite(uint64_t offset, const void* buf,
-                          size_t n) override {
-    FaultVfs::Verdict v = owner_->Check(VfsOp::kPwrite, path_, n);
-    if (!v.status.ok()) {
-      return v.status;
-    }
-    StatusOr<size_t> w = inner_->Pwrite(offset, buf, n);
     if (w.ok()) {
       owner_->RecordWrite(path_, *w);
     }
@@ -101,14 +80,6 @@ class FaultVfsFile : public VfsFile {
       RefreshSnapshot();
     }
     return s;
-  }
-
-  Status Truncate(uint64_t size) override {
-    FaultVfs::Verdict v = owner_->Check(VfsOp::kTruncate, path_, 0);
-    if (!v.status.ok()) {
-      return v.status;
-    }
-    return inner_->Truncate(size);
   }
 
   Status Close() override { return inner_->Close(); }
@@ -211,7 +182,7 @@ FaultVfs::Verdict FaultVfs::Check(VfsOp op, const fs::path& path,
       continue;
     }
     if (rule.enospc_after_bytes != kNoByteBudget &&
-        (VfsOpBit(op) & kWriteOpsMask) != 0 &&
+        op == VfsOp::kWrite &&
         rs.bytes_written + write_bytes > rule.enospc_after_bytes) {
       ++faults_injected_;
       GlobalVfsCounters().faults_injected.fetch_add(

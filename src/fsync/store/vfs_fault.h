@@ -51,8 +51,6 @@ struct DiskFaultRule {
 inline constexpr uint64_t VfsOpBit(VfsOp op) {
   return uint64_t{1} << static_cast<int>(op);
 }
-inline constexpr uint64_t kWriteOpsMask =
-    VfsOpBit(VfsOp::kWrite) | VfsOpBit(VfsOp::kPwrite);
 
 class FaultVfs : public Vfs {
  public:

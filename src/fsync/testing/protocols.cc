@@ -28,21 +28,6 @@ StatusOr<ProtocolOutcome> RunRsync(int num_threads, ByteSpan f_old,
   return out;
 }
 
-StatusOr<ProtocolOutcome> RunInplace(int num_threads, ByteSpan f_old,
-                                     ByteSpan f_new, SimulatedChannel& channel,
-                                     obs::SyncObserver* obs) {
-  RsyncParams params;
-  params.num_threads = num_threads;
-  FSYNC_ASSIGN_OR_RETURN(
-      InplaceSyncResult r,
-      InplaceSynchronize(f_old, f_new, params, channel, obs));
-  ProtocolOutcome out;
-  out.reconstructed = std::move(r.reconstructed);
-  out.stats = r.stats;
-  out.fell_back = r.fell_back_to_full_transfer;
-  return out;
-}
-
 StatusOr<ProtocolOutcome> RunZsync(int num_threads, ByteSpan f_old,
                                    ByteSpan f_new, SimulatedChannel& channel,
                                    obs::SyncObserver* obs) {
@@ -132,7 +117,6 @@ std::vector<ProtocolEntry> MakeProtocols(int num_threads) {
   };
   return {
       {"rsync", bind(RunRsync)},
-      {"inplace", bind(RunInplace)},
       {"zsync", bind(RunZsync)},
       {"cdc", bind(RunCdc)},
       {"multiround", bind(RunMultiround)},

@@ -36,9 +36,9 @@ struct ProtocolEntry {
   ProtocolFn run;
 };
 
-/// The conformance registry: rsync, in-place rsync, zsync, CDC,
-/// multiround, and the paper's full session protocol, each with its
-/// library-default parameters.
+/// The conformance registry: rsync, zsync, CDC, multiround, and the
+/// paper's full session protocol, each with its library-default
+/// parameters.
 const std::vector<ProtocolEntry>& ConformanceProtocols();
 
 /// The same registry with every protocol's `num_threads` execution knob

@@ -1,6 +1,5 @@
 // Durable-apply behavior without crashes: transaction happy paths,
-// concurrent-modification conflicts, recovery no-ops, and the journaled
-// in-place file apply (including promotion accounting).
+// concurrent-modification conflicts, and recovery no-ops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include "fsync/store/journal.h"
 #include "fsync/store/vfs.h"
 #include "fsync/store/vfs_fault.h"
-#include "fsync/util/random.h"
 
 namespace fsx::store {
 namespace {
@@ -359,13 +357,11 @@ TEST_F(ApplyTest, EveryRootSpellingNamesTheSameFiles) {
       ASSERT_TRUE(w.ok());
       JournalRecord begin;
       begin.type = JournalRecordType::kBegin;
-      begin.mode = ApplyMode::kTree;
       ASSERT_TRUE(w->Append(begin).ok());
     }
     auto rec = RecoverTree(root);
     ASSERT_TRUE(rec.ok()) << rec.status().ToString();
     EXPECT_TRUE(rec->had_journal);
-    EXPECT_EQ(rec->foreign_journals, 1u);
     EXPECT_EQ(CommittedManifest(dir), want);
     EXPECT_EQ(FileBytes(dir / "dir/notes.fsx-journal"),
               ToBytes("not a journal, but journal-named"));
@@ -416,7 +412,6 @@ TEST_F(ApplyTest, RecoverTreeToleratesSymlinksInTree) {
     ASSERT_TRUE(w.ok());
     JournalRecord begin;
     begin.type = JournalRecordType::kBegin;
-    begin.mode = ApplyMode::kTree;
     ASSERT_TRUE(w->Append(begin).ok());
   }
 
@@ -440,135 +435,87 @@ TEST_F(ApplyTest, RecoveryLeavesForeignJournalSuffixedFilesAlone) {
   // treat it as a crashed journal and delete it.
   WriteRaw("notes.fsx-journal", "my notes, definitely not a journal");
 
-  auto file_rec =
-      RecoverInPlaceFile((fs::path(root_) / "notes").string());
-  ASSERT_TRUE(file_rec.ok()) << file_rec.status().ToString();
-  EXPECT_TRUE(file_rec->foreign);
-  EXPECT_FALSE(file_rec->had_journal);
-
   auto rec = RecoverTree(root_);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-  EXPECT_EQ(rec->foreign_journals, 1u);
   EXPECT_EQ(FileBytes(fs::path(root_) / "notes.fsx-journal"),
             ToBytes("my notes, definitely not a journal"));
 }
 
-TEST_F(ApplyTest, RecoveryClearsJournalThatDiedAtCreation) {
-  Collection files = SampleFiles();
-  ASSERT_TRUE(ApplyTree(root_, files, Manifest{}).ok());
-  // A journal torn mid-header (a magic prefix) really is ours: no
-  // intent ever landed, so recovery just removes it.
-  WriteRaw("a.txt.fsx-journal", "FSX");
-
-  auto rec = RecoverTree(root_);
-  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-  EXPECT_EQ(rec->inplace_recovered, 1u);
-  EXPECT_EQ(rec->foreign_journals, 0u);
-  EXPECT_FALSE(fs::exists(fs::path(root_) / "a.txt.fsx-journal"));
-  EXPECT_EQ(FileBytes(fs::path(root_) / "a.txt"), ToBytes("alpha"));
-}
-
-// Passes every call to the real file system and records the name of
-// each file it opens.
+// Passes every call to `base` and records the name of each file it
+// opens.
 class OpenRecordingVfs : public Vfs {
  public:
+  explicit OpenRecordingVfs(Vfs& base) : base_(base) {}
+
   StatusOr<std::unique_ptr<VfsFile>> Open(const fs::path& path,
                                           OpenMode mode) override {
     opened.push_back(path.filename().string());
-    return RealVfsInstance().Open(path, mode);
+    return base_.Open(path, mode);
   }
   Status Rename(const fs::path& from, const fs::path& to) override {
-    return RealVfsInstance().Rename(from, to);
+    return base_.Rename(from, to);
   }
   StatusOr<bool> Unlink(const fs::path& path) override {
-    return RealVfsInstance().Unlink(path);
+    return base_.Unlink(path);
   }
-  Status Mkdir(const fs::path& path) override {
-    return RealVfsInstance().Mkdir(path);
-  }
+  Status Mkdir(const fs::path& path) override { return base_.Mkdir(path); }
   Status FsyncPath(const fs::path& path) override {
-    return RealVfsInstance().FsyncPath(path);
+    return base_.FsyncPath(path);
   }
 
   std::vector<std::string> opened;
+
+ private:
+  Vfs& base_;
 };
 
+// No apply writes a per-file journal, so a journal-named file is never
+// debris: whatever it holds, and however opening it would fail, the
+// apply's walk does not open it and nothing recovers it.
 TEST_F(ApplyTest, ForeignJournalMakesNoRecoveryPass) {
   Collection files = SampleFiles();
   ASSERT_TRUE(ApplyTree(root_, files, Manifest{}).ok());
-  WriteRaw("dir/notes.fsx-journal", "not a journal, but journal-named");
-
-  // The apply's walk opens the file once to read its header, sees that
-  // it is not a journal, and recovers nothing; a recovery pass would
-  // open it a second time to read it as one.
-  OpenRecordingVfs vfs;
-  {
-    ScopedVfs scoped(&vfs);
-    auto report = ApplyTree(root_, files, BuildManifest(files));
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_FALSE(report->recovered);
-    EXPECT_EQ(report->files_unchanged, files.size());
+  const std::string name = "a.txt.fsx-journal";
+  const fs::path path = fs::path(root_) / name;
+  const fs::perms rw = fs::perms::owner_read | fs::perms::owner_write;
+  struct Input {
+    const char* label;
+    std::string content;
+    bool eio_on_open;
+    fs::perms perms;
+  };
+  const std::vector<Input> inputs = {
+      {"foreign text", "not a journal, but journal-named", false, rw},
+      {"torn journal magic", "FSX", false, rw},
+      {"sticky EIO on open", "nobody can read it", true, rw},
+      {"mode 000", "nobody can read it", false, fs::perms::none},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.label);
+    WriteRaw(name, in.content);
+    fs::permissions(path, in.perms);
+    FaultVfs fault;
+    if (in.eio_on_open) {
+      fault.AddRule({.path_pattern = name,
+                     .op_mask = VfsOpBit(VfsOp::kOpen),
+                     .fail_at_op = 0,
+                     .fail_errno = EIO,
+                     .sticky = true});
+    }
+    OpenRecordingVfs vfs(fault);
+    {
+      ScopedVfs scoped(&vfs);
+      auto report = ApplyTree(root_, files, BuildManifest(files));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_FALSE(report->recovered);
+      EXPECT_EQ(report->files_unchanged, files.size());
+    }
+    fs::permissions(path, rw);
+    EXPECT_FALSE(vfs.opened.empty());  // the apply's own journal
+    EXPECT_EQ(std::count(vfs.opened.begin(), vfs.opened.end(), name), 0);
+    EXPECT_EQ(fault.faults_injected(), 0u);
+    EXPECT_EQ(FileBytes(path), ToBytes(in.content));
   }
-  EXPECT_FALSE(vfs.opened.empty());  // the apply's own journal
-  EXPECT_EQ(std::count(vfs.opened.begin(), vfs.opened.end(),
-                       "notes.fsx-journal"),
-            1);
-  EXPECT_EQ(FileBytes(fs::path(root_) / "dir/notes.fsx-journal"),
-            ToBytes("not a journal, but journal-named"));
-
-  // A journal torn mid-header could be ours: the next apply recovers it.
-  WriteRaw("a.txt.fsx-journal", "FSX");
-  auto report = ApplyTree(root_, files, BuildManifest(files));
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->recovered);
-  EXPECT_FALSE(fs::exists(fs::path(root_) / "a.txt.fsx-journal"));
-}
-
-TEST_F(ApplyTest, UnreadableJournalNamedFileFailsTheApply) {
-  Collection files = SampleFiles();
-  ASSERT_TRUE(ApplyTree(root_, files, Manifest{}).ok());
-  WriteRaw("a.txt.fsx-journal", "could be ours: nobody can read it");
-
-  // A journal whose header cannot be read may hold undo images: the
-  // apply must not commit over its file, but report the typed error.
-  FaultVfs vfs;
-  vfs.AddRule({.path_pattern = "a.txt.fsx-journal",
-               .op_mask = VfsOpBit(VfsOp::kOpen),
-               .fail_at_op = 0,
-               .fail_errno = EIO,
-               .sticky = true});
-  {
-    ScopedVfs scoped(&vfs);
-    auto report = ApplyTree(root_, files, BuildManifest(files));
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.status().code(), StatusCode::kUnavailable)
-        << report.status().ToString();
-  }
-  EXPECT_GE(vfs.faults_injected(), 2u);  // the walk's probe and recovery
-  EXPECT_EQ(FileBytes(fs::path(root_) / "a.txt.fsx-journal"),
-            ToBytes("could be ours: nobody can read it"));
-
-  // Readable again, the file is seen to be foreign and left alone.
-  auto report = ApplyTree(root_, files, BuildManifest(files));
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_FALSE(report->recovered);
-}
-
-TEST_F(ApplyTest, PermissionDeniedJournalNamedFileFailsTheApply) {
-  if (::geteuid() == 0) {
-    GTEST_SKIP() << "root reads a mode-000 file";
-  }
-  Collection files = SampleFiles();
-  ASSERT_TRUE(ApplyTree(root_, files, Manifest{}).ok());
-  WriteRaw("a.txt.fsx-journal", "could be ours: nobody can read it");
-  fs::path jp = fs::path(root_) / "a.txt.fsx-journal";
-  fs::permissions(jp, fs::perms::none);
-
-  auto report = ApplyTree(root_, files, BuildManifest(files));
-  fs::permissions(jp, fs::perms::owner_read | fs::perms::owner_write);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition)
-      << report.status().ToString();
 }
 
 TEST_F(ApplyTest, ApplyRejectsUnsafeAndReservedPaths) {
@@ -591,153 +538,6 @@ TEST_F(ApplyTest, TransactionLifecycleIsEnforced) {
   EXPECT_EQ(txn.Begin().code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(txn.Commit().ok());
   EXPECT_EQ(txn.Commit().code(), StatusCode::kFailedPrecondition);
-}
-
-// ---------------------------------------------------------------------------
-// In-place file apply
-// ---------------------------------------------------------------------------
-
-ReconstructCommand Copy(uint64_t src, uint64_t len, uint64_t dst) {
-  ReconstructCommand c;
-  c.kind = ReconstructCommand::kCopy;
-  c.source_offset = src;
-  c.length = len;
-  c.target_offset = dst;
-  return c;
-}
-
-ReconstructCommand Lit(const std::string& s, uint64_t dst) {
-  ReconstructCommand c;
-  c.kind = ReconstructCommand::kLiteral;
-  c.literal = ToBytes(s);
-  c.target_offset = dst;
-  return c;
-}
-
-TEST_F(ApplyTest, InPlaceApplyRewritesFileOnDisk) {
-  WriteRaw("f.bin", "AAAABBBB");
-  fs::path p = fs::path(root_) / "f.bin";
-  // New file: "BBBBAAAAxyz" — the two halves swap (a dependency cycle,
-  // so one side gets promoted) plus a fresh literal tail.
-  std::vector<ReconstructCommand> cmds = {
-      Copy(4, 4, 0), Copy(0, 4, 4), Lit("xyz", 8)};
-  obs::SyncObserver obs;
-  auto r = InPlaceApplyFile(p.string(), cmds, 11, nullptr, &obs);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(FileBytes(p), ToBytes("BBBBAAAAxyz"));
-  EXPECT_GT(r->steps_executed, 0u);
-  EXPECT_EQ(r->promoted_commands, 1u);  // cycle of two 4-byte copies
-  EXPECT_EQ(r->promoted_literal_bytes, 4u);
-  EXPECT_FALSE(fs::exists(p.string() + ".fsx-journal"));
-  EXPECT_EQ(obs.event_count(obs::Event::kJournalCommit), 1u);
-}
-
-TEST_F(ApplyTest, InPlaceApplyShrinksAndGrows) {
-  WriteRaw("f.bin", "0123456789");
-  fs::path p = fs::path(root_) / "f.bin";
-  // Shrink: keep the middle four bytes.
-  auto r = InPlaceApplyFile(p.string(), {Copy(3, 4, 0)}, 4);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(FileBytes(p), ToBytes("3456"));
-  // Grow: double it with a literal suffix.
-  auto r2 =
-      InPlaceApplyFile(p.string(), {Copy(0, 4, 0), Lit("grow", 4)}, 8);
-  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  EXPECT_EQ(FileBytes(p), ToBytes("3456grow"));
-}
-
-TEST_F(ApplyTest, InPlaceApplyChecksExpectedFingerprint) {
-  WriteRaw("f.bin", "AAAABBBB");
-  fs::path p = fs::path(root_) / "f.bin";
-  Fingerprint wrong = FileFingerprint(ToBytes("something else"));
-  obs::SyncObserver obs;
-  auto r = InPlaceApplyFile(p.string(), {Copy(0, 8, 0)}, 8, &wrong, &obs);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kAborted);
-  EXPECT_EQ(FileBytes(p), ToBytes("AAAABBBB"));  // untouched
-  EXPECT_EQ(obs.event_count(obs::Event::kConflictDetected), 1u);
-
-  Fingerprint right = FileFingerprint(ToBytes("AAAABBBB"));
-  auto r2 = InPlaceApplyFile(p.string(), {Copy(4, 4, 0)}, 4, &right, &obs);
-  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  EXPECT_EQ(FileBytes(p), ToBytes("BBBB"));
-}
-
-TEST_F(ApplyTest, InPlaceApplyRequiresExistingFile) {
-  fs::path p = fs::path(root_) / "missing.bin";
-  fs::create_directories(root_);
-  auto r = InPlaceApplyFile(p.string(), {Lit("new", 0)}, 3);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(ApplyTest, RecoverInPlaceFileIsANoOpWithoutJournal) {
-  WriteRaw("f.bin", "stable");
-  fs::path p = fs::path(root_) / "f.bin";
-  auto r = RecoverInPlaceFile(p.string());
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->had_journal);
-  EXPECT_EQ(FileBytes(p), ToBytes("stable"));
-}
-
-TEST_F(ApplyTest, RecoverInPlaceRollsBackUncommittedJournal) {
-  WriteRaw("f.bin", "AAAABBBB");
-  fs::path p = fs::path(root_) / "f.bin";
-  fs::path jp = fs::path(p.string() + ".fsx-journal");
-
-  // Hand-craft a crashed half-apply: BEGIN + one undo image, then the
-  // block move itself executed, but no COMMIT.
-  {
-    auto w = JournalWriter::Create(jp);
-    ASSERT_TRUE(w.ok());
-    JournalRecord begin;
-    begin.type = JournalRecordType::kBegin;
-    begin.mode = ApplyMode::kInPlace;
-    begin.old_size = 8;
-    ASSERT_TRUE(w->Append(begin).ok());
-    JournalRecord move;
-    move.type = JournalRecordType::kBlockMove;
-    move.target_offset = 0;
-    move.undo = ToBytes("AAAA");
-    ASSERT_TRUE(w->Append(move).ok());
-  }
-  WriteRaw("f.bin", "BBBBBBBB");  // the executed (uncommitted) move
-
-  obs::SyncObserver obs;
-  auto r = RecoverInPlaceFile(p.string(), &obs);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r->had_journal);
-  EXPECT_TRUE(r->rolled_back);
-  EXPECT_FALSE(r->completed);
-  EXPECT_EQ(FileBytes(p), ToBytes("AAAABBBB"));  // bit-exact old
-  EXPECT_FALSE(fs::exists(jp));
-  EXPECT_EQ(obs.event_count(obs::Event::kRecovery), 1u);
-  EXPECT_EQ(obs.event_count(obs::Event::kRolledBackFile), 1u);
-}
-
-TEST_F(ApplyTest, RecoverInPlaceRemovesCommittedJournal) {
-  WriteRaw("f.bin", "new content");
-  fs::path p = fs::path(root_) / "f.bin";
-  fs::path jp = fs::path(p.string() + ".fsx-journal");
-  {
-    auto w = JournalWriter::Create(jp);
-    ASSERT_TRUE(w.ok());
-    JournalRecord begin;
-    begin.type = JournalRecordType::kBegin;
-    begin.mode = ApplyMode::kInPlace;
-    begin.old_size = 3;
-    ASSERT_TRUE(w->Append(begin).ok());
-    JournalRecord commit;
-    commit.type = JournalRecordType::kCommit;
-    ASSERT_TRUE(w->Append(commit).ok());
-  }
-  auto r = RecoverInPlaceFile(p.string());
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->had_journal);
-  EXPECT_TRUE(r->completed);
-  EXPECT_FALSE(r->rolled_back);
-  EXPECT_EQ(FileBytes(p), ToBytes("new content"));  // kept, not rolled back
-  EXPECT_FALSE(fs::exists(jp));
 }
 
 }  // namespace

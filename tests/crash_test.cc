@@ -2,9 +2,9 @@
 // re-runs the operation under test in a forked child that _exit()s at
 // the n-th crash point (every fsync/rename/journal-append boundary),
 // for every n the operation fires, then asserts the recovery contract:
-// after RecoverTree / RecoverInPlaceFile, every file is bit-exactly its
-// old or new version, no journal or staged temp survives, and re-running
-// the apply converges to the target tree. The tree sweep runs once more
+// after RecoverTree, every file is bit-exactly its old or new version,
+// no journal or staged temp survives, and re-running the apply
+// converges to the target tree. The tree sweep runs once more
 // from a warm stat index (`.fsx-index`): its rewrite after COMMIT is the
 // apply's last kill point, and whatever index a kill leaves must not
 // change what the next apply decides.
@@ -281,182 +281,6 @@ TEST_F(TreeCrashTest, CrashDuringRecoveryStillRecovers) {
     auto final_disk = LoadTree(root_);
     ASSERT_TRUE(final_disk.ok()) << ctx;
     EXPECT_EQ(*final_disk, NewTree()) << ctx;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// In-place apply sweep
-// ---------------------------------------------------------------------------
-
-class InPlaceCrashTest : public CrashTest {
- protected:
-  void SetUp() override {
-    CrashTest::SetUp();
-    fs::create_directories(root_);
-    path_ = (fs::path(root_) / "target.bin").string();
-    ConfigurePlan();
-    auto want = InPlaceReconstruct(old_content_, commands_, new_size_);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    new_content_ = want->reconstructed;
-    ASSERT_NE(new_content_, old_content_);
-  }
-
-  /// The plan under test; subclasses swap in other shapes (shrink).
-  virtual void ConfigurePlan() {
-    old_content_ = ToBytes("0123456789abcdefABCDEF");
-    // Swap the two 8-byte halves (a dependency cycle: one side gets
-    // promoted to a literal) and append fresh bytes — every interesting
-    // plan shape in one small file.
-    commands_ = {CopyCmd(8, 8, 0), CopyCmd(0, 8, 8), LitCmd("+tail+", 16)};
-    new_size_ = 22;
-  }
-
-  static ReconstructCommand CopyCmd(uint64_t src, uint64_t len,
-                                    uint64_t dst) {
-    ReconstructCommand c;
-    c.kind = ReconstructCommand::kCopy;
-    c.source_offset = src;
-    c.length = len;
-    c.target_offset = dst;
-    return c;
-  }
-  static ReconstructCommand LitCmd(const std::string& s, uint64_t dst) {
-    ReconstructCommand c;
-    c.kind = ReconstructCommand::kLiteral;
-    c.literal = ToBytes(s);
-    c.target_offset = dst;
-    return c;
-  }
-
-  void ResetFile() {
-    fs::remove(fs::path(path_));
-    fs::remove(fs::path(path_ + ".fsx-journal"));
-    std::ofstream out(path_, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(old_content_.data()),
-              static_cast<std::streamsize>(old_content_.size()));
-  }
-
-  bool RunApply() {
-    return InPlaceApplyFile(path_, commands_, new_size_).ok();
-  }
-
-  /// Kills the apply at every crash point it fires and asserts the
-  /// recovery contract: bit-exactly old or new, no surviving journal,
-  /// and convergence on re-apply.
-  void SweepEveryKillPoint() {
-    ResetFile();
-    uint64_t total =
-        fsx::testing::CountCrashPoints([&] { return RunApply(); });
-    ASSERT_GT(total, 0u);
-
-    for (int64_t n = 0; n < static_cast<int64_t>(total); ++n) {
-      std::string ctx = "kill-point " + std::to_string(n);
-      ResetFile();
-      CrashRunResult run = RunWithCrashAt(n, [&] { return RunApply(); });
-      ASSERT_EQ(run.outcome, CrashRunResult::Outcome::kCrashed)
-          << ctx << ": " << run.error;
-
-      obs::SyncObserver obs;
-      auto rec = RecoverInPlaceFile(path_, &obs);
-      ASSERT_TRUE(rec.ok()) << ctx << ": " << rec.status().ToString();
-      Bytes disk = FileBytes(path_);
-      bool is_old = disk == old_content_;
-      bool is_new = disk == new_content_;
-      EXPECT_TRUE(is_old || is_new) << ctx << ": torn file after recovery";
-      EXPECT_FALSE(fs::exists(path_ + ".fsx-journal")) << ctx;
-      if (rec->had_journal) {
-        EXPECT_EQ(obs.event_count(obs::Event::kRecovery), 1u) << ctx;
-      }
-      if (rec->rolled_back) {
-        EXPECT_TRUE(is_old) << ctx << ": rollback did not restore old bytes";
-      }
-
-      // Converge: a rolled-back file re-applies from scratch; a
-      // completed one is already the target.
-      if (is_old) {
-        auto again = InPlaceApplyFile(path_, commands_, new_size_);
-        ASSERT_TRUE(again.ok()) << ctx << ": " << again.status().ToString();
-      }
-      EXPECT_EQ(FileBytes(path_), new_content_) << ctx;
-    }
-  }
-
-  std::string path_;
-  Bytes old_content_;
-  Bytes new_content_;
-  std::vector<ReconstructCommand> commands_;
-  uint64_t new_size_ = 0;
-};
-
-TEST_F(InPlaceCrashTest, EveryKillPointRollsBackOrCompletes) {
-  SweepEveryKillPoint();
-}
-
-// A shrinking plan: the final Truncate(new_size) discards tail bytes no
-// block move journaled, so rollback depends on the pre-truncate tail
-// undo record. Old "AAAABBBB" -> new "BBBB"; a crash between the shrink
-// and COMMIT must recover to exactly "AAAABBBB", never "AAAA\0\0\0\0".
-class InPlaceShrinkCrashTest : public InPlaceCrashTest {
- protected:
-  void ConfigurePlan() override {
-    old_content_ = ToBytes("AAAABBBB");
-    commands_ = {CopyCmd(4, 4, 0)};
-    new_size_ = 4;
-  }
-};
-
-TEST_F(InPlaceShrinkCrashTest, EveryKillPointRollsBackOrCompletes) {
-  SweepEveryKillPoint();
-}
-
-// Shrink whose copy sources live in the doomed tail: rollback must
-// restore [new_size, old_size) bit-exactly or the re-apply after a
-// rolled-back crash has nothing to copy from.
-class InPlaceShrinkFromTailCrashTest : public InPlaceCrashTest {
- protected:
-  void ConfigurePlan() override {
-    old_content_ = ToBytes("0123456789abcdef");
-    commands_ = {CopyCmd(10, 6, 0), LitCmd("zz", 6)};
-    new_size_ = 8;
-  }
-};
-
-TEST_F(InPlaceShrinkFromTailCrashTest, EveryKillPointRollsBackOrCompletes) {
-  SweepEveryKillPoint();
-}
-
-TEST_F(InPlaceCrashTest, CrashDuringRollbackIsIdempotent) {
-  ResetFile();
-  uint64_t total = fsx::testing::CountCrashPoints([&] { return RunApply(); });
-  ASSERT_GT(total, 4u);
-  // Die deep in the apply so the journal holds several undo images.
-  const int64_t apply_kill = static_cast<int64_t>(total) - 5;
-
-  auto crash_apply = [&] {
-    ResetFile();
-    CrashRunResult run =
-        RunWithCrashAt(apply_kill, [&] { return RunApply(); });
-    ASSERT_EQ(run.outcome, CrashRunResult::Outcome::kCrashed) << run.error;
-  };
-
-  crash_apply();
-  uint64_t rollback_points = fsx::testing::CountCrashPoints(
-      [&] { return RecoverInPlaceFile(path_).ok(); });
-
-  for (int64_t m = 0; m < static_cast<int64_t>(rollback_points); ++m) {
-    std::string ctx = "rollback kill-point " + std::to_string(m);
-    crash_apply();
-    CrashRunResult run =
-        RunWithCrashAt(m, [&] { return RecoverInPlaceFile(path_).ok(); });
-    ASSERT_EQ(run.outcome, CrashRunResult::Outcome::kCrashed)
-        << ctx << ": " << run.error;
-
-    auto rec = RecoverInPlaceFile(path_);
-    ASSERT_TRUE(rec.ok()) << ctx << ": " << rec.status().ToString();
-    Bytes disk = FileBytes(path_);
-    EXPECT_TRUE(disk == old_content_ || disk == new_content_)
-        << ctx << ": torn file after re-recovery";
-    EXPECT_FALSE(fs::exists(path_ + ".fsx-journal")) << ctx;
   }
 }
 

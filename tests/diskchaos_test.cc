@@ -341,73 +341,6 @@ TEST_F(DiskChaosTest, RecoverySurvivesEioAtEveryOp) {
 }
 
 // ---------------------------------------------------------------------------
-// In-place apply sweep
-// ---------------------------------------------------------------------------
-
-TEST_F(DiskChaosTest, InPlaceApplySurvivesEioAtEveryOp) {
-  Bytes old_content = ToBytes(
-      "0123456789abcdefghijklmnopqrstuvwxyz0123456789abcdefghijklmnop");
-  Bytes new_content = ToBytes("zyxw0123456789abcdefghijklmnopqrstuv");
-
-  fs::path target = fs::path(root_) / "inplace.bin";
-  auto reset = [&] {
-    fs::remove_all(root_);
-    fs::create_directories(root_);
-    std::ofstream(target, std::ios::binary)
-        .write(reinterpret_cast<const char*>(old_content.data()),
-               static_cast<std::streamsize>(old_content.size()));
-  };
-  auto plan = [&] {
-    // One literal plus one backward-overlapping copy exercises read,
-    // write, truncate, and both journal appends.
-    std::vector<ReconstructCommand> cmds;
-    ReconstructCommand lit;
-    lit.kind = ReconstructCommand::kLiteral;
-    lit.target_offset = 0;
-    lit.literal = ToBytes("zyxw");
-    cmds.push_back(lit);
-    ReconstructCommand cp;
-    cp.kind = ReconstructCommand::kCopy;
-    cp.target_offset = 4;
-    cp.source_offset = 0;
-    cp.length = new_content.size() - 4;
-    cmds.push_back(cp);
-    return cmds;
-  };
-  auto run = [&] {
-    return InPlaceApplyFile(target.string(), plan(), new_content.size())
-        .ok();
-  };
-
-  reset();
-  uint64_t total = CountDiskOps(run);
-  ASSERT_GT(total, 0u) << "in-place apply performed no vfs ops";
-
-  for (int64_t n = 0; n < static_cast<int64_t>(total); ++n) {
-    std::string ctx = "in-place fault at op " + std::to_string(n);
-    reset();
-    DiskFaultRun r = RunWithDiskFaultAt(n, EIO, run);
-    ASSERT_GT(r.faults_injected, 0u) << ctx;
-
-    // Recovery must leave the bit-exact old file (rollback) or the new
-    // one (the fault hit at/after the commit record) — never torn.
-    auto rec = RecoverInPlaceFile(target.string());
-    ASSERT_TRUE(rec.ok()) << ctx << ": " << rec.status().ToString();
-    Bytes now = FileBytes(target);
-    EXPECT_TRUE(now == old_content || now == new_content)
-        << ctx << ": torn in-place file";
-    EXPECT_FALSE(fs::exists(target.string() + kJournalSuffix)) << ctx;
-
-    // The in-place plan is only valid against the old content; re-apply
-    // (and check convergence) only when the rollback restored it.
-    if (now == old_content) {
-      ASSERT_TRUE(run()) << ctx;
-      EXPECT_EQ(ToString(FileBytes(target)), ToString(new_content)) << ctx;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // ENOSPC budget: abort and roll back, never half-apply
 // ---------------------------------------------------------------------------
 

@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "fsync/store/journal.h"
-#include "fsync/util/random.h"
 
 namespace fsx::store {
 namespace {
@@ -30,11 +29,9 @@ class JournalTest : public ::testing::Test {
   fs::path path_;
 };
 
-JournalRecord BeginRecord(ApplyMode mode, uint64_t old_size) {
+JournalRecord BeginRecord() {
   JournalRecord r;
   r.type = JournalRecordType::kBegin;
-  r.mode = mode;
-  r.old_size = old_size;
   return r;
 }
 
@@ -51,14 +48,6 @@ JournalRecord IntentRecord(FileOp op, const std::string& path,
   return r;
 }
 
-JournalRecord MoveRecord(uint64_t offset, Bytes undo) {
-  JournalRecord r;
-  r.type = JournalRecordType::kBlockMove;
-  r.target_offset = offset;
-  r.undo = std::move(undo);
-  return r;
-}
-
 JournalRecord BareRecord(JournalRecordType type) {
   JournalRecord r;
   r.type = type;
@@ -66,14 +55,10 @@ JournalRecord BareRecord(JournalRecordType type) {
 }
 
 TEST_F(JournalTest, EncodeDecodeRoundTripsEveryType) {
-  Rng rng(7);
   std::vector<JournalRecord> records = {
-      BeginRecord(ApplyMode::kTree, 0),
-      BeginRecord(ApplyMode::kInPlace, 123456789),
+      BeginRecord(),
       IntentRecord(FileOp::kWrite, "dir/file.txt", 42),
       IntentRecord(FileOp::kDelete, "gone.bin", 0),
-      MoveRecord(8192, rng.RandomBytes(300)),
-      MoveRecord(0, Bytes{}),
       BareRecord(JournalRecordType::kCommit),
       BareRecord(JournalRecordType::kAbort),
   };
@@ -99,7 +84,7 @@ TEST_F(JournalTest, DecodeRejectsTruncatedAndTrailing) {
 
 TEST_F(JournalTest, WriteReadRoundTrip) {
   std::vector<JournalRecord> records = {
-      BeginRecord(ApplyMode::kTree, 0),
+      BeginRecord(),
       IntentRecord(FileOp::kWrite, "a.txt", 100),
       IntentRecord(FileOp::kDelete, "b.txt", 0),
       BareRecord(JournalRecordType::kCommit),
@@ -139,7 +124,7 @@ TEST_F(JournalTest, BadMagicIsDataLoss) {
 
 TEST_F(JournalTest, TornTailIsToleratedAtEveryCut) {
   std::vector<JournalRecord> records = {
-      BeginRecord(ApplyMode::kTree, 0),
+      BeginRecord(),
       IntentRecord(FileOp::kWrite, "a.txt", 100),
       BareRecord(JournalRecordType::kCommit),
   };
@@ -191,7 +176,7 @@ TEST_F(JournalTest, CorruptedRecordStopsTheReader) {
   {
     auto writer = JournalWriter::Create(path_);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->Append(BeginRecord(ApplyMode::kTree, 0)).ok());
+    ASSERT_TRUE(writer->Append(BeginRecord()).ok());
     ASSERT_TRUE(
         writer->Append(IntentRecord(FileOp::kWrite, "a.txt", 100)).ok());
   }
@@ -221,7 +206,7 @@ TEST_F(JournalTest, HugeDeclaredFrameLengthIsATornTailNotARead) {
   {
     auto writer = JournalWriter::Create(path_);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->Append(BeginRecord(ApplyMode::kTree, 0)).ok());
+    ASSERT_TRUE(writer->Append(BeginRecord()).ok());
   }
   {
     std::ofstream out(path_, std::ios::binary | std::ios::app);
@@ -237,20 +222,6 @@ TEST_F(JournalTest, HugeDeclaredFrameLengthIsATornTailNotARead) {
   EXPECT_EQ(r->records[0].type, JournalRecordType::kBegin);
   EXPECT_TRUE(r->torn_tail);
   EXPECT_FALSE(r->committed);
-}
-
-TEST_F(JournalTest, JournalFilePlausibleMatchesOnlyMagicPrefixes) {
-  EXPECT_FALSE(JournalFilePlausible(path_));  // missing
-  for (const char* ours : {"", "F", "FSX", "FSXJ1\n",
-                           "FSXJ1\nplus arbitrary records"}) {
-    std::ofstream(path_, std::ios::binary | std::ios::trunc) << ours;
-    EXPECT_TRUE(JournalFilePlausible(path_)) << "content: " << ours;
-  }
-  for (const char* foreign :
-       {"G", "my notes", "FSXJ2\n", "fsxj1\n", "GARBAGE LONGER THAN MAGIC"}) {
-    std::ofstream(path_, std::ios::binary | std::ios::trunc) << foreign;
-    EXPECT_FALSE(JournalFilePlausible(path_)) << "content: " << foreign;
-  }
 }
 
 TEST_F(JournalTest, RemoveJournalIsIdempotent) {

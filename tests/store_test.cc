@@ -259,7 +259,7 @@ TEST_F(StoreTest, InternalArtifactsExcludedFromLoadAndMirroring) {
   Collection files = SampleCollection(11);
   Seed(files);
   // Simulate debris from an interrupted apply: a staged temp (for a
-  // file not in this collection) and an in-place journal next to real
+  // file not in this collection) and a journal-named file next to real
   // content.
   std::ofstream(fs::path(root_) / "ghost.txt.fsx-tmp") << "staged";
   std::ofstream(fs::path(root_) / "dir/b.txt.fsx-journal") << "journal";
