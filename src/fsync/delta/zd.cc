@@ -441,8 +441,12 @@ StatusOr<Bytes> ZdDecode(ByteSpan reference, ByteSpan delta) {
   auto addr_dec_or = HuffmanDecoder::Build(addr_len);
   auto dist_dec_or = HuffmanDecoder::Build(dist_len);
 
+  // `target_size` is the peer's number: reserve no more than the
+  // reference plus eight bytes per delta byte, and let a larger target
+  // grow as its output arrives.
   Bytes out;
-  out.reserve(target_size);
+  out.reserve(std::min<uint64_t>(target_size,
+                                 reference.size() + 8 * delta.size()));
   uint64_t exp_ref = 0;
   const uint32_t min_match = ZdParams{}.min_match;
 

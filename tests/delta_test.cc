@@ -2,6 +2,10 @@
 
 #include <vector>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "fsync/compress/codec.h"
 #include "fsync/core/endpoint.h"
 #include "fsync/delta/delta.h"
@@ -9,6 +13,7 @@
 #include "fsync/delta/suffix_array.h"
 #include "fsync/delta/vcdiff.h"
 #include "fsync/delta/zd.h"
+#include "fsync/util/bit_io.h"
 #include "fsync/util/random.h"
 #include "fsync/workload/edits.h"
 #include "fsync/workload/text_synth.h"
@@ -105,6 +110,60 @@ TEST(Zd, TruncatedDeltaFailsCleanly) {
       EXPECT_NE(*r, p.target);  // at minimum it must not silently succeed
     }
   }
+}
+
+// ASan and TSan reserve terabytes of shadow address space, which an
+// address-space limit forbids.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FSX_SHADOW_MEMORY 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FSX_SHADOW_MEMORY 1
+#endif
+#endif
+
+TEST(Zd, HugeDeclaredTargetIsDataLossInBoundedMemory) {
+#ifdef FSX_SHADOW_MEMORY
+  GTEST_SKIP() << "an address-space limit cannot run under ASan or TSan";
+#endif
+  Rng rng(12);
+  Bytes f = SynthSourceFile(rng, 100000);
+  auto delta = ZdEncode(f, f);
+  ASSERT_TRUE(delta.ok());
+  // Rewrite the leading target-size varint to declare 2^32 bytes, the
+  // largest size the decoder's plausibility check admits.
+  BitReader in(*delta);
+  ASSERT_TRUE(in.ReadVarint().ok());
+  const size_t varint_bytes = delta->size() - in.bits_remaining() / 8;
+  BitWriter head;
+  head.WriteVarint(uint64_t{1} << 32);
+  Bytes hostile = head.Finish();
+  hostile.insert(hostile.end(), delta->begin() + varint_bytes, delta->end());
+
+  // Decode in a child limited to 512 MB of address space, a limit on
+  // this test's own process: it must return DataLoss, not throw
+  // bad_alloc or crash.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const rlimit limit{512u << 20, 512u << 20};
+    if (::setrlimit(RLIMIT_AS, &limit) != 0) {
+      ::_exit(3);
+    }
+    int code = 4;
+    try {
+      auto r = ZdDecode(f, hostile);
+      code = r.ok() ? 1 : r.status().code() == StatusCode::kDataLoss ? 0 : 2;
+    } catch (...) {
+    }
+    ::_exit(code);
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus)) << "child died by signal "
+                                  << WTERMSIG(wstatus);
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0)
+      << "1: decoded; 2: not DataLoss; 3: setrlimit failed; 4: threw";
 }
 
 TEST(Zd, BinaryContent) {
