@@ -41,7 +41,7 @@ uint64_t BestOf(int reps, const std::function<uint64_t()>& run) {
   uint64_t best = ~uint64_t{0};
   for (int r = 0; r < reps; ++r) {
     bench::WallTimer t;
-    g_sink += run();
+    g_sink = g_sink + run();
     uint64_t ns = t.Ns();
     best = ns < best ? ns : best;
   }

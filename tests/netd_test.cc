@@ -1070,7 +1070,10 @@ void ExpectClientRejectsLeaf(const std::string& evil) {
     }
   });
 
-  const std::string ckpt_dir = ::testing::TempDir() + "/fsx-netd-hostile";
+  // One directory per process: ctest runs each test in its own process,
+  // in parallel, and the tests that call this must not share it.
+  const std::string ckpt_dir = ::testing::TempDir() + "/fsx-netd-hostile-" +
+                               std::to_string(::getpid());
   std::filesystem::remove_all(ckpt_dir);
   std::filesystem::create_directories(ckpt_dir);
   ClientOptions opts;
@@ -1087,8 +1090,8 @@ void ExpectClientRejectsLeaf(const std::string& evil) {
 }
 
 TEST(Daemon, ClientRejectsHostileManifest) {
-  // A path outside the tree, a staged temp, and an in-place journal in a
-  // subdirectory (which the next recovery would replay over `sub/b`).
+  // A path outside the tree, a staged temp, and a journal-named file in
+  // a subdirectory (every `*.fsx-journal` name stays reserved).
   for (const char* evil :
        {"../../etc/passwd", "a.fsx-tmp", "sub/b.fsx-journal"}) {
     SCOPED_TRACE(evil);
