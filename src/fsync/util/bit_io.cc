@@ -100,7 +100,9 @@ StatusOr<uint64_t> BitReader::ReadVarint() {
 }
 
 StatusOr<Bytes> BitReader::ReadBytes(size_t n) {
-  if (n * 8 > bits_remaining()) {
+  // `n` is often a peer's number: `n * 8` could wrap to a small count
+  // and let `reserve(n)` throw.
+  if (n > bits_remaining() / 8) {
     return Status::OutOfRange("ReadBytes: past end of stream");
   }
   Bytes out;

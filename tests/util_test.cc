@@ -144,6 +144,10 @@ TEST(BitIo, ReadPastEndFails) {
   EXPECT_TRUE(r.ReadBits(8).ok());
   EXPECT_FALSE(r.ReadBits(1).ok());
   EXPECT_EQ(r.ReadBits(1).status().code(), StatusCode::kOutOfRange);
+  // A byte count whose bit count wraps 64 bits is past the end too.
+  BitReader big(buf);
+  EXPECT_EQ(big.ReadBytes((size_t{1} << 61) + 1).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(BitIo, BitCountTracksExactly) {
