@@ -998,11 +998,14 @@ Status SyncClientEndpoint::ReadDelta(BitReader& in) {
     }
     // Keep the mismatched reconstruction: most of it is usually correct,
     // and the degradation ladder (MakeRepairRequest) can patch just the
-    // bad regions instead of re-fetching the whole file. Sized to the
-    // announced length so the region layout matches the server's.
-    if (config_.repair.enabled) {
+    // bad regions instead of re-fetching the whole file. Only one of the
+    // announced length has the server's region layout; an honest
+    // server's decode always has it (ZdDecode checks the length), and
+    // any other goes to the full transfer, so the announced size never
+    // sizes a buffer.
+    if (config_.repair.enabled &&
+        target_or->size() == ledger_->new_size()) {
       repair_candidate_ = std::move(*target_or);
-      repair_candidate_->resize(ledger_->new_size());
     }
   }
   needs_fallback_ = true;
