@@ -49,7 +49,7 @@ int Run(bench::JsonReport& report) {
     auto plan = PlanFromControl(f_old, *control);
     if (!plan.ok()) return 1;
     Bytes zreq = EncodeRangeRequest(*plan);
-    auto zdata = ServeRanges(latest, zreq, zp);
+    auto zdata = ServeRanges(latest, zreq);
     if (!zdata.ok()) return 1;
     auto zout = ApplyZsync(f_old, *plan, *zdata);
     if (!zout.ok() || *zout != latest) {

@@ -1,6 +1,6 @@
 // GB/s-per-core sweep over the sync hot paths, scalar vs hardware
 // dispatch: CRC32C (slice-by-4 vs SSE4.2/ARMv8 three-stream), the
-// rolling weak-hash scan loop (tabled Adler vs GEAR), batched strong-
+// rolling weak-hash scan loop (tabled Adler), batched strong-
 // hash verification (scalar MD5 vs the 4-lane and, with AVX-512, the
 // 16-lane kernel), whole-file fingerprints over a 20k-file tree (scalar
 // vs the lane-refill batch at either width), and the two
@@ -15,13 +15,11 @@
 //   - batched whole-file fingerprints >= 1.0x scalar (the same bar);
 //   - 16-lane whole-file fingerprints >= 1.5x the 4-lane kernel (only on
 //     machines with the AVX-512 tier, and not under FSX_FORCE_SCALAR);
-//   - GEAR scan >= 1.3x the Adler scan (the config-gated fast weak
-//     hash, which is where the e2e client-scan speedup comes from);
 //   - e2e client scan under HW dispatch >= 0.9x scalar (neutrality
 //     smoke: the weak/strong hashes there never touch CRC32C, so the
 //     dispatch layer must be invisible modulo timer noise).
 // The gates over like-for-like kernels whose ratio sits near its bar
-// (GEAR, both md5-files gates, e2e client scan) time the two sides
+// (both md5-files gates, e2e client scan) time the two sides
 // against each other (see TimePaired): host load that slows both sides
 // leaves them in place.
 #include <algorithm>
@@ -38,7 +36,6 @@
 #include "bench/bench_util.h"
 #include "fsync/hash/crc32c.h"
 #include "fsync/hash/fingerprint.h"
-#include "fsync/hash/gear.h"
 #include "fsync/hash/md5.h"
 #include "fsync/hash/md5_batch.h"
 #include "fsync/hash/tabled_adler.h"
@@ -164,31 +161,22 @@ PairedRows TimePaired(Row a, const CpuNsA& cpu_ns_a, Row b,
 // verify call bumps a hit count that reaches the sink, so the scan has
 // an observable effect: with the window step inlined, a verify with no
 // side effect lets the compiler delete the whole loop. ----
-template <typename Hash>
-uint64_t ScanCpuNs(ByteSpan buf, uint64_t block_size) {
-  std::vector<uint32_t> keys = {0xFFFFFFFFu};  // 32-bit key: ~no hits
-  std::vector<uint64_t> pos;
-  uint64_t hits = 0;
-  const uint64_t start = ThreadCpuNs();
-  ScanForKeys<Hash>(
-      buf, block_size, 32, keys,
-      [&hits](size_t, uint64_t) {
-        ++hits;
-        return false;
-      },
-      pos);
-  const uint64_t ns = ThreadCpuNs() - start;
-  g_sink = g_sink + pos[0] + hits;
-  return ns;
-}
-
-// scan-adler and scan-gear, timed against each other.
-PairedRows BenchScans(ByteSpan buf, uint64_t block_size) {
-  return TimePaired(
-      Row{"scan-adler", "scalar", buf.size(), 0},
-      [&] { return ScanCpuNs<AdlerScanHash>(buf, block_size); },
-      Row{"scan-gear", "scalar", buf.size(), 0},
-      [&] { return ScanCpuNs<GearScanHash>(buf, block_size); });
+Row BenchScan(ByteSpan buf, uint64_t block_size) {
+  Row row{"scan-adler", "scalar", buf.size(), 0};
+  row.ns = BestOf([&] {
+    std::vector<uint32_t> keys = {0xFFFFFFFFu};  // 32-bit key: ~no hits
+    std::vector<uint64_t> pos;
+    uint64_t hits = 0;
+    ScanForKeys(
+        buf, block_size, 32, keys,
+        [&hits](size_t, uint64_t) {
+          ++hits;
+          return false;
+        },
+        pos);
+    return pos[0] + hits;
+  });
+  return row;
 }
 
 // ---- The MD5 kernels: scalar Md5 one message at a time, or the batch
@@ -320,17 +308,14 @@ PairedRows BenchClientScans(ByteSpan outdated, ByteSpan control,
       [&] { return ClientScanCpuNs(outdated, control, hw); });
 }
 
-// ---- Full multiround session, Adler vs GEAR weak hash: the one knob
-// that changes e2e client-scan bandwidth (both runs reconstruct the
-// identical file; only the weak-hash wire values differ). ----
-Row BenchMultiround(ByteSpan outdated, ByteSpan current, bool use_gear) {
-  MultiroundParams params;
-  params.use_gear = use_gear;
-  Row row{"e2e-multiround", use_gear ? "gear" : "adler", outdated.size(),
-          0};
+// ---- Full multiround session: per-round hashing, the client's rolling
+// scans and the literal stream end to end. ----
+Row BenchMultiround(ByteSpan outdated, ByteSpan current) {
+  Row row{"e2e-multiround", "adler", outdated.size(), 0};
   row.ns = BestOf([&] {
     SimulatedChannel channel;
-    auto r = MultiroundSynchronize(outdated, current, params, channel);
+    auto r = MultiroundSynchronize(outdated, current, MultiroundParams{},
+                                   channel);
     return r.ok() ? r.value().reconstructed.size() : 0;
   });
   return row;
@@ -376,9 +361,7 @@ int Main(int argc, char** argv) {
   for (simd::DispatchTier tier : simd::AvailableTiers()) {
     add(BenchCrc(buf, tier));
   }
-  const PairedRows scans = BenchScans(buf, 2048);
-  add(scans.a);
-  add(scans.b);
+  add(BenchScan(buf, 2048));
   const bool batch16 = HasBatch16();
   add(BenchVerify(buf, 2048, Md5Kernel::kScalar));
   add(BenchVerify(buf, 2048, Md5Kernel::kBatch4));
@@ -433,8 +416,7 @@ int Main(int argc, char** argv) {
     }
     client_scan_speedup = client.speedup;
   }
-  add(BenchMultiround(shifted, buf, /*use_gear=*/false));
-  add(BenchMultiround(shifted, buf, /*use_gear=*/true));
+  add(BenchMultiround(shifted, buf));
 
   int rc = report.Write();
   if (check && rc == 0) {
@@ -454,7 +436,6 @@ int Main(int argc, char** argv) {
       std::printf("check: no hardware tier on this machine; CRC/e2e "
                   "dispatch gates skipped\n");
     }
-    gate("scan gear vs adler", scans.speedup, 1.3);
     gate("md5 batch4 vs scalar",
          rate_of("md5-verify", "batch4") / rate_of("md5-verify", "scalar"),
          1.0);

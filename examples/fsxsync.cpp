@@ -725,12 +725,11 @@ int Serve(int argc, char** argv) {
   std::signal(SIGTERM, ServeSignalHandler);
   std::signal(SIGINT, ServeSignalHandler);
   if (options.unix_path.empty()) {
-    std::printf("serving %s on %s:%u (%s backend)\n", dir.c_str(),
-                options.host.c_str(), static_cast<unsigned>(daemon.port()),
-                daemon.poller_name());
+    std::printf("serving %s on %s:%u\n", dir.c_str(), options.host.c_str(),
+                static_cast<unsigned>(daemon.port()));
   } else {
-    std::printf("serving %s on unix:%s (%s backend)\n", dir.c_str(),
-                options.unix_path.c_str(), daemon.poller_name());
+    std::printf("serving %s on unix:%s\n", dir.c_str(),
+                options.unix_path.c_str());
   }
   std::fflush(stdout);
   daemon.Join();  // returns when a signal-triggered drain completes

@@ -137,10 +137,9 @@ StatusOr<CdcSyncResult> CdcSynchronize(ByteSpan outdated, ByteSpan current,
         Append(missing, current.subspan(chunks[i].offset, chunks[i].size));
       }
     }
-    Bytes payload =
-        params.compress_missing ? Compress(missing) : missing;
+    Bytes payload = Compress(missing);
     BitWriter msg;
-    msg.WriteBit(params.compress_missing);
+    msg.WriteBit(true);  // "compressed": the only mode sent
     msg.WriteVarint(payload.size());
     msg.WriteBytes(payload);
     obs::SetPhase(obs, obs::Phase::kLiterals);
@@ -154,12 +153,10 @@ StatusOr<CdcSyncResult> CdcSynchronize(ByteSpan outdated, ByteSpan current,
   FSYNC_ASSIGN_OR_RETURN(bool compressed, data_in.ReadBit());
   FSYNC_ASSIGN_OR_RETURN(uint64_t payload_len, data_in.ReadVarint());
   FSYNC_ASSIGN_OR_RETURN(Bytes payload, data_in.ReadBytes(payload_len));
-  Bytes missing;
-  if (compressed) {
-    FSYNC_ASSIGN_OR_RETURN(missing, Decompress(payload));
-  } else {
-    missing = std::move(payload);
+  if (!compressed) {
+    return Status::DataLoss("cdc: uncompressed missing chunks");
   }
+  FSYNC_ASSIGN_OR_RETURN(Bytes missing, Decompress(payload));
 
   Bytes rebuilt;
   size_t miss_pos = 0;

@@ -19,8 +19,6 @@ struct CdcSyncParams {
   CdcParams chunking;
   /// Bytes of the per-chunk strong hash announced by the server.
   uint32_t hash_bytes = 6;
-  /// Compress the missing-chunk payload.
-  bool compress_missing = true;
   /// Worker threads for chunk hashing on both sides (1 = serial).
   /// Execution knob only: wire traffic is bit-identical for any value.
   int num_threads = 1;

@@ -171,7 +171,7 @@ Status DecodeTokenBlock(BitReader& in, Bytes& out) {
 
 }  // namespace compress_internal
 
-Bytes Compress(ByteSpan data, const Lz77Params& params) {
+Bytes Compress(ByteSpan data) {
   using compress_internal::EncodeTokenBlock;
 
   BitWriter out;
@@ -186,7 +186,7 @@ Bytes Compress(ByteSpan data, const Lz77Params& params) {
   // may still reach across block boundaries: the decoder's output buffer
   // is continuous.
   constexpr size_t kTokensPerBlock = 1 << 16;
-  std::vector<Lz77Token> tokens = Lz77Tokenize(data, params);
+  std::vector<Lz77Token> tokens = Lz77Tokenize(data);
   BitWriter body;
   for (size_t start = 0; start < tokens.size();
        start += kTokensPerBlock) {

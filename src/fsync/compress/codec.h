@@ -14,7 +14,7 @@ namespace fsx {
 
 /// Compresses `data`. Falls back to stored mode when compression does not
 /// help, so output is never much larger than the input (+ small header).
-Bytes Compress(ByteSpan data, const Lz77Params& params = {});
+Bytes Compress(ByteSpan data);
 
 /// Decompresses a buffer produced by Compress().
 StatusOr<Bytes> Decompress(ByteSpan compressed);

@@ -10,6 +10,14 @@ namespace {
 constexpr uint32_t kHashBits = 15;
 constexpr uint32_t kHashSize = 1u << kHashBits;
 
+// The window and the match lengths are the limits of the codec's
+// DEFLATE distance and length code tables.
+constexpr uint32_t kWindowSize = 32768;  // max back-reference distance
+constexpr uint32_t kMinMatch = 3;
+constexpr uint32_t kMaxMatch = 258;
+constexpr uint32_t kMaxChain = 128;   // hash-chain probes per position
+constexpr uint32_t kGoodLength = 32;  // stop lazy evaluation above this
+
 inline uint32_t HashAt(const uint8_t* p) {
   // Multiplicative hash of a 3-byte prefix.
   uint32_t v = static_cast<uint32_t>(p[0]) |
@@ -29,12 +37,12 @@ inline uint32_t MatchLength(const uint8_t* a, const uint8_t* b,
 
 }  // namespace
 
-std::vector<Lz77Token> Lz77Tokenize(ByteSpan data, const Lz77Params& params) {
+std::vector<Lz77Token> Lz77Tokenize(ByteSpan data) {
   std::vector<Lz77Token> tokens;
   const size_t n = data.size();
   tokens.reserve(n / 4);
 
-  if (n < params.min_match) {
+  if (n < kMinMatch) {
     for (size_t i = 0; i < n; ++i) {
       tokens.push_back({false, data[i], 0, 0});
     }
@@ -59,16 +67,16 @@ std::vector<Lz77Token> Lz77Tokenize(ByteSpan data, const Lz77Params& params) {
       return best;
     }
     uint32_t max_len = static_cast<uint32_t>(
-        std::min<size_t>(params.max_match, n - pos));
-    if (max_len < params.min_match) {
+        std::min<size_t>(kMaxMatch, n - pos));
+    if (max_len < kMinMatch) {
       return best;
     }
-    uint32_t best_len = std::max(params.min_match - 1, min_beat);
+    uint32_t best_len = std::max(kMinMatch - 1, min_beat);
     int32_t cand = head[HashAt(base + pos)];
-    uint32_t probes = params.max_chain;
+    uint32_t probes = kMaxChain;
     while (cand >= 0 && probes-- > 0) {
       size_t cpos = static_cast<size_t>(cand);
-      if (pos - cpos > params.window_size) {
+      if (pos - cpos > kWindowSize) {
         break;
       }
       // Quick reject on the byte one past the current best.
@@ -91,7 +99,7 @@ std::vector<Lz77Token> Lz77Tokenize(ByteSpan data, const Lz77Params& params) {
   size_t pos = 0;
   while (pos < n) {
     Lz77Token cur = find_match(pos, 0);
-    if (cur.is_match && cur.length < params.good_length && pos + 1 < n) {
+    if (cur.is_match && cur.length < kGoodLength && pos + 1 < n) {
       // Lazy matching: if the next position yields a strictly longer
       // match, emit a literal here instead.
       insert(pos);

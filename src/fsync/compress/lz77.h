@@ -18,18 +18,8 @@ struct Lz77Token {
   uint32_t distance = 0;   // valid when is_match, 1..32768
 };
 
-/// Tuning knobs for the match finder.
-struct Lz77Params {
-  uint32_t window_size = 32768;   // max back-reference distance
-  uint32_t max_chain = 128;       // hash-chain probes per position
-  uint32_t good_length = 32;      // stop lazy evaluation above this length
-  uint32_t min_match = 3;
-  uint32_t max_match = 258;
-};
-
 /// Produces the token stream for `data`.
-std::vector<Lz77Token> Lz77Tokenize(ByteSpan data,
-                                    const Lz77Params& params = {});
+std::vector<Lz77Token> Lz77Tokenize(ByteSpan data);
 
 }  // namespace fsx
 

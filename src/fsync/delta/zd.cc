@@ -16,7 +16,7 @@ namespace {
 // Op alphabet: 0..255 literals, 256 EOB, then length-group symbols for
 // copies from the reference and from the target prefix.
 constexpr int kEob = 256;
-constexpr int kLenGroups = 34;  // supports lengths up to min_match + 2^33
+constexpr int kLenGroups = 34;  // supports lengths up to kMinMatch + 2^33
 constexpr int kRefOpBase = 257;
 constexpr int kTgtOpBase = kRefOpBase + kLenGroups;
 constexpr int kNumOps = kTgtOpBase + kLenGroups;
@@ -26,6 +26,10 @@ constexpr int kMaxCodeBits = 15;
 constexpr uint32_t kHashBits = 16;
 constexpr uint32_t kHashSize = 1u << kHashBits;
 constexpr uint32_t kMinHashable = 4;  // bytes hashed per position
+constexpr uint32_t kMaxChain = 64;    // hash-chain probes per candidate source
+// Shortest copy worth encoding. Copy lengths are coded as an offset from
+// it, so the encoder and decoder must agree on it.
+constexpr uint32_t kMinMatch = 4;
 
 inline uint32_t HashAt(const uint8_t* p) {
   uint32_t v = static_cast<uint32_t>(p[0]) |
@@ -159,8 +163,7 @@ Status CheckKnownRuns(ByteSpan reference, ByteSpan target,
 }  // namespace
 
 StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
-                         std::span<const KnownRun> known,
-                         const ZdParams& params) {
+                         std::span<const KnownRun> known) {
   FSYNC_RETURN_IF_ERROR(CheckKnownRuns(reference, target, known));
   BitWriter out;
   out.WriteVarint(target.size());
@@ -184,12 +187,12 @@ StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
   uint64_t expected_ref = 0;  // predicted next reference copy position
 
   // Finds the best copy starting at `pos`; returns a literal token when
-  // nothing reaches min_match. Prefers, at equal length: a ref copy
+  // nothing reaches kMinMatch. Prefers, at equal length: a ref copy
   // continuing at expected_ref, then any ref copy, then a tgt copy
   // (whose address codes slightly larger).
   auto find_best = [&](size_t pos) -> ZdToken {
     ZdToken best{ZdToken::kLiteral, tgt[pos], 0, 0};
-    uint64_t best_len = params.min_match - 1;
+    uint64_t best_len = kMinMatch - 1;
     int best_rank = -1;
     uint64_t max_len_here = n - pos;
     if (pos + kMinHashable > n) {
@@ -197,7 +200,7 @@ StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
     }
     // A candidate whose byte at best_len differs cannot be longer than
     // best; it is skipped unless it could still win the tie on rank.
-    uint32_t probes = params.max_chain;
+    uint32_t probes = kMaxChain;
     for (uint32_t cand = ref_index.Head(tgt + pos);
          cand != ChainIndex::kNone && probes-- > 0;
          cand = ref_index.Next(cand)) {
@@ -209,14 +212,14 @@ StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
         continue;
       }
       uint64_t len = MatchLength(reference.data() + cand, tgt + pos, cap);
-      if (len >= params.min_match &&
+      if (len >= kMinMatch &&
           (len > best_len || (len == best_len && rank > best_rank))) {
         best_len = len;
         best_rank = rank;
         best = {ZdToken::kRefCopy, 0, len, cand};
       }
     }
-    probes = params.max_chain;
+    probes = kMaxChain;
     for (uint32_t cand = tgt_index.Head(tgt + pos);
          cand != ChainIndex::kNone && probes-- > 0;
          cand = tgt_index.Next(cand)) {
@@ -225,7 +228,7 @@ StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
         continue;
       }
       uint64_t len = MatchLength(tgt + cand, tgt + pos, max_len_here);
-      if (len >= params.min_match && len > best_len) {
+      if (len >= kMinMatch && len > best_len) {
         best_len = len;
         best_rank = 0;
         best = {ZdToken::kTgtCopy, 0, len, cand};
@@ -251,7 +254,7 @@ StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
       len += MatchLength(reference.data() + ref_pos + len, tgt + pos + len,
                          std::min<uint64_t>(n - pos - len,
                                             reference.size() - ref_pos - len));
-      if (len >= params.min_match) {
+      if (len >= kMinMatch) {
         tokens.push_back({ZdToken::kRefCopy, 0, len, ref_pos});
         expected_ref = ref_pos + len;
         pos += len;
@@ -318,7 +321,7 @@ StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
         ++op_freq[t.literal];
         break;
       case ZdToken::kRefCopy: {
-        uint64_t v = t.length - params.min_match + 1;
+        uint64_t v = t.length - kMinMatch + 1;
         ++op_freq[kRefOpBase + GroupOf(v)];
         int64_t d = static_cast<int64_t>(t.pos) -
                     static_cast<int64_t>(exp_ref);
@@ -327,7 +330,7 @@ StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
         break;
       }
       case ZdToken::kTgtCopy: {
-        uint64_t v = t.length - params.min_match + 1;
+        uint64_t v = t.length - kMinMatch + 1;
         ++op_freq[kTgtOpBase + GroupOf(v)];
         // distance from current target position; recomputed at decode
         break;
@@ -370,7 +373,7 @@ StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
         out_pos += 1;
         break;
       case ZdToken::kRefCopy: {
-        uint64_t v = t.length - params.min_match + 1;
+        uint64_t v = t.length - kMinMatch + 1;
         int g = GroupOf(v);
         op_enc.Encode(kRefOpBase + g, body);
         body.WriteBits(v - (uint64_t{1} << g), g);
@@ -384,7 +387,7 @@ StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
         break;
       }
       case ZdToken::kTgtCopy: {
-        uint64_t v = t.length - params.min_match + 1;
+        uint64_t v = t.length - kMinMatch + 1;
         int g = GroupOf(v);
         op_enc.Encode(kTgtOpBase + g, body);
         body.WriteBits(v - (uint64_t{1} << g), g);
@@ -448,7 +451,6 @@ StatusOr<Bytes> ZdDecode(ByteSpan reference, ByteSpan delta) {
   out.reserve(std::min<uint64_t>(target_size,
                                  reference.size() + 8 * delta.size()));
   uint64_t exp_ref = 0;
-  const uint32_t min_match = ZdParams{}.min_match;
 
   for (;;) {
     FSYNC_ASSIGN_OR_RETURN(uint32_t op, op_dec.Decode(in));
@@ -468,7 +470,7 @@ StatusOr<Bytes> ZdDecode(ByteSpan reference, ByteSpan delta) {
       return Status::DataLoss("ZdDecode: bad op symbol");
     }
     FSYNC_ASSIGN_OR_RETURN(uint64_t extra, in.ReadBits(g));
-    uint64_t length = (uint64_t{1} << g) + extra + min_match - 1;
+    uint64_t length = (uint64_t{1} << g) + extra + kMinMatch - 1;
     if (out.size() + length > target_size) {
       return Status::DataLoss("ZdDecode: copy overruns target size");
     }

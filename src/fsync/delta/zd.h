@@ -16,12 +16,6 @@
 
 namespace fsx {
 
-/// Tuning knobs for the zd matcher.
-struct ZdParams {
-  uint32_t max_chain = 64;  // hash-chain probes per candidate source
-  uint32_t min_match = 4;   // shortest copy worth encoding
-};
-
 /// Encodes `target` against `reference`. Each of the `known` runs is
 /// coded as one reference copy at its offset, extended while the bytes
 /// past its end still match; the matcher parses only the gaps between
@@ -29,8 +23,7 @@ struct ZdParams {
 /// unsorted, overlap, fall out of range or whose bytes differ are
 /// InvalidArgument.
 StatusOr<Bytes> ZdEncode(ByteSpan reference, ByteSpan target,
-                         std::span<const KnownRun> known = {},
-                         const ZdParams& params = {});
+                         std::span<const KnownRun> known = {});
 
 /// Decodes a zd delta; `reference` must equal the encoder's reference.
 StatusOr<Bytes> ZdDecode(ByteSpan reference, ByteSpan delta);

@@ -5,7 +5,6 @@
 
 #include "fsync/compress/codec.h"
 #include "fsync/hash/fingerprint.h"
-#include "fsync/hash/gear.h"
 #include "fsync/hash/md5.h"
 #include "fsync/hash/md5_batch.h"
 #include "fsync/hash/tabled_adler.h"
@@ -175,9 +174,7 @@ StatusOr<MultiroundResult> MultiroundSynchronize(
       }
       for (size_t k = 0; k < count; ++k) {
         round_hashes[begin + k].weak =
-            params.use_gear
-                ? GearScanHash::BlockKey(blocks[k], params.weak_bits)
-                : AdlerScanHash::BlockKey(blocks[k], params.weak_bits);
+            AdlerScanHash::BlockKey(blocks[k], params.weak_bits);
         if (params.strong_bits > 0) {
           round_hashes[begin + k].strong = strong[k];
         }
@@ -229,14 +226,8 @@ StatusOr<MultiroundResult> MultiroundSynchronize(
                              params.strong_bits,
                              0xA11) == pending[items[j]].strong;
       };
-      if (params.use_gear) {
-        ScanForKeys<GearScanHash>(outdated, block_size, params.weak_bits,
-                                  scan_keys, verify, scan_pos, scan_opts,
-                                  &scan_scratch);
-      } else {
-        ScanForKeys(outdated, block_size, params.weak_bits, scan_keys,
-                    verify, scan_pos, scan_opts, &scan_scratch);
-      }
+      ScanForKeys(outdated, block_size, params.weak_bits, scan_keys, verify,
+                  scan_pos, scan_opts, &scan_scratch);
       for (size_t j = 0; j < idxs.size(); ++j) {
         if (scan_pos[j] != kScanNoMatch) {
           pending[idxs[j]].found = true;
@@ -292,10 +283,9 @@ StatusOr<MultiroundResult> MultiroundSynchronize(
         Append(literals, current.subspan(b.offset, b.size));
       }
     }
-    Bytes payload =
-        params.compress_literals ? Compress(literals) : literals;
+    Bytes payload = Compress(literals);
     BitWriter msg;
-    msg.WriteBit(params.compress_literals);
+    msg.WriteBit(true);  // "compressed": the only mode sent
     msg.WriteVarint(payload.size());
     msg.WriteBytes(payload);
     obs::SetPhase(obs, obs::Phase::kLiterals);
@@ -307,12 +297,10 @@ StatusOr<MultiroundResult> MultiroundSynchronize(
   FSYNC_ASSIGN_OR_RETURN(bool compressed, lin.ReadBit());
   FSYNC_ASSIGN_OR_RETURN(uint64_t payload_len, lin.ReadVarint());
   FSYNC_ASSIGN_OR_RETURN(Bytes payload, lin.ReadBytes(payload_len));
-  Bytes literals;
-  if (compressed) {
-    FSYNC_ASSIGN_OR_RETURN(literals, Decompress(payload));
-  } else {
-    literals = std::move(payload);
+  if (!compressed) {
+    return Status::DataLoss("multiround: uncompressed literals");
   }
+  FSYNC_ASSIGN_OR_RETURN(Bytes literals, Decompress(payload));
 
   // Client: assemble.
   Bytes rebuilt;

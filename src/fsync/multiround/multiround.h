@@ -26,18 +26,10 @@ struct MultiroundParams {
   int weak_bits = 24;
   /// Extra strong-hash bits (MD5) verifying the candidate position.
   int strong_bits = 16;
-  bool compress_literals = true;
   /// Worker threads for per-round block hashing and the client's rolling
   /// scans (1 = serial). Execution knob only: wire traffic is
   /// bit-identical for any value.
   int num_threads = 1;
-  /// Use the GEAR-table rolling hash (hash/gear.h) instead of the
-  /// tabled Adler pair for the weak hash. Protocol parameter, NOT an
-  /// execution knob: both endpoints must agree (params are shared
-  /// out-of-band, like block sizes), and the wire bytes differ from an
-  /// Adler run of the same config. Faster rolling scans; window hashes
-  /// depend on the trailing min(block_size, 64) bytes.
-  bool use_gear = false;
 };
 
 /// Outcome of a multiround-rsync session.

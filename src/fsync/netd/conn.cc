@@ -6,20 +6,18 @@ namespace fsx::netd {
 
 namespace {
 
-/// Read chunk per loop pass; also the granularity rate limits meter at.
+/// Read chunk per loop pass.
 constexpr size_t kReadChunk = 64 * 1024;
 
 }  // namespace
 
 Connection::Connection(Fd fd, uint64_t id, const ServerContext* ctx,
                        const ConnLimits& limits, const FaultPlan& fault_plan,
-                       TokenBucket* global_bucket, uint64_t now_us)
+                       uint64_t now_us)
     : fd_(std::move(fd)),
       id_(id),
       ctx_(ctx),
       limits_(limits),
-      global_bucket_(global_bucket),
-      conn_bucket_(limits.per_conn_bytes_per_sec),
       tree_(*ctx->snapshot),
       created_us_(now_us),
       last_activity_us_(now_us) {
@@ -53,19 +51,8 @@ bool Connection::OnReadable(uint64_t now_us) {
       return true;  // paused; level-triggered poll re-delivers later
     }
     stalled_ = false;
-    // Rate limits: read at most what the buckets grant right now.
-    uint64_t budget = kReadChunk;
-    budget = conn_bucket_.Grant(budget, now_us);
-    if (global_bucket_ != nullptr && budget > 0) {
-      const uint64_t g = global_bucket_->Grant(budget, now_us);
-      conn_bucket_.Charge(budget - g);  // return the unused grant
-      budget = g;
-    }
-    if (budget == 0) {
-      return true;  // throttled; the loop's timeout re-arms us
-    }
     bool would_block = false;
-    long n = io_.Read(buf, static_cast<size_t>(budget), &would_block);
+    long n = io_.Read(buf, sizeof(buf), &would_block);
     if (n < 0) {
       if (would_block) {
         return true;

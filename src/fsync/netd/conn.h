@@ -4,8 +4,8 @@
 // (a TreeSyncServer over the daemon's snapshot), a table of in-flight
 // file streams (each one a CachedServerEndpoint), and the robustness
 // machinery: handshake/idle/session deadlines, write-queue backpressure
-// (stop reading a client whose output is backed up), token-bucket rate
-// limits, and the drain protocol.
+// (stop reading a client whose output is backed up), and the drain
+// protocol.
 //
 // The event loop calls OnReadable/OnWritable/CheckDeadlines; each
 // returns false when the connection must be torn down. All methods run
@@ -24,7 +24,6 @@
 #include "fsync/netd/fault.h"
 #include "fsync/netd/frame.h"
 #include "fsync/netd/protocol.h"
-#include "fsync/netd/rate.h"
 #include "fsync/netd/sockets.h"
 
 namespace fsx::netd {
@@ -46,7 +45,6 @@ struct ConnLimits {
   uint64_t handshake_deadline_us = 10'000'000;
   uint64_t idle_deadline_us = 120'000'000;
   uint64_t session_deadline_us = 600'000'000;
-  uint64_t per_conn_bytes_per_sec = 0;  // 0 = unlimited
 };
 
 class Connection {
@@ -63,14 +61,13 @@ class Connection {
 
   Connection(Fd fd, uint64_t id, const ServerContext* ctx,
              const ConnLimits& limits, const FaultPlan& fault_plan,
-             TokenBucket* global_bucket, uint64_t now_us);
+             uint64_t now_us);
 
   int fd() const { return fd_.get(); }
   uint64_t id() const { return id_; }
 
-  /// Reads and processes whatever the socket (and the rate limits)
-  /// allow. Returns false when the connection must be closed (reason()
-  /// says why).
+  /// Reads and processes whatever the socket allows. Returns false when
+  /// the connection must be closed (reason() says why).
   bool OnReadable(uint64_t now_us);
 
   /// Flushes the write queue as far as the socket allows.
@@ -156,8 +153,6 @@ class Connection {
   const ConnLimits limits_;
   std::unique_ptr<FaultInjector> fault_;  // null when no faults
   SocketIo io_;
-  TokenBucket* global_bucket_;  // may be null
-  TokenBucket conn_bucket_;
 
   State state_ = State::kHandshake;
   CloseReason reason_ = CloseReason::kNone;

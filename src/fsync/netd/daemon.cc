@@ -17,8 +17,7 @@ SyncDaemon::SyncDaemon(Collection tree, DaemonOptions options)
                  ? std::make_unique<cache::SyncCache>(options_.cache_bytes)
                  : nullptr),
       snapshot_(tree_, TreeSyncParams{.config = options_.config,
-                                      .cache = cache_.get()}),
-      global_bucket_(options_.global_bytes_per_sec) {
+                                      .cache = cache_.get()}) {
   ctx_.snapshot = &snapshot_;
   ctx_.config = &options_.config;
   ctx_.config_digest = ConfigWireDigest(options_.config);
@@ -57,11 +56,10 @@ Status SyncDaemon::Start() {
   wake_write_ = Fd(pipe_fds[1]);
   FSYNC_RETURN_IF_ERROR(SetNonBlocking(wake_read_.get()));
 
-  poller_ = options_.force_poll ? MakePollPoller() : MakePoller();
-  poller_name_ = poller_->name();
-  FSYNC_RETURN_IF_ERROR(poller_->Add(listener_.get(), true, false));
+  FSYNC_RETURN_IF_ERROR(poller_.Open());
+  FSYNC_RETURN_IF_ERROR(poller_.Add(listener_.get(), true, false));
   listener_open_ = true;
-  FSYNC_RETURN_IF_ERROR(poller_->Add(wake_read_.get(), true, false));
+  FSYNC_RETURN_IF_ERROR(poller_.Add(wake_read_.get(), true, false));
 
   thread_ = std::thread([this] { Run(); });
   return Status::Ok();
@@ -102,7 +100,7 @@ void SyncDaemon::SyncInterest(Connection& conn) {
   if (it != interest_.end() && it->second == want) {
     return;
   }
-  (void)poller_->Update(conn.fd(), want.first, want.second);
+  (void)poller_.Update(conn.fd(), want.first, want.second);
   interest_[conn.fd()] = want;
 }
 
@@ -123,7 +121,7 @@ void SyncDaemon::CloseConnection(int fd, bool drained) {
     return;
   }
   Connection& conn = *it->second;
-  poller_->Remove(fd);
+  poller_.Remove(fd);
   interest_.erase(fd);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -193,9 +191,8 @@ void SyncDaemon::AcceptAll(uint64_t now_us) {
     const int cfd = client.get();
     auto conn = std::make_unique<Connection>(
         std::move(client), next_conn_id_++, &ctx_, options_.limits,
-        options_.fault, global_bucket_.unlimited() ? nullptr : &global_bucket_,
-        now_us);
-    if (!poller_->Add(cfd, true, false).ok()) {
+        options_.fault, now_us);
+    if (!poller_.Add(cfd, true, false).ok()) {
       continue;  // conn dtor closes the fd
     }
     interest_[cfd] = {true, false};
@@ -222,7 +219,7 @@ void SyncDaemon::Run() {
     if (drain_.load() && !draining_) {
       draining_ = true;
       if (listener_open_) {
-        poller_->Remove(listener_.get());
+        poller_.Remove(listener_.get());
         listener_open_ = false;
         // Close the listening socket outright: an fd that stays open
         // keeps completing TCP handshakes into the backlog, so peers
@@ -249,8 +246,8 @@ void SyncDaemon::Run() {
       }
     }
 
-    // Poll timeout: the earliest connection deadline, clamped. The
-    // 100 ms ceiling doubles as the re-arm tick for rate-limited reads.
+    // Poll timeout: the earliest connection deadline, clamped to
+    // [1, 200] ms.
     uint64_t now = NowUs();
     int timeout_ms = 200;
     for (const auto& [fd, conn] : conns_) {
@@ -263,7 +260,7 @@ void SyncDaemon::Run() {
           timeout_ms, static_cast<int>(std::min<uint64_t>(delta_ms, 200)));
     }
     timeout_ms = std::max(timeout_ms, 1);
-    if (!poller_->Wait(timeout_ms, &events).ok()) {
+    if (!poller_.Wait(timeout_ms, &events).ok()) {
       break;
     }
     now = NowUs();

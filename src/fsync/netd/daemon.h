@@ -1,13 +1,12 @@
-// SyncDaemon: the real multi-client sync server. One nonblocking event
-// loop (epoll, with a poll(2) fallback) owns a TCP or Unix-domain
-// listener and a table of Connections, each a per-client session state
-// machine multiplexing many file-sync streams over one framed socket
-// (see conn.h and protocol.h). Robustness is the point:
+// SyncDaemon: the real multi-client sync server. One nonblocking epoll
+// event loop owns a TCP or Unix-domain listener and a table of
+// Connections, each a per-client session state machine multiplexing many
+// file-sync streams over one framed socket (see conn.h and protocol.h).
+// Robustness is the point:
 //
 //   - bounded per-connection write queues with backpressure (a client
 //     that stops reading stops being read),
 //   - handshake/idle/session deadlines on the monotonic clock,
-//   - per-connection and global token-bucket byte-rate limits,
 //   - a connection cap with oldest-idle eviction,
 //   - graceful drain (finish in-flight sessions, refuse new ones,
 //     bounded by a drain deadline) for SIGTERM handling,
@@ -37,7 +36,6 @@
 #include "fsync/netd/conn.h"
 #include "fsync/netd/event_loop.h"
 #include "fsync/netd/fault.h"
-#include "fsync/netd/rate.h"
 #include "fsync/netd/sockets.h"
 #include "fsync/obs/sync_obs.h"
 
@@ -53,11 +51,9 @@ struct DaemonOptions {
   SyncConfig config;
   size_t max_connections = 256;
   ConnLimits limits;
-  uint64_t global_bytes_per_sec = 0;    // 0 = unlimited
   uint64_t drain_deadline_us = 10'000'000;
   uint64_t cache_bytes = 64u << 20;     // shared server cache; 0 = off
   FaultPlan fault;                      // chaos: injected per connection
-  bool force_poll = false;              // use the poll(2) backend
 };
 
 /// Aggregate daemon counters (snapshot; monotone while running).
@@ -86,12 +82,12 @@ class SyncDaemon {
   SyncDaemon(const SyncDaemon&) = delete;
   SyncDaemon& operator=(const SyncDaemon&) = delete;
 
-  /// Binds the listener and starts the loop thread. After Ok, port()
-  /// has the bound port (TCP) and clients may connect.
+  /// Binds the listener, opens the epoll instance and starts the loop
+  /// thread; an error when any of them fails. After Ok, port() has the
+  /// bound port (TCP) and clients may connect.
   Status Start();
 
   uint16_t port() const { return port_; }
-  const char* poller_name() const { return poller_name_; }
 
   /// Graceful drain: stop accepting, let in-flight sessions finish
   /// (bounded by drain_deadline_us), then the loop exits. Idempotent,
@@ -126,13 +122,11 @@ class SyncDaemon {
   std::unique_ptr<cache::SyncCache> cache_;
   TreeSnapshot snapshot_;  // built once, shared by every connection
   ServerContext ctx_;
-  TokenBucket global_bucket_;
 
   Fd listener_;
   uint16_t port_ = 0;
   Fd wake_read_, wake_write_;
-  std::unique_ptr<Poller> poller_;
-  const char* poller_name_ = "";
+  Poller poller_;
   std::map<int, std::unique_ptr<Connection>> conns_;
   std::map<int, std::pair<bool, bool>> interest_;  // fd -> (read, write)
   uint64_t next_conn_id_ = 1;

@@ -1,147 +1,64 @@
 #include "fsync/netd/event_loop.h"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <map>
-#include <poll.h>
+#include <string>
 #include <sys/epoll.h>
-#include <unistd.h>
 
 namespace fsx::netd {
 
-namespace {
-
-class EpollPoller final : public Poller {
- public:
-  explicit EpollPoller(int epfd) : epfd_(epfd) {}
-  ~EpollPoller() override { ::close(epfd_); }
-
-  Status Add(int fd, bool want_read, bool want_write) override {
-    return Ctl(EPOLL_CTL_ADD, fd, want_read, want_write);
-  }
-  Status Update(int fd, bool want_read, bool want_write) override {
-    return Ctl(EPOLL_CTL_MOD, fd, want_read, want_write);
-  }
-  void Remove(int fd) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  Status Wait(int timeout_ms, std::vector<Event>* out) override {
-    out->clear();
-    epoll_event events[128];
-    int n;
-    do {
-      n = ::epoll_wait(epfd_, events, 128, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) {
-      return Status::Internal(std::string("epoll_wait: ") +
-                              std::strerror(errno));
-    }
-    for (int i = 0; i < n; ++i) {
-      Event e;
-      e.fd = events[i].data.fd;
-      e.readable = (events[i].events & EPOLLIN) != 0;
-      e.writable = (events[i].events & EPOLLOUT) != 0;
-      e.hangup = (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-      out->push_back(e);
-    }
-    return Status::Ok();
-  }
-
-  const char* name() const override { return "epoll"; }
-
- private:
-  Status Ctl(int op, int fd, bool want_read, bool want_write) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_, op, fd, &ev) < 0) {
-      return Status::Internal(std::string("epoll_ctl: ") +
-                              std::strerror(errno));
-    }
-    return Status::Ok();
-  }
-
-  int epfd_;
-};
-
-class PollPoller final : public Poller {
- public:
-  Status Add(int fd, bool want_read, bool want_write) override {
-    interest_[fd] = Mask(want_read, want_write);
-    return Status::Ok();
-  }
-  Status Update(int fd, bool want_read, bool want_write) override {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) {
-      return Status::NotFound("poll: fd not registered");
-    }
-    it->second = Mask(want_read, want_write);
-    return Status::Ok();
-  }
-  void Remove(int fd) override { interest_.erase(fd); }
-
-  Status Wait(int timeout_ms, std::vector<Event>* out) override {
-    out->clear();
-    fds_.clear();
-    for (const auto& [fd, mask] : interest_) {
-      fds_.push_back(pollfd{fd, mask, 0});
-    }
-    int n;
-    do {
-      n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) {
-      return Status::Internal(std::string("poll: ") + std::strerror(errno));
-    }
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) {
-        continue;
-      }
-      Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & POLLIN) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.hangup = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      out->push_back(e);
-    }
-    return Status::Ok();
-  }
-
-  const char* name() const override { return "poll"; }
-
- private:
-  static short Mask(bool want_read, bool want_write) {
-    return static_cast<short>((want_read ? POLLIN : 0) |
-                              (want_write ? POLLOUT : 0));
-  }
-
-  std::map<int, short> interest_;
-  std::vector<pollfd> fds_;
-};
-
-}  // namespace
-
-std::unique_ptr<Poller> MakeEpollPoller() {
-  int epfd = ::epoll_create1(0);
+Status Poller::Open() {
+  const int epfd = ::epoll_create1(0);
   if (epfd < 0) {
-    return nullptr;
+    return ErrnoToStatus(errno, "epoll_create1");
   }
-  return std::make_unique<EpollPoller>(epfd);
+  epfd_ = Fd(epfd);
+  return Status::Ok();
 }
 
-std::unique_ptr<Poller> MakePollPoller() {
-  return std::make_unique<PollPoller>();
+Status Poller::Add(int fd, bool want_read, bool want_write) {
+  return Ctl(EPOLL_CTL_ADD, fd, want_read, want_write);
 }
 
-std::unique_ptr<Poller> MakePoller() {
-  const char* force = std::getenv("FSX_FORCE_POLL");
-  if (force != nullptr && force[0] != '\0' && force[0] != '0') {
-    return MakePollPoller();
+Status Poller::Update(int fd, bool want_read, bool want_write) {
+  return Ctl(EPOLL_CTL_MOD, fd, want_read, want_write);
+}
+
+void Poller::Remove(int fd) {
+  ::epoll_ctl(epfd_.get(), EPOLL_CTL_DEL, fd, nullptr);
+}
+
+Status Poller::Wait(int timeout_ms, std::vector<Event>* out) {
+  out->clear();
+  epoll_event events[128];
+  int n;
+  do {
+    n = ::epoll_wait(epfd_.get(), events, 128, timeout_ms);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) {
+    return Status::Internal(std::string("epoll_wait: ") +
+                            std::strerror(errno));
   }
-  auto epoll = MakeEpollPoller();
-  return epoll != nullptr ? std::move(epoll) : MakePollPoller();
+  for (int i = 0; i < n; ++i) {
+    Event e;
+    e.fd = events[i].data.fd;
+    e.readable = (events[i].events & EPOLLIN) != 0;
+    e.writable = (events[i].events & EPOLLOUT) != 0;
+    e.hangup = (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
+    out->push_back(e);
+  }
+  return Status::Ok();
+}
+
+Status Poller::Ctl(int op, int fd, bool want_read, bool want_write) {
+  epoll_event ev{};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epfd_.get(), op, fd, &ev) < 0) {
+    return Status::Internal(std::string("epoll_ctl: ") +
+                            std::strerror(errno));
+  }
+  return Status::Ok();
 }
 
 }  // namespace fsx::netd

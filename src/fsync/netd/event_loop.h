@@ -1,19 +1,16 @@
-// Readiness polling for the daemon's single-threaded event loop:
-// a Poller interface with a level-triggered epoll backend (Linux) and a
-// portable poll(2) fallback. The daemon treats them identically; setting
-// FSX_FORCE_POLL=1 in the environment forces the fallback, which is how
-// CI exercises both backends with one binary.
+// Readiness polling for the daemon's single-threaded event loop: a
+// level-triggered epoll instance.
 //
 // Level-triggered on purpose: with LT semantics a handler that drains
-// only part of a socket (because of backpressure or a rate limit) is
-// simply called again on the next Wait, so partial progress is always
-// safe — the invariant the whole connection state machine leans on.
+// only part of a socket (because of backpressure) is simply called again
+// on the next Wait, so partial progress is always safe — the invariant
+// the whole connection state machine leans on.
 #ifndef FSYNC_NETD_EVENT_LOOP_H_
 #define FSYNC_NETD_EVENT_LOOP_H_
 
-#include <memory>
 #include <vector>
 
+#include "fsync/netd/sockets.h"
 #include "fsync/util/status.h"
 
 namespace fsx::netd {
@@ -24,32 +21,29 @@ class Poller {
     int fd = -1;
     bool readable = false;
     bool writable = false;
-    bool hangup = false;  // POLLHUP/POLLERR: peer gone or socket broken
+    bool hangup = false;  // EPOLLHUP/EPOLLERR: peer gone or socket broken
   };
 
-  virtual ~Poller() = default;
+  /// Creates the epoll instance; an error when the kernel refuses one.
+  /// Call once, before any other method.
+  Status Open();
 
   /// Registers `fd` with an initial interest set.
-  virtual Status Add(int fd, bool want_read, bool want_write) = 0;
+  Status Add(int fd, bool want_read, bool want_write);
   /// Changes the interest set of a registered fd.
-  virtual Status Update(int fd, bool want_read, bool want_write) = 0;
+  Status Update(int fd, bool want_read, bool want_write);
   /// Unregisters (no-op if not registered).
-  virtual void Remove(int fd) = 0;
+  void Remove(int fd);
 
   /// Blocks up to `timeout_ms` (-1 = forever) and appends ready fds to
   /// `out` (cleared first). A premature wakeup with no events is normal.
-  virtual Status Wait(int timeout_ms, std::vector<Event>* out) = 0;
+  Status Wait(int timeout_ms, std::vector<Event>* out);
 
-  /// Backend name for logs/tests: "epoll" or "poll".
-  virtual const char* name() const = 0;
+ private:
+  Status Ctl(int op, int fd, bool want_read, bool want_write);
+
+  Fd epfd_;
 };
-
-/// Builds the best available poller: epoll, unless FSX_FORCE_POLL is set
-/// (or epoll_create fails), then the poll(2) fallback.
-std::unique_ptr<Poller> MakePoller();
-/// Builds a specific backend (tests pin both).
-std::unique_ptr<Poller> MakeEpollPoller();  // null if epoll unavailable
-std::unique_ptr<Poller> MakePollPoller();
 
 }  // namespace fsx::netd
 

@@ -131,12 +131,8 @@ Bytes RsyncServerEncode(ByteSpan current,
   flush_literals(n);
   Bytes stream = raw.Finish();
 
-  if (!params.compress_stream) {
-    Bytes out;
-    out.push_back(0);  // not compressed
-    Append(out, stream);
-    return out;
-  }
+  // The stream is always compressed (rsync -z, what the paper measures);
+  // the leading byte says so.
   Bytes out;
   out.push_back(1);
   Bytes packed = Compress(stream);
@@ -149,16 +145,10 @@ StatusOr<Bytes> RsyncClientApply(ByteSpan outdated, ByteSpan stream,
   if (stream.empty()) {
     return Status::DataLoss("rsync stream: empty");
   }
-  Bytes decompressed;
-  ByteSpan body;
-  if (stream[0] == 1) {
-    FSYNC_ASSIGN_OR_RETURN(decompressed, Decompress(stream.subspan(1)));
-    body = decompressed;
-  } else if (stream[0] == 0) {
-    body = stream.subspan(1);
-  } else {
+  if (stream[0] != 1) {
     return Status::DataLoss("rsync stream: bad compression flag");
   }
+  FSYNC_ASSIGN_OR_RETURN(Bytes body, Decompress(stream.subspan(1)));
 
   BitReader in(body);
   FSYNC_ASSIGN_OR_RETURN(uint64_t new_size, in.ReadVarint());

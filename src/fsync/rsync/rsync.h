@@ -22,9 +22,6 @@ struct RsyncParams {
   uint32_t block_size = 700;
   /// Bytes of the MD4 digest sent per block (the paper notes 2 suffices).
   uint32_t strong_bytes = 2;
-  /// Compress the server's literal/index stream (rsync -z behaviour, and
-  /// what the paper measures).
-  bool compress_stream = true;
   /// Worker threads for signature generation (1 = serial). Execution
   /// knob only: wire traffic and results are bit-identical for any value
   /// (the determinism contract, checked by the threaded conformance

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "fsync/net/channel.h"
-#include "fsync/transport/clock.h"
 #include "fsync/transport/sim_clock.h"
 #include "fsync/util/bytes.h"
 #include "fsync/util/status.h"
@@ -54,10 +53,11 @@ struct ReliableParams {
   uint64_t initial_timeout_us = 50'000;
   /// Backoff cap.
   uint64_t max_timeout_us = 5'000'000;
-  /// Out-of-order records at most this far ahead of the expected sequence
-  /// number are buffered; records beyond the window are treated as lost.
-  uint32_t reorder_window = 64;
 };
+
+/// Out-of-order records at most this far ahead of the expected sequence
+/// number are buffered; records beyond the window are treated as lost.
+inline constexpr uint32_t kReorderWindow = 64;
 
 /// Transport-level counters (per channel; independent of any observer).
 struct TransportCounters {
@@ -78,15 +78,12 @@ struct TransportCounters {
 class ReliableChannel final : public SimulatedChannel {
  public:
   /// `clock` may be shared with the test harness to inspect virtual
-  /// time (SimClock) or bound to real time (MonotonicClock) when the
-  /// channel runs outside the lockstep simulation; pass nullptr to let
-  /// the channel own a private deterministic SimClock. Backoff and
-  /// retries go exclusively through the Clock interface, so the same
-  /// code is deterministic under SimClock and monotonic under the
-  /// daemon.
+  /// time; pass nullptr to let the channel own a private one. Backoff
+  /// and retries go exclusively through it, so every run is
+  /// deterministic.
   explicit ReliableChannel(SimulatedChannel& inner,
                            ReliableParams params = {},
-                           Clock* clock = nullptr)
+                           SimClock* clock = nullptr)
       : inner_(inner), params_(params),
         clock_(clock != nullptr ? clock : &own_clock_) {}
 
@@ -135,7 +132,7 @@ class ReliableChannel final : public SimulatedChannel {
   bool LogicalPending(Direction dir);
 
   const TransportCounters& counters() const { return counters_; }
-  const Clock& clock() const { return *clock_; }
+  const SimClock& clock() const { return *clock_; }
   SimulatedChannel& inner() { return inner_; }
 
  private:
@@ -173,7 +170,7 @@ class ReliableChannel final : public SimulatedChannel {
   SimulatedChannel& inner_;
   ReliableParams params_;
   SimClock own_clock_;
-  Clock* clock_;
+  SimClock* clock_;
   TransportCounters counters_;
   DirState dirs_[2];
   std::vector<TranscriptEntry> transcript_;

@@ -66,7 +66,7 @@ StatusOr<Bytes> MakeZsyncControl(ByteSpan current,
   out.WriteVarint(params.block_size);
   out.WriteBits(static_cast<uint64_t>(params.weak_bits), 6);
   out.WriteBits(static_cast<uint64_t>(params.strong_bits), 7);
-  out.WriteBit(params.compress_ranges);
+  out.WriteBit(true);  // "ranges compressed": the only mode served
 
   // Per-block hashing is embarrassingly parallel; serialization stays in
   // block order, so the control file is identical for any thread count.
@@ -120,8 +120,10 @@ StatusOr<ZsyncPlan> PlanFromControl(ByteSpan outdated, ByteSpan control,
   FSYNC_ASSIGN_OR_RETURN(uint64_t weak_bits, in.ReadBits(6));
   FSYNC_ASSIGN_OR_RETURN(uint64_t strong_bits, in.ReadBits(7));
   FSYNC_ASSIGN_OR_RETURN(bool compressed, in.ReadBit());
+  if (!compressed) {
+    return Status::DataLoss("zsync: uncompressed ranges");
+  }
   plan.block_size = static_cast<uint32_t>(bs);
-  plan.compress_ranges = compressed;
   ZsyncParams params;
   params.block_size = plan.block_size;
   params.weak_bits = static_cast<int>(weak_bits);
@@ -199,8 +201,7 @@ Bytes EncodeRangeRequest(const ZsyncPlan& plan) {
   return out.Finish();
 }
 
-StatusOr<Bytes> ServeRanges(ByteSpan current, ByteSpan request,
-                            const ZsyncParams& params) {
+StatusOr<Bytes> ServeRanges(ByteSpan current, ByteSpan request) {
   BitReader in(request);
   FSYNC_ASSIGN_OR_RETURN(uint64_t count, in.ReadVarint());
   if (count > current.size() + 1) {
@@ -218,17 +219,12 @@ StatusOr<Bytes> ServeRanges(ByteSpan current, ByteSpan request,
     Append(raw, current.subspan(pos, len));
     pos += len;
   }
-  return params.compress_ranges ? Compress(raw) : raw;
+  return Compress(raw);
 }
 
 StatusOr<Bytes> ApplyZsync(ByteSpan outdated, const ZsyncPlan& plan,
                            ByteSpan payload) {
-  Bytes ranges;
-  if (plan.compress_ranges) {
-    FSYNC_ASSIGN_OR_RETURN(ranges, Decompress(payload));
-  } else {
-    ranges.assign(payload.begin(), payload.end());
-  }
+  FSYNC_ASSIGN_OR_RETURN(Bytes ranges, Decompress(payload));
 
   Bytes out;
   // `plan.new_size` comes from the (possibly corrupted) control file; cap
@@ -299,7 +295,7 @@ StatusOr<ZsyncSyncResult> ZsyncSynchronize(ByteSpan outdated,
   FSYNC_ASSIGN_OR_RETURN(Bytes range_req,
                          channel.Receive(Dir::kClientToServer));
   FSYNC_ASSIGN_OR_RETURN(Bytes ranges,
-                         ServeRanges(current, range_req, params));
+                         ServeRanges(current, range_req));
   obs::SetPhase(obs, obs::Phase::kLiterals);
   channel.Send(Dir::kServerToClient, ranges);
 

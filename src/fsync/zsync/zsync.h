@@ -25,7 +25,6 @@ struct ZsyncParams {
   uint32_t block_size = 2048;
   int weak_bits = 24;    // rolling hash per block (<= 32)
   int strong_bits = 24;  // MD5 bits per block, verified client-side
-  bool compress_ranges = true;
   /// Worker threads for control-file hashing and the client-side block
   /// scan (1 = serial). Execution knob only — never encoded in the
   /// control file; any value yields bit-identical wire traffic.
@@ -42,7 +41,6 @@ struct ZsyncPlan {
   uint64_t new_size = 0;
   std::array<uint8_t, 16> fingerprint{};
   uint32_t block_size = 0;
-  bool compress_ranges = true;
   /// Per block of the new file: source position in the *old* file, or
   /// kMissing when the client must fetch it.
   static constexpr uint64_t kMissing = ~uint64_t{0};
@@ -68,10 +66,8 @@ StatusOr<ZsyncPlan> PlanFromControl(ByteSpan outdated, ByteSpan control,
 /// The client's range request (coalesced missing ranges, varint-coded).
 Bytes EncodeRangeRequest(const ZsyncPlan& plan);
 
-/// Server side: returns the requested ranges of `current` (compressed
-/// when the control file said so).
-StatusOr<Bytes> ServeRanges(ByteSpan current, ByteSpan request,
-                            const ZsyncParams& params);
+/// Server side: returns the requested ranges of `current`, compressed.
+StatusOr<Bytes> ServeRanges(ByteSpan current, ByteSpan request);
 
 /// Client side: reassembles the new file and verifies its fingerprint.
 StatusOr<Bytes> ApplyZsync(ByteSpan outdated, const ZsyncPlan& plan,

@@ -10,7 +10,6 @@
 
 #include "fsync/cdc/cdc_sync.h"
 #include "fsync/compress/huffman.h"
-#include "fsync/hash/gear.h"
 #include "fsync/hash/rolling_adler.h"
 #include "fsync/hash/tabled_adler.h"
 #include "fsync/multiround/multiround.h"
@@ -34,7 +33,7 @@ uint64_t BaseSeed() {
 // The weak-hash scan loops only ever see rolled values, so a roll/
 // recompute divergence is silent corruption: blocks stop matching and
 // the protocols quietly transfer everything literally. Pin, for every
-// rolling hash (classic Adler, tabled Adler, GEAR), that sliding to a
+// rolling hash (classic Adler, tabled Adler), that sliding to a
 // random offset equals hashing the window from scratch — random window
 // sizes, random offsets, random data, FSX_SEED replays.
 
@@ -46,13 +45,11 @@ TEST_P(RollingHashModel, RollEqualsRecomputeAtRandomOffsets) {
   const std::string trace = "replay with FSX_SEED=" + std::to_string(seed);
   const size_t n = 2048 + rng.Uniform(8192);
   Bytes data = rng.RandomBytes(n);
-  // Window sizes spanning the removal-term regimes: tiny, around the
-  // GEAR 64-byte horizon, and protocol-typical block sizes.
+  // Window sizes from tiny to protocol-typical block sizes.
   const size_t window = 1 + rng.Uniform(std::min<size_t>(n - 1, 4096));
 
   RollingAdler classic(ByteSpan(data.data(), window));
   TabledAdlerWindow tabled(ByteSpan(data.data(), window));
-  GearWindow gear(ByteSpan(data.data(), window));
   size_t pos = 0;
   for (int hop = 0; hop < 64 && pos + window < n; ++hop) {
     // Random stride, so checks land at uncorrelated offsets.
@@ -60,7 +57,6 @@ TEST_P(RollingHashModel, RollEqualsRecomputeAtRandomOffsets) {
     for (size_t s = 0; s < stride && pos + window < n; ++s, ++pos) {
       classic.Roll(data[pos], data[pos + window]);
       tabled.Roll(data[pos], data[pos + window]);
-      gear.Roll(data[pos], data[pos + window]);
     }
     ByteSpan at(data.data() + pos, window);
     EXPECT_EQ(classic.value(), RollingAdler(at).value())
@@ -70,8 +66,6 @@ TEST_P(RollingHashModel, RollEqualsRecomputeAtRandomOffsets) {
     EXPECT_TRUE(tabled.pair().a == fresh.a && tabled.pair().b == fresh.b)
         << "tabled adler, window " << window << " pos " << pos << "; "
         << trace;
-    EXPECT_EQ(gear.value(), Gear::Hash(at))
-        << "gear, window " << window << " pos " << pos << "; " << trace;
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include "fsync/hash/crc32c.h"
 #include "fsync/hash/fingerprint.h"
-#include "fsync/hash/gear.h"
 #include "fsync/hash/karp_rabin.h"
 #include "fsync/hash/md4.h"
 #include "fsync/hash/md5.h"
@@ -404,52 +403,6 @@ TEST(DispatchControl, ForceTierPinsAndReleases) {
     runnable = runnable || t == tier;
   }
   EXPECT_TRUE(runnable);
-}
-
-// --- GEAR rolling hash ------------------------------------------------
-
-TEST(Gear, RollMatchesRecompute) {
-  Bytes data = Rng(21).RandomBytes(4096);
-  for (size_t window : {size_t{3}, size_t{32}, size_t{64}, size_t{256}}) {
-    GearWindow rolling(ByteSpan(data.data(), window));
-    for (size_t p = 0; p + window < data.size(); ++p) {
-      EXPECT_EQ(rolling.value(),
-                Gear::Hash(ByteSpan(data.data() + p, window)))
-          << "window " << window << " at " << p;
-      rolling.Roll(data[p], data[p + window]);
-    }
-  }
-}
-
-TEST(Gear, HashDependsOnTrailing64Bytes) {
-  // Contributions shift out of the 64-bit state after 64 positions, so
-  // blocks agreeing on their last 64 bytes hash identically — the
-  // documented trade-off for the one-shift-per-byte roll.
-  Bytes a = Rng(22).RandomBytes(256);
-  Bytes b = Rng(23).RandomBytes(256);
-  std::copy(a.end() - 64, a.end(), b.end() - 64);
-  EXPECT_EQ(Gear::Hash(a), Gear::Hash(b));
-  b.back() ^= 1;  // touch the trailing window: hashes split
-  EXPECT_NE(Gear::Hash(a), Gear::Hash(b));
-}
-
-TEST(Gear, TruncateKeepsLowBits) {
-  const uint64_t h = 0xFEDCBA9876543210ull;
-  EXPECT_EQ(Gear::Truncate(h, 32), 0x76543210u);
-  EXPECT_EQ(Gear::Truncate(h, 16), 0x3210u);
-  EXPECT_EQ(Gear::Truncate(h, 1), 0u);
-  EXPECT_EQ(Gear::Truncate(0xFFFFFFFFFFFFFFFFull, 24), 0xFFFFFFu);
-}
-
-TEST(Gear, TableIsDeterministic) {
-  // Both endpoints regenerate the table; it must never drift.
-  const uint64_t* table = Gear::Table();
-  uint64_t folded = 0;
-  for (int i = 0; i < 256; ++i) folded ^= table[i] * (i + 1);
-  EXPECT_EQ(table[0], Gear::Table()[0]);
-  EXPECT_NE(folded, 0u);  // sanity: actually populated
-  EXPECT_EQ(Gear::Hash(B("abc")),
-            (((table['a'] << 1) + table['b']) << 1) + table['c']);
 }
 
 // --- Batched MD5: bit-exact vs the scalar hasher under every tier -----

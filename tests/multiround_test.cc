@@ -93,101 +93,6 @@ TEST(Multiround, NonPowerOfTwoTails) {
   }
 }
 
-TEST(Multiround, GearWeakHashRoundTrips) {
-  // use_gear swaps the weak-hash family on both endpoints; every shape
-  // that works under tabled Adler must reconstruct under GEAR too.
-  Rng rng(33);
-  MultiroundParams params;
-  params.use_gear = true;
-  Bytes f = SynthSourceFile(rng, 60000);
-  EXPECT_EQ(MustSync(f, f, params).reconstructed, f);
-  EXPECT_EQ(MustSync({}, f, params).reconstructed, f);
-  EXPECT_TRUE(MustSync(f, {}, params).reconstructed.empty());
-  EXPECT_TRUE(MustSync({}, {}, params).reconstructed.empty());
-  for (size_t size : {size_t{1}, size_t{127}, size_t{1025}, size_t{65539}}) {
-    Bytes f_old = SynthSourceFile(rng, size);
-    EditProfile ep;
-    ep.num_edits = 3;
-    Bytes f_new = ApplyEdits(f_old, ep, rng);
-    EXPECT_EQ(MustSync(f_old, f_new, params).reconstructed, f_new)
-        << "size=" << size;
-  }
-}
-
-TEST(Multiround, GearStillResolvesMostBlocks) {
-  // GEAR is a protocol swap, not a quality downgrade: on the standard
-  // small-edit workload it must match blocks about as well as Adler.
-  Rng rng(34);
-  Bytes f_old = SynthSourceFile(rng, 100000);
-  EditProfile ep;
-  ep.num_edits = 5;
-  Bytes f_new = ApplyEdits(f_old, ep, rng);
-  MultiroundParams params;
-  params.use_gear = true;
-  MultiroundResult r = MustSync(f_old, f_new, params);
-  EXPECT_GT(r.matched_fraction, 0.7);
-  EXPECT_LT(r.stats.total_bytes(), f_new.size() / 4);
-}
-
-TEST(Multiround, GearIsAProtocolParameterNotAnExecutionKnob) {
-  // Unlike num_threads or the dispatch tier, flipping use_gear changes
-  // the wire bytes (different weak keys land in the bitmaps), so both
-  // endpoints must agree on it out of band. Pin that the transcripts
-  // actually diverge — if they ever became identical, GEAR would be
-  // silently ignored.
-  Rng rng(35);
-  Bytes f_old = SynthSourceFile(rng, 50000);
-  EditProfile ep;
-  ep.num_edits = 4;
-  Bytes f_new = ApplyEdits(f_old, ep, rng);
-
-  auto run = [&](bool use_gear) {
-    MultiroundParams params;
-    params.use_gear = use_gear;
-    SimulatedChannel channel;
-    channel.EnableTranscript();
-    auto r = MultiroundSynchronize(f_old, f_new, params, channel);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->reconstructed, f_new);
-    return channel.transcript();
-  };
-  auto adler = run(false);
-  auto gear = run(true);
-  bool diverged = adler.size() != gear.size();
-  for (size_t i = 0; !diverged && i < adler.size(); ++i) {
-    diverged = adler[i].payload != gear[i].payload;
-  }
-  EXPECT_TRUE(diverged) << "use_gear did not change the wire traffic";
-}
-
-TEST(Multiround, GearTranscriptStableAcrossThreadCounts) {
-  // num_threads stays a pure execution knob in GEAR mode: serial and
-  // pooled runs must emit byte-identical traffic.
-  Rng rng(36);
-  Bytes f_old = SynthSourceFile(rng, 80000);
-  EditProfile ep;
-  ep.num_edits = 6;
-  Bytes f_new = ApplyEdits(f_old, ep, rng);
-
-  auto run = [&](int num_threads) {
-    MultiroundParams params;
-    params.use_gear = true;
-    params.num_threads = num_threads;
-    SimulatedChannel channel;
-    channel.EnableTranscript();
-    auto r = MultiroundSynchronize(f_old, f_new, params, channel);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->reconstructed, f_new);
-    return channel.transcript();
-  };
-  auto serial = run(1);
-  auto pooled = run(4);
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].payload, pooled[i].payload) << "message " << i;
-  }
-}
-
 TEST(Multiround, InvalidParamsRejected) {
   SimulatedChannel ch;
   Bytes a = ToBytes("x");

@@ -1,4 +1,4 @@
-// netd suite: frame/protocol codec units, pollers, rate limiting, the
+// netd suite: frame/protocol codec units, the poller, the
 // daemon transcript pins — a ClientFileSession speaking raw frames to a
 // real SyncDaemon must put exactly SynchronizeFile's SimulatedChannel
 // transcript on each stream, for every corpus shape, and a
@@ -13,7 +13,9 @@
 #include <filesystem>
 #include <functional>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 
@@ -28,7 +30,6 @@
 #include "fsync/netd/event_loop.h"
 #include "fsync/netd/frame.h"
 #include "fsync/netd/protocol.h"
-#include "fsync/netd/rate.h"
 #include "fsync/netd/sockets.h"
 #include "fsync/store/fsstore.h"
 #include "fsync/testing/corpus.h"
@@ -207,28 +208,6 @@ TEST(Protocol, ErrorRoundTrip) {
   EXPECT_EQ(err->detail, "no such file: x");
 }
 
-// ----------------------------------------------------------------- rate
-
-TEST(Rate, TokenBucketGrantsAndRefills) {
-  TokenBucket bucket(1000, 1000);  // 1000 B/s, 1000 B burst
-  EXPECT_FALSE(bucket.unlimited());
-  uint64_t t0 = 1'000'000;
-  EXPECT_EQ(bucket.Grant(600, t0), 600u);
-  EXPECT_EQ(bucket.Grant(600, t0), 400u);  // bucket drained
-  EXPECT_EQ(bucket.Grant(600, t0), 0u);
-  // Half a second refills half the bucket.
-  EXPECT_EQ(bucket.Grant(600, t0 + 500'000), 500u);
-  // Unused grant can be returned.
-  bucket.Charge(0);
-  EXPECT_GT(bucket.RefillDelayUs(100, t0 + 500'000), 0u);
-}
-
-TEST(Rate, ZeroRateIsUnlimited) {
-  TokenBucket bucket;
-  EXPECT_TRUE(bucket.unlimited());
-  EXPECT_EQ(bucket.Grant(1u << 30, 0), uint64_t{1} << 30);
-}
-
 // -------------------------------------------------------------- pollers
 
 void ExercisePoller(Poller& poller) {
@@ -256,18 +235,37 @@ void ExercisePoller(Poller& poller) {
   poller.Remove(rd.get());
 }
 
-TEST(Poller, PollBackend) {
-  auto poller = MakePollPoller();
-  ASSERT_NE(poller, nullptr);
-  ExercisePoller(*poller);
+TEST(Poller, EpollBackend) {
+  Poller poller;
+  const Status opened = poller.Open();
+  ASSERT_TRUE(opened.ok()) << opened.ToString();
+  ExercisePoller(poller);
 }
 
-TEST(Poller, EpollBackend) {
-  auto poller = MakeEpollPoller();
-  if (poller == nullptr) {
-    GTEST_SKIP() << "epoll unavailable on this kernel";
+TEST(Poller, OpenFailureIsAnError) {
+  // With the descriptor limit at the lowest free fd, epoll_create1
+  // fails (EMFILE). Run in a child: the limit is on this test's own
+  // process.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const int lowest_free = ::dup(0);
+    if (lowest_free < 0) {
+      ::_exit(3);
+    }
+    ::close(lowest_free);
+    const rlimit limit{static_cast<rlim_t>(lowest_free),
+                       static_cast<rlim_t>(lowest_free)};
+    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) {
+      ::_exit(3);
+    }
+    Poller poller;
+    ::_exit(poller.Open().ok() ? 1 : 0);
   }
-  ExercisePoller(*poller);
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0) << "1: opened; 3: setup failed";
 }
 
 // --------------------------------------------------------------- daemon
@@ -352,20 +350,6 @@ TEST(Daemon, UnixDomainSocket) {
   ASSERT_TRUE(daemon.Start().ok());
   ClientOptions opts;
   opts.unix_path = options.unix_path;
-  auto result = RunSyncClient(StaleLocalTree(), opts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->reconstructed, server_tree);
-}
-
-TEST(Daemon, PollBackendServesClients) {
-  Collection server_tree = SmallServerTree();
-  DaemonOptions options;
-  options.force_poll = true;
-  SyncDaemon daemon(server_tree, options);
-  ASSERT_TRUE(daemon.Start().ok());
-  EXPECT_STREQ(daemon.poller_name(), "poll");
-  ClientOptions opts;
-  opts.port = daemon.port();
   auto result = RunSyncClient(StaleLocalTree(), opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->reconstructed, server_tree);

@@ -164,17 +164,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RsyncBlockSizes,
                          ::testing::Values(16, 64, 100, 256, 700, 2048,
                                            8192));
 
-TEST(Rsync, UncompressedStreamAlsoWorks) {
-  Rng rng(8);
-  Bytes f_old = SynthSourceFile(rng, 20000);
-  EditProfile ep;
-  Bytes f_new = ApplyEdits(f_old, ep, rng);
-  RsyncParams params;
-  params.compress_stream = false;
-  RsyncResult r = MustRsync(f_old, f_new, params);
-  EXPECT_EQ(r.reconstructed, f_new);
-}
-
 TEST(Rsync, BestBlockSizeBeatsDefaultOnFavorableInput) {
   // Lightly-edited large file: bigger blocks reduce signature traffic.
   Rng rng(9);

@@ -1,8 +1,8 @@
 // Pins ScanForKeys, the rolling scan behind every protocol's block
 // matching, to a brute-force reference that recomputes the block hash at
-// every window start. Both weak-hash policies, window counts on either
-// side of the scan's kScanChunk boundary (≡ 0, 1 and 255 mod 256), block
-// sizes from 1 to 4096 bytes, weak-hash widths from 8 to 32 bits,
+// every window start. Window counts on either side of the scan's
+// kScanChunk boundary (≡ 0, 1 and 255 mod 256), block sizes from 1 to
+// 4096 bytes, weak-hash widths from 8 to 32 bits,
 // duplicate keys, a verify callback that rejects some positions, the
 // early exit once every item matched, and serial and sharded execution.
 // Labeled `conformance`; FSX_SEED=<n> replays a failure.
@@ -44,11 +44,10 @@ Bytes MakeHaystack(Rng& rng, size_t n) {
 }
 
 // The key of the window at every start, each computed from scratch.
-template <typename Hash>
 std::vector<uint32_t> WindowKeys(ByteSpan hay, uint64_t size, int bits) {
   std::vector<uint32_t> keys(hay.size() - size + 1);
   for (uint64_t p = 0; p < keys.size(); ++p) {
-    keys[p] = Hash::BlockKey(hay.subspan(p, size), bits);
+    keys[p] = AdlerScanHash::BlockKey(hay.subspan(p, size), bits);
   }
   return keys;
 }
@@ -101,14 +100,7 @@ struct RejectSome {
   }
 };
 
-template <typename Hash>
-class ScanConformance : public ::testing::Test {};
-
-using Policies = ::testing::Types<AdlerScanHash, GearScanHash>;
-TYPED_TEST_SUITE(ScanConformance, Policies);
-
-TYPED_TEST(ScanConformance, MatchesBruteForceAcrossChunkBoundaries) {
-  using Hash = TypeParam;
+TEST(ScanConformance, MatchesBruteForceAcrossChunkBoundaries) {
   const uint64_t seed = SeedFromEnv(1301);
   Rng rng(seed);
   // Window counts ≡ 1, 255, 0 (mod 256): a lone partial chunk, one short
@@ -122,8 +114,7 @@ TYPED_TEST(ScanConformance, MatchesBruteForceAcrossChunkBoundaries) {
     for (uint64_t windows : kWindowCounts) {
       const int bits = kBits[cell++ % std::size(kBits)];
       const Bytes hay = MakeHaystack(rng, windows + size - 1);
-      const std::vector<uint32_t> window_keys =
-          WindowKeys<Hash>(hay, size, bits);
+      const std::vector<uint32_t> window_keys = WindowKeys(hay, size, bits);
       ASSERT_EQ(window_keys.size(), windows);
       const std::vector<uint32_t> keys = MakeKeys(rng, window_keys, bits);
       const RejectSome reject{rng.Next()};
@@ -142,28 +133,25 @@ TYPED_TEST(ScanConformance, MatchesBruteForceAcrossChunkBoundaries) {
         opts.num_threads = threads;
         opts.min_shard_windows = 16;  // shard even these small inputs
         std::vector<uint64_t> got;
-        ScanForKeys<Hash>(hay, size, bits, keys, accept, got, opts);
+        ScanForKeys(hay, size, bits, keys, accept, got, opts);
         EXPECT_EQ(got, want_all);
         BlockIndex scratch;  // also exercise scratch reuse
-        ScanForKeys<Hash>(hay, size, bits, keys, reject, got, opts,
-                          &scratch);
+        ScanForKeys(hay, size, bits, keys, reject, got, opts, &scratch);
         EXPECT_EQ(got, want_some);
-        ScanForKeys<Hash>(hay, size, bits, keys, reject, got, opts,
-                          &scratch);
+        ScanForKeys(hay, size, bits, keys, reject, got, opts, &scratch);
         EXPECT_EQ(got, want_some);
       }
     }
   }
 }
 
-TYPED_TEST(ScanConformance, StopsProbingOnceEveryItemMatched) {
-  using Hash = TypeParam;
+TEST(ScanConformance, StopsProbingOnceEveryItemMatched) {
   const uint64_t seed = SeedFromEnv(1303);
   Rng rng(seed);
   SCOPED_TRACE("FSX_SEED=" + std::to_string(seed));
   constexpr uint64_t kSize = 48;
   const Bytes hay = rng.RandomBytes(4000);
-  const std::vector<uint32_t> window_keys = WindowKeys<Hash>(hay, kSize, 32);
+  const std::vector<uint32_t> window_keys = WindowKeys(hay, kSize, 32);
   // Every key occurs (its source position is an upper bound on its
   // earliest match), one of them twice.
   std::vector<uint32_t> keys;
@@ -178,7 +166,7 @@ TYPED_TEST(ScanConformance, StopsProbingOnceEveryItemMatched) {
 
   uint64_t last_probe = 0;
   std::vector<uint64_t> got;
-  ScanForKeys<Hash>(
+  ScanForKeys(
       hay, kSize, 32, keys,
       [&](size_t, uint64_t p) {
         last_probe = std::max(last_probe, p);
@@ -191,20 +179,19 @@ TYPED_TEST(ScanConformance, StopsProbingOnceEveryItemMatched) {
   EXPECT_EQ(last_probe, last_match);
 }
 
-TYPED_TEST(ScanConformance, EdgeInputsReportNoMatch) {
-  using Hash = TypeParam;
+TEST(ScanConformance, EdgeInputsReportNoMatch) {
   const Bytes hay = Rng(SeedFromEnv(1307)).RandomBytes(100);
   auto accept = [](size_t, uint64_t) { return true; };
   std::vector<uint64_t> got;
-  ScanForKeys<Hash>(hay, 101, 16, {1u, 2u}, accept, got);  // block > file
+  ScanForKeys(hay, 101, 16, {1u, 2u}, accept, got);  // block > file
   EXPECT_EQ(got, (std::vector<uint64_t>{kScanNoMatch, kScanNoMatch}));
-  ScanForKeys<Hash>(hay, 0, 16, {1u}, accept, got);  // empty block
+  ScanForKeys(hay, 0, 16, {1u}, accept, got);  // empty block
   EXPECT_EQ(got, (std::vector<uint64_t>{kScanNoMatch}));
-  ScanForKeys<Hash>(hay, 8, 16, {}, accept, got);  // nothing to find
+  ScanForKeys(hay, 8, 16, {}, accept, got);  // nothing to find
   EXPECT_TRUE(got.empty());
   // A window exactly the haystack: one start, found at 0.
-  ScanForKeys<Hash>(hay, hay.size(), 20, {Hash::BlockKey(hay, 20)}, accept,
-                    got);
+  ScanForKeys(hay, hay.size(), 20, {AdlerScanHash::BlockKey(hay, 20)},
+              accept, got);
   EXPECT_EQ(got, (std::vector<uint64_t>{0}));
 }
 

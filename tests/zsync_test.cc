@@ -24,7 +24,7 @@ StatusOr<Bytes> RunZsync(ByteSpan f_old, ByteSpan f_new,
     *coverage = plan.CoveredFraction();
   }
   Bytes request = EncodeRangeRequest(plan);
-  FSYNC_ASSIGN_OR_RETURN(Bytes payload, ServeRanges(f_new, request, params));
+  FSYNC_ASSIGN_OR_RETURN(Bytes payload, ServeRanges(f_new, request));
   if (payload_bytes != nullptr) {
     *payload_bytes = payload.size();
   }
